@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/json.hh"
+
 namespace qdel {
 namespace obs {
 
@@ -40,24 +42,6 @@ formatDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.12g", v);
     return buf;
-}
-
-/** Minimal JSON string escaping (names are ASCII identifiers). */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char c : text) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:   out += c; break;
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -257,22 +241,21 @@ renderJson(const MetricsSnapshot &snapshot)
     for (const CounterSnapshot &c : snapshot.counters) {
         std::snprintf(buf, sizeof(buf), "%" PRIu64, c.value);
         out += std::string(first ? "" : ",") + "\n    \"" +
-               detail::jsonEscape(c.name) + "\": " + buf;
+               jsonEscape(c.name) + "\": " + buf;
         first = false;
     }
     out += "\n  },\n  \"gauges\": {";
     first = true;
     for (const GaugeSnapshot &g : snapshot.gauges) {
         out += std::string(first ? "" : ",") + "\n    \"" +
-               detail::jsonEscape(g.name) +
-               "\": " + detail::formatDouble(g.value);
+               jsonEscape(g.name) + "\": " + detail::formatDouble(g.value);
         first = false;
     }
     out += "\n  },\n  \"histograms\": {";
     first = true;
     for (const HistogramSnapshot &h : snapshot.histograms) {
         out += std::string(first ? "" : ",") + "\n    \"" +
-               detail::jsonEscape(h.name) + "\": {\"bounds\": [";
+               jsonEscape(h.name) + "\": {\"bounds\": [";
         for (size_t i = 0; i < h.bounds.size(); ++i) {
             out += (i ? ", " : "") + detail::formatDouble(h.bounds[i]);
         }

@@ -7,8 +7,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+
+#include "util/string_utils.hh"
 
 namespace qdel {
 namespace serve {
@@ -56,6 +61,72 @@ hexDigit(char c)
 }
 
 } // namespace
+
+const std::string *
+HttpParams::find(const char *name) const
+{
+    const auto it = params_.find(name);
+    return it == params_.end() ? nullptr : &it->second;
+}
+
+void
+HttpParams::reject(const char *name)
+{
+    if (bad_ == nullptr)
+        bad_ = name;
+}
+
+std::string
+HttpParams::str(const char *name) const
+{
+    const std::string *text = find(name);
+    return text == nullptr ? std::string() : *text;
+}
+
+int
+HttpParams::integer(const char *name, int fallback)
+{
+    const std::string *text = find(name);
+    if (text == nullptr)
+        return fallback;
+    const auto value = parseInt(*text);
+    if (!value || *value < std::numeric_limits<int>::min() ||
+        *value > std::numeric_limits<int>::max()) {
+        reject(name);
+        return fallback;
+    }
+    return static_cast<int>(*value);
+}
+
+double
+HttpParams::finite(const char *name, double fallback)
+{
+    const std::string *text = find(name);
+    if (text == nullptr)
+        return fallback;
+    const auto value = parseDouble(*text);
+    if (!value || !std::isfinite(*value)) {
+        reject(name);
+        return fallback;
+    }
+    return *value;
+}
+
+uint64_t
+HttpParams::u64(const char *name, uint64_t fallback)
+{
+    const std::string *text = find(name);
+    if (text == nullptr)
+        return fallback;
+    uint64_t value = 0;
+    const char *end = text->data() + text->size();
+    const auto parsed = std::from_chars(text->data(), end, value);
+    if (parsed.ec != std::errc() || parsed.ptr != end) {
+        reject(name);
+        return fallback;
+    }
+    return value;
+}
 
 bool
 looksLikeHttp(std::string_view prefix)

@@ -54,6 +54,38 @@ struct HttpRequest
 };
 
 /**
+ * Typed reads of a request's query parameters. An absent parameter
+ * yields the caller's default. A present one must be exactly one value
+ * (whole string, in range, and finite for doubles); otherwise the
+ * default comes back and bad() names the first such parameter, so the
+ * route answers 400 instead of acting on a silently coerced 0.
+ */
+class HttpParams
+{
+  public:
+    explicit HttpParams(const HttpRequest &request)
+        : params_(request.params)
+    {
+    }
+
+    /** The decoded value, or "" when absent. */
+    std::string str(const char *name) const;
+    int integer(const char *name, int fallback);
+    double finite(const char *name, double fallback);
+    uint64_t u64(const char *name, uint64_t fallback);
+
+    /** First malformed parameter read so far; nullptr when none. */
+    const char *bad() const { return bad_; }
+
+  private:
+    const std::string *find(const char *name) const;
+    void reject(const char *name);
+
+    const std::map<std::string, std::string> &params_;
+    const char *bad_ = nullptr;
+};
+
+/**
  * @return true when @p prefix starts like an HTTP request line — the
  * protocol sniff that lets binary frames and HTTP share one port (a
  * binary frame's first byte is a length LSB, never an ASCII method).

@@ -1,8 +1,8 @@
 /**
  * @file
- * Implementation of the TCP front end: one accept thread plus a
- * sharded epoll reactor. See server.hh for the loop model, deadline,
- * and shedding semantics.
+ * Implementation of the TCP front end: a sharded epoll reactor whose
+ * loops also accept and shed. See server.hh for the loop model,
+ * deadline, and shedding semantics.
  *
  * Hot-path invariants the reactor maintains:
  *
@@ -17,16 +17,19 @@
  *    steady state allocates nothing per request;
  *  - deadlines live in a per-loop hashed timing wheel (10ms ticks);
  *    arming is two pointer writes, so every serviced request can
- *    re-arm without heap or lock traffic.
+ *    re-arm without heap or lock traffic;
+ *  - no loop ever blocks on a socket: the listener is level-triggered
+ *    and EPOLLEXCLUSIVE in every loop, a transient accept() error
+ *    drops it from the erring loop's set for a capped backoff, and a
+ *    shed connection is an ordinary nonblocking Conn whose grace
+ *    window is a wheel deadline.
  */
 
 #include "serve/server.hh"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -37,12 +40,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <unordered_set>
@@ -55,6 +54,7 @@
 #include "serve/conn_buffer.hh"
 #include "serve/http.hh"
 #include "serve/netfault.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace qdel {
@@ -64,19 +64,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Accept-error backoff cap; the first retry sleeps 1ms and doubles. */
-constexpr uint64_t kAcceptBackoffCapMs = 100;
+/** Accept-error backoff cap; the first pause is 1ms and doubles. */
+constexpr int kAcceptBackoffCapMs = 100;
 
 /** Retry-After advertised when connection slots are exhausted. */
 constexpr uint32_t kShedRetryAfterSeconds = 1;
 
-/** Grace window the shed path grants a client to reveal its protocol
- *  (and to drain the refusal); a silent client gets the binary frame. */
+/** Grace window a shed connection gets to reveal its protocol (and
+ *  then to drain the refusal); a silent client gets the binary frame. */
 constexpr int kShedGraceMs = 100;
 
-/** Most connections the shed thread will queue before refusing the
- *  overflow with a bare close. */
-constexpr size_t kShedQueueCap = 64;
+/** Most shed connections in flight server-wide; beyond this the
+ *  overflow is refused with a bare close. */
+constexpr size_t kMaxShedInFlight = 64;
 
 /** Most events one epoll_wait() hands back per loop iteration. */
 constexpr int kMaxEpollEvents = 64;
@@ -91,119 +91,12 @@ ms(int count)
     return std::chrono::milliseconds(count);
 }
 
-/** Remaining poll() budget until @p deadline; 0 once it passed. */
-int
-remainingMs(Clock::time_point deadline)
-{
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    return left.count() <= 0 ? 0 : static_cast<int>(left.count());
-}
-
-enum class IoResult { Ok, Eof, Timeout, Error };
-
-/**
- * Append up to @p max more bytes, waiting for readability until
- * @p deadline. Blocking-path helper used by the shed thread only; the
- * reactor reads nonblocking sockets directly. Runs the netfault Recv
- * hook: an injected stall reports Timeout, a reset reports Error, a
- * short read clamps @p max to a dribble.
- */
-IoResult
-recvSomeDeadline(int fd, std::string *buffer, Clock::time_point deadline,
-                 size_t max = 64 * 1024)
-{
-    const auto fault =
-        netfault::detail::onOp(netfault::detail::Op::Recv, max);
-    if (fault.stall)
-        return IoResult::Timeout;
-    if (fault.fail)
-        return IoResult::Error;
-    if (fault.clampBytes > 0)
-        max = std::min(max, fault.clampBytes);
-
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    for (;;) {
-        const int ready = ::poll(&pfd, 1, remainingMs(deadline));
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoResult::Error;
-        }
-        if (ready == 0)
-            return IoResult::Timeout;
-        break;
-    }
-    const size_t old_size = buffer->size();
-    buffer->resize(old_size + max);
-    for (;;) {
-        const ssize_t n = ::recv(fd, buffer->data() + old_size, max, 0);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0) {
-            buffer->resize(old_size);
-            return IoResult::Error;
-        }
-        if (n == 0) {
-            buffer->resize(old_size);
-            return IoResult::Eof;
-        }
-        buffer->resize(old_size + static_cast<size_t>(n));
-        return IoResult::Ok;
-    }
-}
-
-/**
- * send() the whole buffer (suppressing SIGPIPE), waiting for
- * writability until @p deadline. Blocking-path helper used by the shed
- * thread only. Runs the netfault Send hook: an injected short write
- * pushes a prefix and then reports Error, as a peer resetting
- * mid-response would.
- */
-IoResult
-sendAllDeadline(int fd, std::string_view bytes, Clock::time_point deadline)
-{
-    const auto fault =
-        netfault::detail::onOp(netfault::detail::Op::Send, bytes.size());
-    if (fault.partial)
-        bytes = bytes.substr(0, fault.partialBytes);
-
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-        struct pollfd pfd;
-        pfd.fd = fd;
-        pfd.events = POLLOUT;
-        pfd.revents = 0;
-        const int ready = ::poll(&pfd, 1, remainingMs(deadline));
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoResult::Error;
-        }
-        if (ready == 0)
-            return IoResult::Timeout;
-        const ssize_t n = ::send(fd, bytes.data() + sent,
-                                 bytes.size() - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return IoResult::Error;
-        }
-        sent += static_cast<size_t>(n);
-    }
-    return fault.fail ? IoResult::Error : IoResult::Ok;
-}
-
 struct Loop;
 
 /** One reactor-owned connection; touched only by its loop's thread. */
 struct Conn
 {
     int fd = -1;
-    Loop *loop = nullptr;
 
     enum class Proto { Sniff, Binary, Http };
     Proto proto = Proto::Sniff;
@@ -213,6 +106,9 @@ struct Conn
     size_t outSent = 0;    //!< Bytes of out already on the wire.
     bool wantWrite = false;  //!< Waiting for EPOLLOUT to finish out.
     bool closing = false;    //!< Close once out is fully flushed.
+    /** Over the connection limit: lives only to sniff and refuse.
+     *  Written once before the connection is published. */
+    bool shed = false;
 
     /** Absolute deadline + which budget armed it (idle vs io). An io
      *  deadline is sticky: dribbled bytes never extend it. */
@@ -229,8 +125,8 @@ struct Conn
      * owning loop thread with relaxed stores whenever the deadline is
      * re-armed, read by whichever loop serves the debug request. The
      * plain fields above stay strictly single-threaded; only these
-     * mirrors (and fd, which is written once before the connection is
-     * published) ever cross threads.
+     * mirrors (and fd and shed, which are written once before the
+     * connection is published) ever cross threads.
      */
     std::atomic<uint8_t> protoView{0};      //!< Proto enum value.
     std::atomic<uint64_t> inBytesView{0};   //!< Unparsed receive bytes.
@@ -268,8 +164,6 @@ class TimerWheel
     static constexpr int64_t kSlots = 256;  // Power of two.
 
     TimerWheel() : lastTick_(tickOf(Clock::now())) {}
-
-    bool armed() const { return armed_ > 0; }
 
     /** epoll_wait budget: tick-resolution while anything is armed. */
     int pollTimeoutMs() const { return armed_ > 0 ? kTickMs : 500; }
@@ -354,26 +248,52 @@ class TimerWheel
     size_t armed_ = 0;
 };
 
+/** What every loop shares: the listener, admission, and placement. */
+struct Reactor
+{
+    BoundService *service = nullptr;
+    ServerOptions options;
+    int listenFd = -1;
+    std::atomic<bool> stopping{false};
+    std::vector<std::unique_ptr<Loop>> loops;
+
+    /** Serialises admission + placement, so two loops accepting at
+     *  once cannot both admit the (maxConnections + 1)th connection. */
+    std::mutex admitMutex;
+    size_t nextLoop = 0;  //!< Round-robin placement start (admitMutex).
+
+    /** Shed connections in flight across all loops. */
+    std::atomic<size_t> shedInFlight{0};
+
+    Loop *place();
+};
+
 /** One event loop: epoll instance + timer wheel + batch scratch. */
 struct Loop
 {
+    Reactor *reactor = nullptr;
     BoundService *service = nullptr;
     const ServerOptions *options = nullptr;
-    const std::atomic<bool> *stopping = nullptr;
     int epollFd = -1;
-    int wakeFd = -1;  //!< eventfd the accept thread signals.
+    int wakeFd = -1;  //!< eventfd sibling loops and stop() signal.
     std::thread thread;
 
-    /** New fds handed over by the accept thread. */
+    /** New fds placed here by a sibling loop's accept. */
     std::mutex inboxMutex;
     std::vector<int> inbox;
 
-    /** Connections owned by (or reserved for) this loop. Incremented
-     *  by the accept thread at hand-off so admission control sees a
+    /** Connections owned by (or reserved for) this loop, shed ones
+     *  excluded. Incremented at placement so admission control sees a
      *  connection the instant it is accepted. */
     std::atomic<size_t> connCount{0};
 
     TimerWheel wheel;
+
+    /** After a transient accept() error the listener leaves this
+     *  loop's epoll set until listenerResumeAt (capped backoff). */
+    bool listenerPaused = false;
+    Clock::time_point listenerResumeAt{};
+    int acceptBackoffMs = 1;
 
     /** Guards conns membership only, for GET /debug/conns: the owning
      *  thread takes it around insert/erase, a dumping thread around its
@@ -382,10 +302,6 @@ struct Loop
     std::mutex connsMutex;
     std::unordered_set<Conn *> conns;
     std::vector<Conn *> expired;
-
-    /** Every loop of this server, for GET /debug/conns (set once
-     *  before the loop threads start; read-only afterwards). */
-    const std::vector<std::unique_ptr<Loop>> *allLoops = nullptr;
 
     /** Slow-request log rate limiter: obs::nowNanos() of the last
      *  emitted line (loop-thread only). */
@@ -414,9 +330,14 @@ struct Loop
     }
 
     void run();
+    int pollTimeoutMs() const;
+    bool watchListener(bool on);
+    void acceptReady();
+    void admit(int fd);
+    void adopt(int fd, bool shed);
     void adoptInbox();
+    void refuseShed(Conn *c);
     void closeConn(Conn *c);
-    void shutdownAll();
     void onReadable(Conn *c);
     bool onWritable(Conn *c);
     bool flushOut(Conn *c);
@@ -499,31 +420,10 @@ ServerOptions::validate() const
     return Unit{};
 }
 
-struct BoundServer::Impl
+struct BoundServer::Impl : Reactor
 {
-    BoundService *service = nullptr;
-    int listenFd = -1;
     int boundPort = 0;
-    ServerOptions options;
-    std::thread acceptThread;
 
-    std::atomic<bool> stopping{false};
-
-    std::vector<std::unique_ptr<Loop>> loops;
-    size_t nextLoop = 0;  //!< Accept-thread only: round-robin start.
-
-    /** Overflow connections queue here for a structured refusal so
-     *  the accept loop never blocks on a slow client. */
-    std::thread shedThread;
-    std::mutex shedMutex;
-    std::condition_variable shedCv;
-    std::deque<int> shedQueue;
-    bool shedStopping = false;
-
-    void acceptLoop();
-    void enqueueShed(int fd);
-    void shedLoop();
-    void answerShed(int fd);
     void stop();
 
     ~Impl() { stop(); }
@@ -558,7 +458,8 @@ BoundServer::start(BoundService &service, const ServerOptions &options)
     if (auto ok = options.validate(); !ok.ok())
         return ok.error();
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd < 0) {
         return ParseError{"", 0, "socket",
                           std::string("socket(): ") + std::strerror(errno)};
@@ -604,9 +505,9 @@ BoundServer::start(BoundService &service, const ServerOptions &options)
 
     for (size_t i = 0; i < threads; ++i) {
         auto loop = std::make_unique<Loop>();
+        loop->reactor = impl.get();
         loop->service = impl->service;
         loop->options = &impl->options;
-        loop->stopping = &impl->stopping;
         loop->epollFd = ::epoll_create1(EPOLL_CLOEXEC);
         loop->wakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
         if (loop->epollFd < 0 || loop->wakeFd < 0) {
@@ -619,101 +520,50 @@ BoundServer::start(BoundService &service, const ServerOptions &options)
         event.events = EPOLLIN;
         event.data.ptr = nullptr;  // nullptr marks the wake eventfd.
         if (::epoll_ctl(loop->epollFd, EPOLL_CTL_ADD, loop->wakeFd,
-                        &event) != 0) {
+                        &event) != 0 ||
+            !loop->watchListener(true)) {
             const std::string reason = std::strerror(errno);
             return ParseError{"", 0, "reactor",
-                              "epoll_ctl(wakeFd): " + reason};
+                              "epoll_ctl(wakeFd/listenFd): " + reason};
         }
         impl->loops.push_back(std::move(loop));
     }
-    // Loops can see each other (for GET /debug/conns) — published
-    // before any loop thread exists, immutable afterwards.
-    for (auto &loop : impl->loops)
-        loop->allLoops = &impl->loops;
+    // The loop set is complete before any loop thread exists (sibling
+    // placement and GET /debug/conns read it), immutable afterwards.
     for (auto &loop : impl->loops) {
         loop->thread = std::thread([raw = loop.get()] { raw->run(); });
     }
-
-    impl->shedThread = std::thread([raw = impl.get()] {
-        raw->shedLoop();
-    });
-    impl->acceptThread = std::thread([raw = impl.get()] {
-        raw->acceptLoop();
-    });
     return std::unique_ptr<BoundServer>(new BoundServer(std::move(impl)));
 }
 
-void
-BoundServer::Impl::acceptLoop()
-{
-    uint64_t backoff_ms = 1;
-    for (;;) {
-        int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd >= 0) {
-            const auto fault =
-                netfault::detail::onOp(netfault::detail::Op::Accept, 0);
-            if (fault.fail) {
-                ::close(fd);
-                fd = -1;
-                errno = ECONNABORTED;
-            }
-        }
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            if (stopping.load(std::memory_order_acquire))
-                return;
-            if (errno == EBADF || errno == EINVAL || errno == ENOTSOCK)
-                return;  // Listener closed by stop().
-            // EMFILE/ENFILE/ENOBUFS/ECONNABORTED and friends are
-            // transient: count, back off (capped exponential — never
-            // the old busy-spin), and keep accepting.
-            QDEL_OBS(obs::serveMetrics().acceptErrors.inc());
-            std::this_thread::sleep_for(ms(static_cast<int>(backoff_ms)));
-            backoff_ms = std::min(backoff_ms * 2, kAcceptBackoffCapMs);
-            continue;
-        }
-        backoff_ms = 1;
-        if (stopping.load(std::memory_order_acquire)) {
-            ::close(fd);
-            return;
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-        // Admission control: the loops' counts include reservations
-        // made here, so the (maxConnections + 1)th concurrent
-        // connection always sheds. Pin admitted fds to the
-        // least-loaded loop (round-robin start breaks ties).
-        size_t total = 0;
-        size_t best = nextLoop % loops.size();
-        size_t best_count = static_cast<size_t>(-1);
-        for (size_t i = 0; i < loops.size(); ++i) {
-            const size_t at = (nextLoop + i) % loops.size();
-            const size_t count =
-                loops[at]->connCount.load(std::memory_order_relaxed);
-            total += count;
-            if (count < best_count) {
-                best_count = count;
-                best = at;
-            }
-        }
-        ++nextLoop;
-        if (total >= options.maxConnections) {
-            enqueueShed(fd);
-            continue;
-        }
-        Loop &loop = *loops[best];
-        loop.connCount.fetch_add(1, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock(loop.inboxMutex);
-            loop.inbox.push_back(fd);
-        }
-        loop.wake();
-    }
-}
-
 namespace {
+
+Loop *
+Reactor::place()
+{
+    // Admission: the loops' counts include placements not yet adopted,
+    // so the (maxConnections + 1)th concurrent connection always sheds.
+    // Placement: the least-loaded loop, round-robin start breaking ties.
+    std::lock_guard<std::mutex> lock(admitMutex);
+    size_t total = 0;
+    size_t best = nextLoop % loops.size();
+    size_t best_count = static_cast<size_t>(-1);
+    for (size_t i = 0; i < loops.size(); ++i) {
+        const size_t at = (nextLoop + i) % loops.size();
+        const size_t count =
+            loops[at]->connCount.load(std::memory_order_relaxed);
+        total += count;
+        if (count < best_count) {
+            best_count = count;
+            best = at;
+        }
+    }
+    ++nextLoop;
+    if (total >= options.maxConnections)
+        return nullptr;
+    loops[best]->connCount.fetch_add(1, std::memory_order_relaxed);
+    return loops[best].get();
+}
 
 void
 Loop::run()
@@ -722,11 +572,11 @@ Loop::run()
     struct epoll_event events[kMaxEpollEvents];
     for (;;) {
         const int n = ::epoll_wait(epollFd, events, kMaxEpollEvents,
-                                   wheel.pollTimeoutMs());
+                                   pollTimeoutMs());
         if (n < 0 && errno != EINTR)
             break;
         QDEL_OBS(obs::serveMetrics().loopWakeups.inc());
-        if (stopping->load(std::memory_order_acquire))
+        if (reactor->stopping.load(std::memory_order_acquire))
             break;
         for (int i = 0; i < n; ++i) {
             if (events[i].data.ptr == nullptr) {
@@ -734,6 +584,10 @@ Loop::run()
                 [[maybe_unused]] const ssize_t r =
                     ::read(wakeFd, &drained, sizeof(drained));
                 adoptInbox();
+                continue;
+            }
+            if (events[i].data.ptr == this) {  // The listener.
+                acceptReady();
                 continue;
             }
             Conn *c = static_cast<Conn *>(events[i].data.ptr);
@@ -747,15 +601,148 @@ Loop::run()
                  (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) != 0)
                 onReadable(c);
         }
+        const auto now = Clock::now();
+        if (listenerPaused && now >= listenerResumeAt)
+            watchListener(true);
         expired.clear();
-        wheel.advance(Clock::now(), expired);
+        wheel.advance(now, expired);
         for (Conn *c : expired) {
-            QDEL_OBS(obs::serveMetrics().reapedConnections.inc());
+            if (c->shed && !c->closing) {
+                // Still undecided at the grace deadline: refuse now
+                // (binary unless a method prefix has arrived).
+                refuseShed(c);
+                flushOut(c);
+                continue;
+            }
+            if (!c->shed)
+                QDEL_OBS(obs::serveMetrics().reapedConnections.inc());
             closeConn(c);
         }
     }
-    shutdownAll();
+    while (!conns.empty())
+        closeConn(*conns.begin());
     QDEL_OBS(obs::serveMetrics().reactorLoops.add(-1.0));
+}
+
+int
+Loop::pollTimeoutMs() const
+{
+    if (!listenerPaused)
+        return wheel.pollTimeoutMs();
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        listenerResumeAt - Clock::now());
+    return static_cast<int>(
+        std::clamp<int64_t>(left.count(), 0, wheel.pollTimeoutMs()));
+}
+
+/** Add the listener to (or drop it from) this loop's epoll set. */
+bool
+Loop::watchListener(bool on)
+{
+    struct epoll_event event;
+    std::memset(&event, 0, sizeof(event));
+    // Level-triggered and exclusive: one pending connection wakes one
+    // loop, not all of them, and stays readable until accepted.
+    event.events = EPOLLIN | EPOLLEXCLUSIVE;
+    event.data.ptr = this;  // this marks the listener.
+    listenerPaused = !on;
+    return ::epoll_ctl(epollFd, on ? EPOLL_CTL_ADD : EPOLL_CTL_DEL,
+                       reactor->listenFd, &event) == 0;
+}
+
+void
+Loop::acceptReady()
+{
+    for (;;) {
+        int fd = ::accept4(reactor->listenFd, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (fd >= 0) {
+            const auto fault =
+                netfault::detail::onOp(netfault::detail::Op::Accept, 0);
+            if (fault.fail) {
+                ::close(fd);
+                fd = -1;
+                errno = ECONNABORTED;
+            }
+        }
+        if (fd < 0) {
+            if (errno == EINTR)
+                continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK)
+                return;
+            // EMFILE/ENFILE/ENOBUFS/ECONNABORTED and friends are
+            // transient: count, and stop watching the listener for a
+            // capped exponential backoff. The loop keeps serving its
+            // connections meanwhile; run() re-adds the listener.
+            QDEL_OBS(obs::serveMetrics().acceptErrors.inc());
+            watchListener(false);
+            listenerResumeAt = Clock::now() + ms(acceptBackoffMs);
+            acceptBackoffMs = std::min(acceptBackoffMs * 2,
+                                       kAcceptBackoffCapMs);
+            return;
+        }
+        acceptBackoffMs = 1;
+        admit(fd);
+    }
+}
+
+void
+Loop::admit(int fd)
+{
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    Loop *target = reactor->place();
+    if (target == this) {
+        adopt(fd, /*shed=*/false);
+        return;
+    }
+    if (target != nullptr) {
+        {
+            std::lock_guard<std::mutex> lock(target->inboxMutex);
+            target->inbox.push_back(fd);
+        }
+        target->wake();
+        return;
+    }
+    QDEL_OBS(obs::serveMetrics().shedTotal.inc());
+    if (reactor->shedInFlight.fetch_add(1, std::memory_order_relaxed) >=
+        kMaxShedInFlight) {
+        // The shed path itself is saturated: refuse with a bare close.
+        reactor->shedInFlight.fetch_sub(1, std::memory_order_relaxed);
+        ::close(fd);
+        return;
+    }
+    adopt(fd, /*shed=*/true);
+}
+
+void
+Loop::adopt(int fd, bool shed)
+{
+    Conn *c = new Conn();
+    c->fd = fd;
+    c->shed = shed;
+    c->deadline =
+        Clock::now() + ms(shed ? kShedGraceMs : options->idleTimeoutMs);
+    if (!shed)
+        QDEL_OBS(obs::serveMetrics().connections.add(1.0));
+
+    struct epoll_event event;
+    std::memset(&event, 0, sizeof(event));
+    // EPOLLOUT is registered up front: with edge triggering the
+    // spurious initial writability costs one no-op, and no MOD
+    // syscalls are ever needed afterwards.
+    event.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
+    event.data.ptr = c;
+    if (::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &event) != 0) {
+        closeConn(c);
+        return;
+    }
+    c->publishView();
+    {
+        std::lock_guard<std::mutex> lock(connsMutex);
+        conns.insert(c);
+    }
+    wheel.arm(c, c->deadline);
 }
 
 void
@@ -766,43 +753,32 @@ Loop::adoptInbox()
         std::lock_guard<std::mutex> lock(inboxMutex);
         pending.swap(inbox);
     }
-    const auto now = Clock::now();
-    for (int fd : pending) {
-        if (stopping->load(std::memory_order_acquire)) {
-            ::close(fd);
-            connCount.fetch_sub(1, std::memory_order_relaxed);
-            continue;
-        }
-        const int flags = ::fcntl(fd, F_GETFL, 0);
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    for (int fd : pending)
+        adopt(fd, /*shed=*/false);
+}
 
-        Conn *c = new Conn();
-        c->fd = fd;
-        c->loop = this;
-        c->idleDeadline = true;
-        c->deadline = now + ms(options->idleTimeoutMs);
-
-        struct epoll_event event;
-        std::memset(&event, 0, sizeof(event));
-        // EPOLLOUT is registered up front: with edge triggering the
-        // spurious initial writability costs one no-op, and no MOD
-        // syscalls are ever needed afterwards.
-        event.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
-        event.data.ptr = c;
-        if (::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd, &event) != 0) {
-            ::close(fd);
-            connCount.fetch_sub(1, std::memory_order_relaxed);
-            delete c;
-            continue;
-        }
-        c->publishView();
-        {
-            std::lock_guard<std::mutex> lock(connsMutex);
-            conns.insert(c);
-        }
-        wheel.arm(c, c->deadline);
-        QDEL_OBS(obs::serveMetrics().connections.add(1.0));
+/**
+ * Answer a shed connection in the protocol its first bytes reveal —
+ * HTTP 503 + Retry-After, else (including a client that stayed silent
+ * through the grace window) the binary Status::Shed frame — and close
+ * it once the refusal is flushed or a second grace window passes.
+ */
+void
+Loop::refuseShed(Conn *c)
+{
+    if (looksLikeHttp(c->in.view().substr(0, 4))) {
+        appendHttpResponse(
+            c->out, 503, "text/plain",
+            "overloaded: connection slots exhausted\n",
+            /*keepAlive=*/false,
+            {{"Retry-After", std::to_string(kShedRetryAfterSeconds)}});
+    } else {
+        appendShedFrame(c->out, "connection slots exhausted",
+                        kShedRetryAfterSeconds);
     }
+    c->closing = true;
+    c->deadline = Clock::now() + ms(kShedGraceMs);
+    wheel.arm(c, c->deadline);
 }
 
 void
@@ -816,25 +792,13 @@ Loop::closeConn(Conn *c)
         conns.erase(c);
     }
     ::close(c->fd);
-    connCount.fetch_sub(1, std::memory_order_relaxed);
-    QDEL_OBS(obs::serveMetrics().connections.add(-1.0));
-    delete c;
-}
-
-void
-Loop::shutdownAll()
-{
-    std::vector<int> pending;
-    {
-        std::lock_guard<std::mutex> lock(inboxMutex);
-        pending.swap(inbox);
-    }
-    for (int fd : pending) {
-        ::close(fd);
+    if (c->shed) {
+        reactor->shedInFlight.fetch_sub(1, std::memory_order_relaxed);
+    } else {
         connCount.fetch_sub(1, std::memory_order_relaxed);
+        QDEL_OBS(obs::serveMetrics().connections.add(-1.0));
     }
-    while (!conns.empty())
-        closeConn(*conns.begin());
+    delete c;
 }
 
 void
@@ -872,7 +836,9 @@ Loop::onReadable(Conn *c)
         }
         if (n == 0) {
             // EOF: flush whatever the already-processed frames
-            // produced, then close.
+            // produced (or a shed client's refusal), then close.
+            if (c->shed && !c->closing)
+                refuseShed(c);
             c->closing = true;
             break;
         }
@@ -969,6 +935,8 @@ Loop::flushOut(Conn *c)
 void
 Loop::rearmDeadline(Conn *c, bool serviced)
 {
+    if (c->shed)
+        return;  // Only ever on its grace deadline.
     const bool busy = !c->in.empty() || c->outSent < c->out.size();
     const auto now = Clock::now();
     if (!busy) {
@@ -992,6 +960,12 @@ Loop::rearmDeadline(Conn *c, bool serviced)
 void
 Loop::processInput(Conn *c, size_t *frames)
 {
+    if (c->shed) {
+        // The same sniff decides the refusal's protocol.
+        if (!c->closing && c->in.size() >= 4)
+            refuseShed(c);
+        return;
+    }
     if (c->proto == Conn::Proto::Sniff) {
         // A binary frame's 4th byte is always NUL (payload lengths
         // are < 2^24); an HTTP method line never has one there.
@@ -1179,19 +1153,10 @@ Loop::processHttp(Conn *c, size_t *frames)
             head_end = data.find("\n\n");
             separator = 2;
         }
-        if (head_end == std::string_view::npos) {
-            if (data.size() > kMaxHttpHeadBytes) {
-                appendHttpResponse(
-                    c->out, 431, "text/plain",
-                    "request head exceeds " +
-                        std::to_string(kMaxHttpHeadBytes) + " bytes\n",
-                    /*keepAlive=*/false);
-                c->closing = true;
-            }
-            return;  // Need more head bytes.
-        }
-        head_end += separator;
-        if (head_end > kMaxHttpHeadBytes) {
+        const bool complete = head_end != std::string_view::npos;
+        if (complete)
+            head_end += separator;
+        if ((complete ? head_end : data.size()) > kMaxHttpHeadBytes) {
             appendHttpResponse(c->out, 431, "text/plain",
                                "request head exceeds " +
                                    std::to_string(kMaxHttpHeadBytes) +
@@ -1200,6 +1165,8 @@ Loop::processHttp(Conn *c, size_t *frames)
             c->closing = true;
             return;
         }
+        if (!complete)
+            return;  // Need more head bytes.
         auto parsed = parseRequestHead(data.substr(0, head_end));
         if (!parsed.ok()) {
             QDEL_OBS(obs::serveMetrics().badFrames.inc());
@@ -1259,108 +1226,19 @@ Loop::maybeLogSlow(const char *what, int64_t startNanos, uint64_t trace)
          options->slowRequestUs, "us)", suffix);
 }
 
-} // namespace
-
-void
-BoundServer::Impl::enqueueShed(int fd)
-{
-    {
-        std::lock_guard<std::mutex> lock(shedMutex);
-        if (!shedStopping && shedQueue.size() < kShedQueueCap) {
-            shedQueue.push_back(fd);
-            shedCv.notify_one();
-            return;
-        }
-    }
-    // Shed path itself saturated: refuse with a bare close.
-    QDEL_OBS(obs::serveMetrics().shedTotal.inc());
-    ::close(fd);
-}
-
-void
-BoundServer::Impl::shedLoop()
-{
-    for (;;) {
-        int fd = -1;
-        {
-            std::unique_lock<std::mutex> lock(shedMutex);
-            shedCv.wait(lock, [this] {
-                return shedStopping || !shedQueue.empty();
-            });
-            if (!shedQueue.empty()) {
-                fd = shedQueue.front();
-                shedQueue.pop_front();
-            } else if (shedStopping) {
-                return;
-            }
-        }
-        if (fd < 0)
-            continue;
-        answerShed(fd);
-        ::close(fd);
-    }
-}
-
-void
-BoundServer::Impl::answerShed(int fd)
-{
-    QDEL_OBS(obs::serveMetrics().shedTotal.inc());
-    // Sniff just enough of the request to answer in the client's own
-    // protocol; a client that sends nothing within the grace window
-    // gets the binary frame.
-    std::string buffer;
-    const auto deadline = Clock::now() + ms(kShedGraceMs);
-    while (buffer.size() < 4) {
-        if (recvSomeDeadline(fd, &buffer, deadline) != IoResult::Ok)
-            break;
-    }
-    std::string response;
-    if (looksLikeHttp(std::string_view(buffer).substr(
-            0, std::min<size_t>(buffer.size(), 4)))) {
-        response = renderHttpResponse(
-            503, "text/plain", "overloaded: connection slots exhausted\n",
-            {{"Retry-After", std::to_string(kShedRetryAfterSeconds)}});
-    } else {
-        response = frameShed("connection slots exhausted",
-                             kShedRetryAfterSeconds);
-    }
-    sendAllDeadline(fd, response, Clock::now() + ms(kShedGraceMs));
-}
-
-namespace {
-
-/** Append a JSON number: %.17g round-trips doubles exactly; the JSON
- *  grammar has no inf/nan, so non-finite values become null (the same
- *  convention as wire.cc's answer rendering). */
-void
-appendJsonNumber(std::string &out, double value)
-{
-    if (!std::isfinite(value)) {
-        out += "null";
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    out += buf;
-}
-
 /** GET /debug/calibration: the live analogue of the offline
  *  correct-fraction table, one row per (machine, queue, bucket). */
 std::string
 calibrationToJson(const BoundRegistry::CalibrationReport &report)
 {
-    std::string out = "{\"confidence\":";
-    appendJsonNumber(out, report.confidence);
-    out += ",\"quantile\":";
-    appendJsonNumber(out, report.quantile);
+    std::string out = "{\"confidence\":" + jsonNumber(report.confidence);
+    out += ",\"quantile\":" + jsonNumber(report.quantile);
     out += ",\"windowCapacity\":" + std::to_string(report.windowCapacity);
     out += ",\"entries\":" + std::to_string(report.rows.size());
     out += ",\"scoredEntries\":" + std::to_string(report.scoredEntries);
     out += ",\"failingEntries\":" + std::to_string(report.failingEntries);
-    out += ",\"worstCoverage\":";
-    appendJsonNumber(out, report.worstCoverage);
-    out += ",\"maxUndercoverage\":";
-    appendJsonNumber(out, report.maxUndercoverage);
+    out += ",\"worstCoverage\":" + jsonNumber(report.worstCoverage);
+    out += ",\"maxUndercoverage\":" + jsonNumber(report.maxUndercoverage);
     out += ",\"rows\":[";
     bool first = true;
     for (const auto &row : report.rows) {
@@ -1380,14 +1258,10 @@ calibrationToJson(const BoundRegistry::CalibrationReport &report)
         out += ",\"infinite\":" + std::to_string(row.infinite);
         out += ",\"windowCount\":" + std::to_string(row.windowCount);
         out += ",\"windowHits\":" + std::to_string(row.windowHits);
-        out += ",\"lifetimeCoverage\":";
-        appendJsonNumber(out, row.lifetimeCoverage);
-        out += ",\"windowCoverage\":";
-        appendJsonNumber(out, row.windowCoverage);
-        out += ",\"drift\":";
-        appendJsonNumber(out, row.drift);
-        out += ",\"pValue\":";
-        appendJsonNumber(out, row.pValue);
+        out += ",\"lifetimeCoverage\":" + jsonNumber(row.lifetimeCoverage);
+        out += ",\"windowCoverage\":" + jsonNumber(row.windowCoverage);
+        out += ",\"drift\":" + jsonNumber(row.drift);
+        out += ",\"pValue\":" + jsonNumber(row.pValue);
         out += ",\"failing\":";
         out += row.failing ? "true" : "false";
         out += "}";
@@ -1444,6 +1318,8 @@ connsToJson(const std::vector<std::unique_ptr<Loop>> &loops)
         bool first = true;
         std::lock_guard<std::mutex> lock(loop.connsMutex);
         for (const Conn *c : loop.conns) {
+            if (c->shed)
+                continue;
             if (!first)
                 out += ",";
             first = false;
@@ -1463,13 +1339,12 @@ connsToJson(const std::vector<std::unique_ptr<Loop>> &loops)
             out += ",\"idleDeadline\":";
             out += c->idleView.load(std::memory_order_relaxed) ? "true"
                                                                : "false";
-            out += ",\"deadlineMs\":";
-            appendJsonNumber(
-                out,
-                static_cast<double>(
-                    c->deadlineView.load(std::memory_order_relaxed) -
-                    now_nanos) /
-                    1e6);
+            out += ",\"deadlineMs\":" +
+                   jsonNumber(static_cast<double>(
+                                  c->deadlineView.load(
+                                      std::memory_order_relaxed) -
+                                  now_nanos) /
+                              1e6);
             out += "}";
         }
         out += "]}";
@@ -1493,10 +1368,12 @@ handleHttpRequest(Loop *loop, const HttpRequest &request,
     SlowLogGuard slow(loop, "http");
     slow.trace = request.traceId;
 
-    auto param = [&](const char *name, const char *fallback) {
-        const auto it = request.params.find(name);
-        return it == request.params.end() ? std::string(fallback)
-                                          : it->second;
+    HttpParams params(request);
+    auto rejectBad = [&] {
+        appendHttpResponse(out, 400, "text/plain",
+                           std::string("malformed parameter '") +
+                               params.bad() + "'\n",
+                           keepAlive);
     };
 
     if (request.method == "GET" && request.path == "/healthz") {
@@ -1518,11 +1395,15 @@ handleHttpRequest(Loop *loop, const HttpRequest &request,
                       obs::EventType::Span, "serve_query");
         QDEL_OBS(query_span.setTrace(request.traceId));
         BoundQuery query;
-        query.machine = param("machine", "");
-        query.queue = param("queue", "");
-        query.procs = std::atoi(param("procs", "1").c_str());
-        query.quantile = std::atof(param("q", "0.95").c_str());
+        query.machine = params.str("machine");
+        query.queue = params.str("queue");
+        query.procs = params.integer("procs", 1);
+        query.quantile = params.finite("q", 0.95);
         query.traceId = request.traceId;
+        if (params.bad() != nullptr) {
+            rejectBad();
+            return;
+        }
         appendHttpResponse(out, 200, "application/json",
                            answerToJson(service->query(query)), keepAlive);
         return;
@@ -1542,12 +1423,12 @@ handleHttpRequest(Loop *loop, const HttpRequest &request,
     }
     if (request.method == "GET" && request.path == "/debug/conns") {
         appendHttpResponse(out, 200, "application/json",
-                           connsToJson(*loop->allLoops), keepAlive);
+                           connsToJson(loop->reactor->loops), keepAlive);
         return;
     }
     if (request.method == "POST" && request.path == "/event") {
         JobEvent event;
-        const std::string kind = param("kind", "");
+        const std::string kind = params.str("kind");
         if (kind == "submit") {
             event.kind = EventKind::Submit;
         } else if (kind == "start") {
@@ -1560,15 +1441,18 @@ handleHttpRequest(Loop *loop, const HttpRequest &request,
                                keepAlive);
             return;
         }
-        event.jobId = std::strtoull(param("job", "0").c_str(), nullptr, 10);
-        event.time = std::atof(param("time", "0").c_str());
-        event.machine = param("machine", "");
-        event.queue = param("queue", "");
-        event.procs = std::atoi(param("procs", "1").c_str());
-        event.clientId = param("client", "");
-        event.seq =
-            std::strtoull(param("seq", "0").c_str(), nullptr, 10);
+        event.jobId = params.u64("job", 0);
+        event.time = params.finite("time", 0.0);
+        event.machine = params.str("machine");
+        event.queue = params.str("queue");
+        event.procs = params.integer("procs", 1);
+        event.clientId = params.str("client");
+        event.seq = params.u64("seq", 0);
         event.traceId = request.traceId;
+        if (params.bad() != nullptr) {
+            rejectBad();
+            return;
+        }
         auto outcome = service->ingest(event);
         if (!outcome.ok()) {
             appendHttpResponse(out, 500, "text/plain",
@@ -1624,32 +1508,23 @@ BoundServer::Impl::stop()
     bool expected = false;
     if (!stopping.compare_exchange_strong(expected, true))
         return;
-    if (listenFd >= 0) {
-        ::shutdown(listenFd, SHUT_RDWR);
-        ::close(listenFd);
-    }
-    if (acceptThread.joinable())
-        acceptThread.join();
-    // Reset only after the accept thread (which reads listenFd) is
-    // joined; the close above is what unblocks its accept().
-    listenFd = -1;
-    // The accept thread is gone: no new inbox pushes. Wake every loop
-    // so it observes stopping, closes its connections, and exits.
+    // Each loop observes stopping on its next wakeup, closes its
+    // connections, and exits.
     for (auto &loop : loops) {
         loop->wake();
         if (loop->thread.joinable())
             loop->thread.join();
     }
-    {
-        std::lock_guard<std::mutex> lock(shedMutex);
-        shedStopping = true;
+    // Every loop is gone: nothing reads the listener or pushes to an
+    // inbox any more, so both can be closed without a race.
+    for (auto &loop : loops) {
+        for (int fd : loop->inbox)
+            ::close(fd);
+        loop->inbox.clear();
     }
-    shedCv.notify_all();
-    if (shedThread.joinable())
-        shedThread.join();
-    for (int fd : shedQueue)
-        ::close(fd);
-    shedQueue.clear();
+    if (listenFd >= 0)
+        ::close(listenFd);
+    listenFd = -1;
 }
 
 } // namespace serve

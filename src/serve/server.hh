@@ -7,30 +7,40 @@
  * binary frame starts with a little-endian u32 payload length below
  * kMaxFrameBytes (< 2^24), so its fourth byte is always NUL; an HTTP
  * request starts with an ASCII method and never contains NUL there.
- * Binary connections then loop frames until EOF; HTTP connections are
- * answered one request at a time and closed (Connection: close).
+ * Binary connections then loop frames until EOF; HTTP connections
+ * answer request after request while the client sends
+ * "Connection: keep-alive", and close after the first request that
+ * does not (Connection: close is the default).
  *
- * Threading and overload behaviour: one accept thread plus a sharded
- * epoll reactor — reactorThreads event loops, each owning an epoll
- * instance, with every connection pinned to one loop for its lifetime
- * (no cross-thread migration, so connection state needs no locks).
- * Sockets are nonblocking and edge-triggered: a readable connection is
- * drained into a reusable per-connection buffer, every complete frame
- * in the batch is handled (consecutive bound queries dispatch through
- * BoundRegistry::queryBatch), and the concatenated responses flush
- * with one send — a pipelined client costs ~2 syscalls per batch.
- * When the total connection count reaches maxConnections, new
- * connections are handed to a dedicated shed thread that answers a
- * structured refusal (HTTP 503 + Retry-After, or a binary Status::Shed
- * frame) and closes. The lock-free query path keeps serving the
- * last-published snapshots throughout; shedding never blocks it.
+ * Threading and overload behaviour: a sharded epoll reactor and
+ * nothing else — reactorThreads event loops, each owning an epoll
+ * instance, and no other server thread. The nonblocking listener sits
+ * in every loop's epoll set (EPOLLEXCLUSIVE); a woken loop accepts
+ * until EAGAIN and pins each connection to the least-loaded loop for
+ * its lifetime (no cross-thread migration, so connection state needs
+ * no locks). Sockets are nonblocking and edge-triggered: a readable
+ * connection is drained into a reusable per-connection buffer, every
+ * complete frame in the batch is handled (consecutive bound queries
+ * dispatch through BoundRegistry::queryBatch), and the concatenated
+ * responses flush with one send — a pipelined client costs ~2
+ * syscalls per batch. When the total connection count reaches
+ * maxConnections, the accepting loop keeps the new connection only to
+ * refuse it: the same protocol sniff picks a structured refusal (HTTP
+ * 503 + Retry-After, or a binary Status::Shed frame for a client
+ * silent through a 100ms grace window), which is flushed before the
+ * close. The lock-free query path keeps serving the last-published
+ * snapshots throughout; shedding never blocks a loop.
  *
  * Deadlines: each loop runs a hashed timing wheel. A connection
  * waiting for the next request may idle up to idleTimeoutMs; once a
  * request is partially received (or a response partially sent) the
  * remainder must complete within ioTimeoutMs or the connection is
  * reaped (counted in qdel_serve_reaped_connections_total) — the
- * slow-loris bound.
+ * slow-loris bound. A transient accept() error (EMFILE, ENFILE,
+ * ENOBUFS, ECONNABORTED) takes the listener out of the erring loop's
+ * epoll set for a capped backoff (1ms doubling to 100ms), counted in
+ * qdel_serve_accept_errors_total; the loop serves its connections
+ * meanwhile.
  *
  * Fault injection: accept/recv/send run through serve::netfault, the
  * deterministic network-fault hook the chaos sweep drives (short
@@ -90,8 +100,8 @@ struct ServerOptions
 class BoundServer
 {
   public:
-    /** Bind + listen + start the accept loop. @p service must outlive
-     *  the server. */
+    /** Bind + listen + start the reactor loops. @p service must
+     *  outlive the server. */
     static Expected<std::unique_ptr<BoundServer>>
     start(BoundService &service, const ServerOptions &options);
 
@@ -100,7 +110,7 @@ class BoundServer
     /** The bound port (the chosen one when options.port was 0). */
     int port() const;
 
-    /** Close the listener and every connection; join all threads.
+    /** Close every connection and the listener; join the loops.
      *  Idempotent. */
     void stop();
 

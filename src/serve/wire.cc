@@ -6,8 +6,6 @@
 #include "serve/wire.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "persist/state_codec.hh"
@@ -503,56 +501,6 @@ eventsFromJobs(const std::vector<trace::JobRecord> &jobs,
                      });
     return events;
 }
-
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (unsigned char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-    return out;
-}
-
-namespace {
-
-/** JSON has no inf/nan literals; render them as null. */
-std::string
-jsonNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-} // namespace
 
 std::string
 answerToJson(const BoundAnswer &answer)

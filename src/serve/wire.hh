@@ -38,6 +38,7 @@
 
 #include "trace/job_record.hh"
 #include "util/expected.hh"
+#include "util/json.hh"
 
 namespace qdel {
 namespace serve {
@@ -254,10 +255,7 @@ void appendAnswerFrame(std::string &out, const BoundAnswer &answer);
 std::vector<JobEvent> eventsFromJobs(const std::vector<trace::JobRecord> &jobs,
                                      const std::string &machine);
 
-// --- JSON rendering (HTTP fallback) --------------------------------
-
-/** Escape for inclusion inside a JSON string literal. */
-std::string jsonEscape(std::string_view text);
+// --- JSON rendering (HTTP fallback; helpers in util/json.hh) -------
 
 /** Render a BoundAnswer as a JSON object (inf/nan become null). */
 std::string answerToJson(const BoundAnswer &answer);

@@ -100,6 +100,47 @@ TEST(HttpRender, ResponseShape)
     EXPECT_STREQ(httpReason(999), "Unknown");
 }
 
+TEST(HttpParams, AbsentKeepsTheDefaultAndMalformedIsNamed)
+{
+    HttpRequest request;
+    request.params = {{"procs", "16"}, {"q", "0.5"}, {"job", "42"},
+                      {"machine", "m"}};
+    HttpParams good(request);
+    EXPECT_EQ(good.str("machine"), "m");
+    EXPECT_EQ(good.str("queue"), "");
+    EXPECT_EQ(good.integer("procs", 1), 16);
+    EXPECT_EQ(good.integer("absent", 7), 7);
+    EXPECT_EQ(good.finite("q", 0.95), 0.5);
+    EXPECT_EQ(good.u64("job", 0), 42u);
+    EXPECT_EQ(good.u64("seq", 9), 9u);
+    EXPECT_EQ(good.bad(), nullptr);
+
+    request.params = {{"procs", "4x"},  {"time", "nan"}, {"q", "inf"},
+                      {"job", "-1"},    {"seq", ""},     {"big", "1e999"},
+                      {"wide", "3000000000"}};
+    HttpParams bad(request);
+    EXPECT_EQ(bad.finite("time", 0.0), 0.0);  // Default, not NaN.
+    EXPECT_STREQ(bad.bad(), "time");
+    EXPECT_EQ(bad.integer("procs", 1), 1);
+    EXPECT_STREQ(bad.bad(), "time") << "the first bad name sticks";
+    HttpParams each(request);
+    EXPECT_EQ(each.finite("q", 0.95), 0.95);
+    EXPECT_STREQ(each.bad(), "q");
+    for (const char *name : {"procs", "wide"}) {
+        HttpParams one(request);
+        one.integer(name, 1);
+        EXPECT_STREQ(one.bad(), name);
+    }
+    for (const char *name : {"job", "seq"}) {
+        HttpParams one(request);
+        one.u64(name, 0);
+        EXPECT_STREQ(one.bad(), name);
+    }
+    HttpParams overflow(request);
+    overflow.finite("big", 0.0);
+    EXPECT_STREQ(overflow.bad(), "big");
+}
+
 } // namespace
 } // namespace serve
 } // namespace qdel

@@ -9,14 +9,25 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/domain_metrics.hh"
 #include "obs/events.hh"
 #include "obs/metrics.hh"
 #include "persist/state_codec.hh"
@@ -52,6 +63,17 @@ class Client
     }
 
     bool connected() const { return connected_; }
+
+    /** Bound every later recv() so a server bug fails, not hangs. */
+    void
+    setRecvTimeoutMs(int ms)
+    {
+        struct timeval timeout;
+        timeout.tv_sec = ms / 1000;
+        timeout.tv_usec = (ms % 1000) * 1000;
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                     sizeof(timeout));
+    }
 
     bool
     send(std::string_view bytes)
@@ -805,6 +827,314 @@ TEST_F(ServerSocketTest, StopIsIdempotentAndClosesClients)
         payload = late.readFrame();
     }
     EXPECT_TRUE(payload.empty());
+}
+
+TEST_F(ServerSocketTest, MalformedHttpParametersAnswer400AndApplyNothing)
+{
+    // Garbage, trailing junk, and non-finite values on every typed
+    // parameter of both routes: each is a 400 naming the parameter,
+    // never an event at time 0 or a query for procs 0.
+    const struct
+    {
+        const char *target;
+        const char *param;
+    } cases[] = {
+        {"GET /bound?machine=m&queue=q&procs=abc", "procs"},
+        {"GET /bound?machine=m&queue=q&procs=4x", "procs"},
+        {"GET /bound?machine=m&queue=q&procs=99999999999", "procs"},
+        {"GET /bound?machine=m&queue=q&q=0.9junk", "q"},
+        {"GET /bound?machine=m&queue=q&q=nan", "q"},
+        {"GET /bound?machine=m&queue=q&q=inf", "q"},
+        {"POST /event?kind=submit&job=abc&time=1&machine=m", "job"},
+        {"POST /event?kind=submit&job=1x&time=1&machine=m", "job"},
+        {"POST /event?kind=submit&job=-1&time=1&machine=m", "job"},
+        {"POST /event?kind=submit&job=1&time=abc&machine=m", "time"},
+        {"POST /event?kind=submit&job=1&time=5s&machine=m", "time"},
+        {"POST /event?kind=submit&job=1&time=nan&machine=m", "time"},
+        {"POST /event?kind=submit&job=1&time=1&machine=m&procs=x", "procs"},
+        {"POST /event?kind=submit&job=1&time=1&machine=m&procs=2.5",
+         "procs"},
+        {"POST /event?kind=submit&job=1&time=1&machine=m&client=c&seq=z",
+         "seq"},
+        {"POST /event?kind=submit&job=1&time=1&machine=m&client=c&seq=7!",
+         "seq"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.target);
+        Client client(server_->port());
+        ASSERT_TRUE(client.connected());
+        ASSERT_TRUE(client.send(std::string(c.target) +
+                                " HTTP/1.1\r\n\r\n"));
+        const std::string response = client.readToEof();
+        EXPECT_EQ(response.rfind("HTTP/1.1 400", 0), 0u) << response;
+        EXPECT_NE(response.find(std::string("'") + c.param + "'"),
+                  std::string::npos)
+            << response;
+    }
+
+    // Nothing was applied (or even created) by any of them.
+    Client stats(server_->port());
+    ASSERT_TRUE(stats.send("GET /stats HTTP/1.1\r\n\r\n"));
+    const std::string response = stats.readToEof();
+    EXPECT_NE(response.find("{\"entries\":0,\"shards\":[0,0]}"),
+              std::string::npos)
+        << response;
+
+    // Absent parameters keep their defaults: still a 200.
+    Client bound(server_->port());
+    ASSERT_TRUE(bound.send("GET /bound?machine=m HTTP/1.1\r\n\r\n"));
+    EXPECT_EQ(bound.readToEof().rfind("HTTP/1.1 200", 0), 0u);
+}
+
+/** Connect and complete one ping, so the connection holds its slot. */
+void
+holdSlot(Client &holder)
+{
+    ASSERT_TRUE(holder.connected());
+    holder.setRecvTimeoutMs(5000);
+    ASSERT_TRUE(holder.send(frameRequest(Opcode::Ping, "")));
+    ASSERT_EQ(holder.readFrame().size(), 5u);
+}
+
+/** Block until qdel_serve_shed_total exceeds @p before (or 2s pass). */
+bool
+awaitShed(uint64_t before)
+{
+    for (int i = 0; i < 2000; ++i) {
+        if (obs::serveMetrics().shedTotal.value() > before)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
+TEST_F(OverloadTest, SilentShedClientGetsTheBinaryFrameAfterTheGrace)
+{
+    ServerOptions options;
+    options.maxConnections = 1;
+    options.reactorThreads = 1;
+    startServer(options);
+    Client holder(server_->port());
+    holdSlot(holder);
+
+    const auto connected = std::chrono::steady_clock::now();
+    Client excess(server_->port());
+    ASSERT_TRUE(excess.connected());
+    excess.setRecvTimeoutMs(5000);
+    // Sends nothing: the sniff cannot decide, so the grace deadline
+    // answers with the binary refusal.
+    const std::string payload = excess.readFrame();
+    const auto waited = std::chrono::steady_clock::now() - connected;
+    ASSERT_FALSE(payload.empty());
+    ASSERT_EQ(static_cast<uint8_t>(payload[0]),
+              static_cast<uint8_t>(Status::Shed));
+    EXPECT_GE(waited, std::chrono::milliseconds(95))
+        << "refused before the grace window elapsed";
+    persist::StateReader reader(std::string_view(payload).substr(1),
+                                "shed-response");
+    EXPECT_EQ(reader.str().value(), "connection slots exhausted");
+    EXPECT_EQ(reader.u32().value(), 1u);
+    EXPECT_TRUE(excess.readFrame().empty()) << "expected EOF";
+}
+
+TEST_F(OverloadTest, DribbledHttpShedClientStillGets503)
+{
+    ServerOptions options;
+    options.maxConnections = 1;
+    options.reactorThreads = 1;
+    startServer(options);
+    Client holder(server_->port());
+    holdSlot(holder);
+
+    Client excess(server_->port());
+    ASSERT_TRUE(excess.connected());
+    excess.setRecvTimeoutMs(5000);
+    // The sniff must wait for all 4 bytes, however they trickle in.
+    for (char byte : std::string("GET ")) {
+        ASSERT_TRUE(excess.send(std::string_view(&byte, 1)));
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    const std::string response = excess.readToEof();
+    EXPECT_EQ(response.rfind("HTTP/1.1 503", 0), 0u) << response;
+    EXPECT_NE(response.find("Retry-After: 1\r\n"), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("Connection: close\r\n"), std::string::npos);
+}
+
+TEST_F(OverloadTest, ShedGraceWindowNeverBlocksTheLoop)
+{
+    ServerOptions options;
+    options.maxConnections = 1;
+    options.reactorThreads = 1;
+    startServer(options);
+    Client holder(server_->port());
+    holdSlot(holder);
+
+    const uint64_t shed_before = obs::serveMetrics().shedTotal.value();
+    Client excess(server_->port());
+    ASSERT_TRUE(excess.connected());
+    excess.setRecvTimeoutMs(5000);
+    ASSERT_TRUE(awaitShed(shed_before));
+
+    // The one loop owns both connections; the silent shed client sits
+    // in its 100ms grace window while the holder round-trips.
+    const auto sent = std::chrono::steady_clock::now();
+    ASSERT_TRUE(holder.send(frameRequest(Opcode::Ping, "")));
+    ASSERT_EQ(holder.readFrame().size(), 5u);
+    EXPECT_LT(std::chrono::steady_clock::now() - sent,
+              std::chrono::milliseconds(50));
+
+    // The shed client was still waiting: it gets its refusal only now.
+    const std::string payload = excess.readFrame();
+    ASSERT_FALSE(payload.empty());
+    EXPECT_EQ(static_cast<uint8_t>(payload[0]),
+              static_cast<uint8_t>(Status::Shed));
+}
+
+/**
+ * Exhausts this process's descriptor table: RLIMIT_NOFILE drops to just
+ * above the highest open fd and the gap fills with dup()s. Everything
+ * is undone on release() or destruction, so a failed assertion cannot
+ * leak a crippled process into later tests.
+ */
+class FdSqueeze
+{
+  public:
+    FdSqueeze()
+    {
+        base_ = ::open("/dev/null", O_RDONLY);
+        if (base_ < 0 || ::getrlimit(RLIMIT_NOFILE, &saved_) != 0)
+            return;
+        int highest = base_;
+        if (DIR *dir = ::opendir("/proc/self/fd")) {
+            while (const struct dirent *entry = ::readdir(dir))
+                highest = std::max(highest, std::atoi(entry->d_name));
+            ::closedir(dir);
+        }
+        struct rlimit tight = saved_;
+        tight.rlim_cur = static_cast<rlim_t>(highest + 16);
+        if (::setrlimit(RLIMIT_NOFILE, &tight) != 0)
+            return;
+        squeezed_ = true;
+        for (int fd; (fd = ::dup(base_)) >= 0;)
+            filler_.push_back(fd);
+        full_ = errno == EMFILE;
+    }
+
+    ~FdSqueeze() { release(); }
+
+    /** True when the table is full (every dup() hit EMFILE). */
+    bool full() const { return squeezed_ && full_ && !filler_.empty(); }
+
+    /** Free exactly one descriptor slot. */
+    void
+    freeOne()
+    {
+        ::close(filler_.back());
+        filler_.pop_back();
+    }
+
+    void
+    release()
+    {
+        for (int fd : filler_)
+            ::close(fd);
+        filler_.clear();
+        if (squeezed_)
+            ::setrlimit(RLIMIT_NOFILE, &saved_);
+        squeezed_ = false;
+        if (base_ >= 0)
+            ::close(base_);
+        base_ = -1;
+    }
+
+  private:
+    int base_ = -1;
+    struct rlimit saved_;
+    bool squeezed_ = false;
+    bool full_ = false;
+    std::vector<int> filler_;
+};
+
+TEST_F(OverloadTest, AcceptEmfileBacksOffWithoutSpinningAndRecovers)
+{
+    ServerOptions options;
+    options.reactorThreads = 1;
+    startServer(options);
+    Client holder(server_->port());
+    holdSlot(holder);
+    const uint64_t errors_before = obs::serveMetrics().acceptErrors.value();
+
+    // One free slot for the client socket: the connection completes
+    // into the backlog, but the server's accept() has no descriptor
+    // left and fails with EMFILE.
+    FdSqueeze squeeze;
+    ASSERT_TRUE(squeeze.full());
+    squeeze.freeOne();
+    Client waiting(server_->port());
+    ASSERT_TRUE(waiting.connected());
+    bool saw_error = false;
+    for (int i = 0; i < 2000 && !saw_error; ++i) {
+        saw_error =
+            obs::serveMetrics().acceptErrors.value() > errors_before;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(saw_error) << "accept() never reported EMFILE";
+
+    // While EMFILE persists the listener sits out of the epoll set
+    // between capped-backoff retries, so the loop sleeps, not spins.
+    const uint64_t wakeups_before =
+        obs::serveMetrics().loopWakeups.value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_LT(obs::serveMetrics().loopWakeups.value() - wakeups_before,
+              100u)
+        << "the loop spun on the failing listener";
+    // The held connection is served throughout.
+    ASSERT_TRUE(holder.send(frameRequest(Opcode::Ping, "")));
+    EXPECT_EQ(holder.readFrame().size(), 5u);
+
+    // Descriptors are back: the backlogged client is accepted and
+    // served within one backoff period.
+    squeeze.release();
+    waiting.setRecvTimeoutMs(5000);
+    ASSERT_TRUE(waiting.send(frameRequest(Opcode::Ping, "")));
+    EXPECT_EQ(waiting.readFrame().size(), 5u);
+}
+
+/** Threads in this process, from /proc/self/task. */
+size_t
+threadCount()
+{
+    size_t count = 0;
+    DIR *dir = ::opendir("/proc/self/task");
+    if (dir == nullptr)
+        return 0;
+    while (const struct dirent *entry = ::readdir(dir)) {
+        if (entry->d_name[0] != '.')
+            ++count;
+    }
+    ::closedir(dir);
+    return count;
+}
+
+TEST_F(OverloadTest, ServerRunsExactlyReactorThreadsThreads)
+{
+    // No accept thread and no shed thread: the loops are the server.
+    ServiceConfig config;
+    config.registry.shards = 2;
+    auto opened = BoundService::open(config);
+    ASSERT_TRUE(opened.ok());
+    service_ = std::move(opened).value();
+    ServerOptions options;
+    options.reactorThreads = 2;
+    const size_t before = threadCount();
+    ASSERT_GT(before, 0u);
+    auto server = BoundServer::start(*service_, options);
+    ASSERT_TRUE(server.ok());
+    server_ = std::move(server).value();
+    EXPECT_EQ(threadCount() - before, 2u);
+    server_->stop();
+    EXPECT_EQ(threadCount(), before);
 }
 
 } // namespace

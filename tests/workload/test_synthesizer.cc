@@ -7,6 +7,8 @@
  */
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -150,9 +152,12 @@ TEST(Synthesize, JobCountSpanAndQueueName)
 }
 
 /** Table 1 reproduction: medians and means land near the published
- *  values across representative rows of each class. */
-class TableOneCalibration
-    : public ::testing::TestWithParam<std::pair<const char *, const char *>>
+ *  values across representative rows of each class. The parameter
+ *  holds std::string (not const char *) so gtest prints the names
+ *  rather than literal addresses, keeping test names stable. */
+using SiteQueue = std::pair<std::string, std::string>;
+
+class TableOneCalibration : public ::testing::TestWithParam<SiteQueue>
 {
 };
 
@@ -173,15 +178,15 @@ TEST_P(TableOneCalibration, MedianAndMeanNearPublished)
 
 INSTANTIATE_TEST_SUITE_P(
     RepresentativeQueues, TableOneCalibration,
-    ::testing::Values(std::make_pair("llnl", "all"),
-                      std::make_pair("nersc", "regular"),
-                      std::make_pair("tacc2", "normal"),
-                      std::make_pair("lanl", "shared"),
-                      std::make_pair("datastar", "express"),
-                      std::make_pair("sdsc", "high"),
-                      std::make_pair("paragon", "standby")),
+    ::testing::Values(SiteQueue{"llnl", "all"},
+                      SiteQueue{"nersc", "regular"},
+                      SiteQueue{"tacc2", "normal"},
+                      SiteQueue{"lanl", "shared"},
+                      SiteQueue{"datastar", "express"},
+                      SiteQueue{"sdsc", "high"},
+                      SiteQueue{"paragon", "standby"}),
     [](const auto &info) {
-        return std::string(info.param.first) + "_" + info.param.second;
+        return info.param.first + "_" + info.param.second;
     });
 
 TEST(Synthesize, TableFiveCellPopulation)
