@@ -76,8 +76,8 @@ populatedRegistry()
     static serve::BoundRegistry *registry = [] {
         serve::BoundRegistry::Options options;
         options.shards = 8;
-        options.trainObservations = 100;
-        options.refitEvery = 50;
+        options.trainJobs = 100;
+        options.epochSeconds = 300.0;
         auto *r = new serve::BoundRegistry(options);
         uint64_t job_id = 0;
         for (size_t m = 0; m < kMachines; ++m) {
@@ -188,8 +188,8 @@ BM_ServeIngestThroughput(benchmark::State &state)
 {
     serve::BoundRegistry::Options options;
     options.shards = 8;
-    options.trainObservations = 100;
-    options.refitEvery = 50;
+    options.trainJobs = 100;
+    options.epochSeconds = 300.0;
     serve::BoundRegistry registry(options);
     uint64_t job_id = 0;
     for (auto _ : state) {
@@ -340,8 +340,8 @@ networkServer()
         obs::setEnabled(true);
         serve::ServiceConfig config;
         config.registry.shards = 8;
-        config.registry.trainObservations = 100;
-        config.registry.refitEvery = 50;
+        config.registry.trainJobs = 100;
+        config.registry.epochSeconds = 300.0;
         auto opened = serve::BoundService::open(config);
         auto *service =
             new std::unique_ptr<serve::BoundService>(
@@ -555,8 +555,8 @@ BM_ServeOverloadHealthyLatency(benchmark::State &state)
     const size_t stalled = static_cast<size_t>(state.range(0));
     serve::ServiceConfig config;
     config.registry.shards = 8;
-    config.registry.trainObservations = 100;
-    config.registry.refitEvery = 50;
+    config.registry.trainJobs = 100;
+    config.registry.epochSeconds = 300.0;
     auto opened = serve::BoundService::open(config);
     if (!opened.ok()) {
         state.SkipWithError("service open failed");

@@ -162,7 +162,7 @@ BmbpPredictor::computeBound(double q, bool upper) const
         return upper ? QuantileEstimate::infinite()
                      : QuantileEstimate::of(0.0);
     // Order-statistic indices are 1-based in the math, 0-based in the
-    // treap.
+    // sorted view.
     return QuantileEstimate::of(sorted_.kth(*index - 1));
 }
 

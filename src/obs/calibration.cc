@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/lgamma.hh"
+
 namespace qdel {
 namespace obs {
 
@@ -29,14 +31,14 @@ binomialTailBelow(uint64_t k, uint64_t n, double p)
     // sum is bounded by 1.
     const double logP = std::log(p);
     const double logQ = std::log1p(-p);
-    const double lgN = std::lgamma(static_cast<double>(n) + 1.0);
+    const double lgN = logGammaReentrant(static_cast<double>(n) + 1.0);
     double sum = 0.0;
     for (uint64_t i = 0; i <= k; ++i) {
         const double di = static_cast<double>(i);
         const double logTerm =
-            lgN - std::lgamma(di + 1.0) -
-            std::lgamma(static_cast<double>(n - i) + 1.0) + di * logP +
-            static_cast<double>(n - i) * logQ;
+            lgN - logGammaReentrant(di + 1.0) -
+            logGammaReentrant(static_cast<double>(n - i) + 1.0) +
+            di * logP + static_cast<double>(n - i) * logQ;
         sum += std::exp(logTerm);
     }
     return std::min(1.0, std::max(0.0, sum));

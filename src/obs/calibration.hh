@@ -9,9 +9,10 @@
  * from the requested confidence plus a one-sided binomial test that
  * flags an entry whose observed coverage is significantly below C.
  *
- * Everything here is deterministic and dependency-free (std only):
+ * Everything here is deterministic and depends only on std and the
+ * header-only util/lgamma.hh:
  * qdel_obs sits below qdel_stats in the link graph, so the binomial
- * tail is computed self-contained in log space via std::lgamma. Tests
+ * tail is computed self-contained in log space via lgamma. Tests
  * cross-check it against stats::binomialCdf.
  */
 

@@ -16,7 +16,7 @@
 #include "obs/obs.hh"
 #include "persist/io.hh"
 #include "persist/state_codec.hh"
-#include "sim/replay/evaluation.hh"
+#include "util/atomic_shared_ptr.hh"
 #include "util/logging.hh"
 
 namespace qdel {
@@ -26,8 +26,10 @@ namespace {
 
 // v2 added the per-client retry-dedup fences (clientSeq); v3 added
 // the bound captured at submit on each pending job plus the per-entry
-// calibration counters and rolling window.
-constexpr uint32_t kShardStateVersion = 3;
+// calibration counters and rolling window; v4 replaced the refit-every-K
+// policy with the replay core (epoch clock, submit count, scored counts)
+// and echoes epochSeconds/trainJobs.
+constexpr uint32_t kShardStateVersion = 4;
 const char *const kShardStateTag = "qdel-serve-shard";
 
 std::string
@@ -65,17 +67,23 @@ gridIndexFor(double q)
 /** Writer-owned entry state + the reader-visible published snapshot. */
 struct BoundRegistry::Entry
 {
+    Entry(std::unique_ptr<core::Predictor> owned, const Options &options)
+        : predictor(std::move(owned)),
+          replay(*predictor, {options.epochSeconds, options.trainJobs})
+    {
+    }
+
     std::string machine;
     std::string queue;
     int bucket = 0;
 
     std::unique_ptr<core::Predictor> predictor;
+    /** The Section 5.1 rules — epochs, training split, scored counts —
+     *  run by the same core as the offline replay. */
+    sim::QueueCore replay;
     uint64_t observations = 0;
-    uint64_t refits = 0;
-    bool finalized = false;
     uint64_t running = 0;
     uint64_t version = 0;
-    size_t lastTrims = 0;
 
     /**
      * One submitted-but-not-started job. boundAtSubmit captures the
@@ -84,8 +92,8 @@ struct BoundRegistry::Entry
      * answered — so the wait can be scored against the bound the
      * service actually stood behind, mirroring the offline replay's
      * predict-at-submit / score-at-start rule. scoreable is false
-     * while the entry is still training (offline scores only
-     * post-training jobs).
+     * for the training submits (offline scores only post-training
+     * jobs).
      */
     struct PendingJob
     {
@@ -95,21 +103,19 @@ struct BoundRegistry::Entry
     };
     std::map<uint64_t, PendingJob> pending;  //!< by jobId.
 
-    // Calibration state: mutated only under the shard writer lock, so
-    // it is a deterministic function of the event sequence and WAL
-    // replay reconstructs it exactly (it is part of the digest).
-    uint64_t calibScored = 0;    //!< Waits scored against a bound.
-    uint64_t calibHits = 0;      //!< Covered (infinite bound = hit).
-    uint64_t calibInfinite = 0;  //!< Scored against an infinite bound.
+    // The rolling calibration window: mutated only under the shard
+    // writer lock, so it is a deterministic function of the event
+    // sequence and WAL replay reconstructs it exactly (it is part of
+    // the digest). The lifetime counts live in the core.
     obs::CalibrationWindow calibWindow;
 
-    std::atomic<std::shared_ptr<const BoundSnapshot>> snapshot;
+    AtomicSharedPtr<const BoundSnapshot> snapshot;
 };
 
 struct BoundRegistry::Shard
 {
     std::mutex writer;
-    std::atomic<std::shared_ptr<const KeyMap>> keys;
+    AtomicSharedPtr<const KeyMap> keys;
     uint64_t applied = 0;
     uint64_t rejected = 0;
     /** Highest processed seq per clientId — the retry-dedup fence.
@@ -128,13 +134,20 @@ BoundRegistry::Options::validate() const
                           "shard count must be in [1, 4096], got " +
                               std::to_string(shards)};
     }
-    if (refitEvery < 1) {
-        return ParseError{"", 0, "refitEvery",
-                          "refit interval must be >= 1 observation"};
+    if (kGridQuantiles[gridIndexFor(quantile)] != quantile) {
+        // Calibration scores the grid bound, so an off-grid quantile
+        // would silently judge a different one.
+        return ParseError{"", 0, "quantile",
+                          "must be one of the published grid quantiles "
+                          "(0.25, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, "
+                          "0.95, 0.96, 0.97, 0.98, 0.99), got " +
+                              std::to_string(quantile)};
     }
-    if (trainObservations < 1) {
-        return ParseError{"", 0, "trainObservations",
-                          "training length must be >= 1 observation"};
+    // Negated so NaN fails too.
+    if (!(epochSeconds >= 0.0) || !std::isfinite(epochSeconds)) {
+        return ParseError{"", 0, "epochSeconds",
+                          "must be finite and >= 0, got " +
+                              std::to_string(epochSeconds)};
     }
     core::PredictorOptions predictor_options;
     predictor_options.quantile = quantile;
@@ -186,7 +199,7 @@ BoundRegistry::lockShard(size_t s)
 std::shared_ptr<BoundRegistry::Entry>
 BoundRegistry::findEntry(size_t s, const std::string &key) const
 {
-    const auto keys = shards_[s]->keys.load(std::memory_order_acquire);
+    const auto keys = shards_[s]->keys.load();
     const auto it = keys->find(key);
     if (it == keys->end())
         return nullptr;
@@ -194,35 +207,39 @@ BoundRegistry::findEntry(size_t s, const std::string &key) const
 }
 
 std::shared_ptr<BoundRegistry::Entry>
-BoundRegistry::getOrCreateLocked(size_t s, const JobEvent &event,
-                                 const std::string &key)
+BoundRegistry::makeEntry(const JobEvent &event) const
 {
-    if (auto existing = findEntry(s, key))
-        return existing;
-
-    auto entry = std::make_shared<Entry>();
+    auto entry = std::make_shared<Entry>(makePredictor(), options_);
     entry->machine = event.machine;
     entry->queue = event.queue;
     entry->bucket = procBucketFor(event.procs);
-    core::PredictorOptions predictor_options;
-    predictor_options.quantile = options_.quantile;
-    predictor_options.confidence = options_.confidence;
-    predictor_options.rareEventTable = &rareTable_;
-    entry->predictor = core::makePredictor(options_.method,
-                                           predictor_options);
-    publish(*entry, /*bump_version=*/true);
-
-    Shard &shard = *shards_[s];
-    const auto old_keys = shard.keys.load(std::memory_order_acquire);
-    auto next_keys = std::make_shared<KeyMap>(*old_keys);
-    (*next_keys)[key] = entry;
-    shard.keys.store(std::move(next_keys), std::memory_order_release);
-    QDEL_OBS(obs::serveMetrics().entries.add(1.0));
     return entry;
 }
 
 void
-BoundRegistry::publish(Entry &entry, bool bump_version)
+BoundRegistry::insertLocked(size_t s, const std::string &key,
+                            std::shared_ptr<Entry> entry)
+{
+    Shard &shard = *shards_[s];
+    const auto old_keys = shard.keys.load();
+    auto next_keys = std::make_shared<KeyMap>(*old_keys);
+    (*next_keys)[key] = std::move(entry);
+    shard.keys.store(std::move(next_keys));
+    QDEL_OBS(obs::serveMetrics().entries.add(1.0));
+}
+
+std::unique_ptr<core::Predictor>
+BoundRegistry::makePredictor() const
+{
+    core::PredictorOptions predictor_options;
+    predictor_options.quantile = options_.quantile;
+    predictor_options.confidence = options_.confidence;
+    predictor_options.rareEventTable = &rareTable_;
+    return core::makePredictor(options_.method, predictor_options);
+}
+
+std::shared_ptr<BoundSnapshot>
+BoundRegistry::captureGrid(const Entry &entry) const
 {
     core::QuantileEstimate upper[kGridCount];
     core::QuantileEstimate lower[kGridCount];
@@ -234,43 +251,46 @@ BoundRegistry::publish(Entry &entry, bool bump_version)
     }
     snapshot->historySize = entry.predictor->historySize();
     snapshot->observations = entry.observations;
-    if (bump_version)
-        ++entry.version;
-    snapshot->version = entry.version;
-    entry.snapshot.store(
-        std::shared_ptr<const BoundSnapshot>(std::move(snapshot)),
-        std::memory_order_release);
+    return snapshot;
+}
+
+void
+BoundRegistry::publish(Entry &entry, std::shared_ptr<BoundSnapshot> snapshot)
+{
+    snapshot->version = ++entry.version;
+    entry.snapshot.store(std::move(snapshot));
     QDEL_OBS(obs::serveMetrics().snapshotPublishes.inc());
 }
 
 void
-BoundRegistry::observeLocked(Entry &entry, double wait)
+BoundRegistry::releaseLocked(Entry &entry, double time, double wait)
 {
-    entry.predictor->observe(wait);
+    // The grid is a function of the live history, so it is captured
+    // right after the bound moves: after the epochs strictly before
+    // this start, and again if the observation trips a trim. Readers
+    // see at most one publish per event.
+    entry.replay.beginRelease(time);
+    std::shared_ptr<BoundSnapshot> next;
+    if (entry.replay.takeBoundMoved())
+        next = captureGrid(entry);
     ++entry.observations;
-    bool moved = false;
-    if (!entry.finalized &&
-        entry.observations >= options_.trainObservations) {
-        entry.predictor->finalizeTraining();
-        entry.predictor->refit();
-        ++entry.refits;
-        entry.finalized = true;
-        moved = true;
-    } else if (entry.observations % options_.refitEvery == 0) {
-        entry.predictor->refit();
-        ++entry.refits;
-        moved = true;
-    }
-    // A change-point trim refits internally and moves the frozen
-    // bound; republishing here is what keeps the published grid equal
-    // to what boundAt() would answer.
-    const size_t trims = sim::predictorTrimCount(*entry.predictor);
-    if (trims != entry.lastTrims) {
-        entry.lastTrims = trims;
-        moved = true;
-    }
-    if (moved)
-        publish(entry, /*bump_version=*/true);
+    entry.replay.observe(wait);
+    if (entry.replay.takeBoundMoved())
+        next = captureGrid(entry);
+    if (next)
+        publish(entry, std::move(next));
+}
+
+const char *
+BoundRegistry::eventTimeProblem(double time) const
+{
+    if (!std::isfinite(time))
+        return "event time is not finite";
+    // Past the point where one epoch is below the resolution of a
+    // double the epoch clock cannot advance.
+    if (options_.epochSeconds > 0.0 && time + options_.epochSeconds == time)
+        return "event time is too large for the epoch length";
+    return nullptr;
 }
 
 bool
@@ -303,24 +323,36 @@ BoundRegistry::applyLocked(size_t s, const JobEvent &event)
                                       procBucketFor(event.procs));
     switch (event.kind) {
     case EventKind::Submit: {
-        auto entry = getOrCreateLocked(s, event, key);
+        outcome.rejectReason = eventTimeProblem(event.time);
+        if (outcome.rejectReason != nullptr)
+            break;
+        auto entry = findEntry(s, key);
+        const bool created = entry == nullptr;
+        if (created) {
+            entry = makeEntry(event);
+        } else if (entry->pending.count(event.jobId) != 0) {
+            outcome.rejectReason = "duplicate submit for job id";
+            break;
+        }
+        const bool scored = entry->replay.submit(event.time);
+        // A new key becomes visible to readers only with a published
+        // grid (its first submit refits anyway, at its first epoch).
+        if (entry->replay.takeBoundMoved() || created)
+            publish(*entry, captureGrid(*entry));
+        if (created)
+            insertLocked(s, key, entry);
         Entry::PendingJob pending_job;
         pending_job.submitTime = event.time;
-        if (entry->finalized) {
+        if (scored) {
             // Capture the bound the service stands behind right now:
             // the published snapshot is what any concurrent query
             // answers, and it only moves under this same shard lock,
             // so the capture is deterministic under WAL replay.
-            const auto snapshot =
-                entry->snapshot.load(std::memory_order_acquire);
-            pending_job.boundAtSubmit =
-                snapshot->upper[primaryGridIndex_];
+            const auto snapshot = entry->snapshot.load();
+            pending_job.boundAtSubmit = snapshot->upper[primaryGridIndex_];
             pending_job.scoreable = true;
         }
-        if (!entry->pending.emplace(event.jobId, pending_job).second) {
-            outcome.rejectReason = "duplicate submit for job id";
-            break;
-        }
+        entry->pending.emplace(event.jobId, pending_job);
         ++shard.pendingTotal;
         QDEL_OBS(obs::serveMetrics().pendingJobs.add(1.0));
         outcome.applied = true;
@@ -342,6 +374,9 @@ BoundRegistry::applyLocked(size_t s, const JobEvent &event)
             outcome.rejectReason = "start time precedes submit time";
             break;
         }
+        outcome.rejectReason = eventTimeProblem(event.time);
+        if (outcome.rejectReason != nullptr)
+            break;
         const bool scoreable = it->second.scoreable;
         const double bound = it->second.boundAtSubmit;
         entry->pending.erase(it);
@@ -352,7 +387,7 @@ BoundRegistry::applyLocked(size_t s, const JobEvent &event)
         // wait: the outcome must judge the bound that was answered,
         // not one refreshed by this very observation.
         scoreLocked(*entry, scoreable, bound, wait, event.traceId);
-        observeLocked(*entry, wait);
+        releaseLocked(*entry, event.time, wait);
         outcome.applied = true;
         break;
     }
@@ -396,23 +431,15 @@ BoundRegistry::scoreLocked(Entry &entry, bool scoreable, double bound,
         QDEL_OBS(obs::calibrationMetrics().unscored.inc());
         return;
     }
-    ++entry.calibScored;
-    bool hit = true;
-    if (!std::isfinite(bound)) {
-        // Mirror the offline scorer: a bound the predictor could not
-        // make finite is counted as covering (and tallied) rather
-        // than failing — the service answered "no useful bound", not
-        // a wrong one.
-        ++entry.calibInfinite;
-        QDEL_OBS(obs::calibrationMetrics().infinite.inc());
-    } else {
-        hit = bound >= wait;
-    }
-    if (hit)
-        ++entry.calibHits;
+    // The offline scoring rule, applied by the core: an infinite bound
+    // counts as covering (the service answered "no useful bound", not
+    // a wrong one) and is tallied.
+    const bool hit = entry.replay.scoreRelease(bound, wait);
     entry.calibWindow.record(hit);
     QDEL_OBS({
         obs::calibrationMetrics().scored.inc();
+        if (!std::isfinite(bound))
+            obs::calibrationMetrics().infinite.inc();
         if (hit)
             obs::calibrationMetrics().hits.inc();
         else
@@ -450,7 +477,7 @@ BoundRegistry::query(const BoundQuery &query) const
         findEntry(s, keyString(query.machine, query.queue, bucket));
     if (entry == nullptr)
         return answer;
-    const auto snapshot = entry->snapshot.load(std::memory_order_acquire);
+    const auto snapshot = entry->snapshot.load();
     answer.known = true;
     answer.upper = snapshot->upper[gi];
     answer.lower = snapshot->lower[gi];
@@ -489,16 +516,14 @@ BoundRegistry::queryBatch(const BoundQuery *queries, size_t count,
         const size_t s =
             persist::crc32(key.data(), key.size()) % shards_.size();
         if (scratch.maps_[s] == nullptr) {
-            scratch.maps_[s] =
-                shards_[s]->keys.load(std::memory_order_acquire);
+            scratch.maps_[s] = shards_[s]->keys.load();
         }
         const KeyMap &keys =
             *static_cast<const KeyMap *>(scratch.maps_[s].get());
         const auto it = keys.find(key);
         if (it == keys.end())
             continue;
-        const auto snapshot =
-            it->second->snapshot.load(std::memory_order_acquire);
+        const auto snapshot = it->second->snapshot.load();
         answer.known = true;
         answer.upper = snapshot->upper[gi];
         answer.lower = snapshot->lower[gi];
@@ -527,7 +552,7 @@ BoundRegistry::stats() const
     stats.processedPerShard.reserve(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
         stats.processedPerShard.push_back(processedCount(s));
-        const auto keys = shards_[s]->keys.load(std::memory_order_acquire);
+        const auto keys = shards_[s]->keys.load();
         stats.entries += keys->size();
     }
     return stats;
@@ -538,14 +563,13 @@ BoundRegistry::enumerate() const
 {
     std::vector<EntryView> views;
     for (const auto &shard : shards_) {
-        const auto keys = shard->keys.load(std::memory_order_acquire);
+        const auto keys = shard->keys.load();
         for (const auto &[key, entry] : *keys) {
             EntryView view;
             view.machine = entry->machine;
             view.queue = entry->queue;
             view.bucket = entry->bucket;
-            view.snapshot =
-                *entry->snapshot.load(std::memory_order_acquire);
+            view.snapshot = *entry->snapshot.load();
             views.push_back(std::move(view));
         }
     }
@@ -568,8 +592,8 @@ BoundRegistry::saveShard(size_t s, persist::StateWriter &writer) const
     writer.str(options_.method);
     writer.f64(options_.quantile);
     writer.f64(options_.confidence);
-    writer.u64(options_.refitEvery);
-    writer.u64(options_.trainObservations);
+    writer.f64(options_.epochSeconds);
+    writer.u64(options_.trainJobs);
     writer.u64(shards_.size());
     writer.u64(kGridCount);
 
@@ -580,22 +604,19 @@ BoundRegistry::saveShard(size_t s, persist::StateWriter &writer) const
         writer.str(client);
         writer.u64(seq);
     }
-    const auto keys = shard.keys.load(std::memory_order_acquire);
+    const auto keys = shard.keys.load();
     writer.u64(keys->size());
     for (const auto &[key, entry] : *keys) {
         writer.str(entry->machine);
         writer.str(entry->queue);
         writer.i64(entry->bucket);
         writer.u64(entry->observations);
-        writer.u64(entry->refits);
-        writer.u8(entry->finalized ? 1 : 0);
         writer.u64(entry->running);
         writer.u64(entry->version);
         // The published grid is frozen at the last refit; the live
         // predictor history has moved past it, so the grid cannot be
         // recomputed on load — persist it verbatim.
-        const auto snapshot =
-            entry->snapshot.load(std::memory_order_acquire);
+        const auto snapshot = entry->snapshot.load();
         for (size_t i = 0; i < kGridCount; ++i) {
             writer.f64(snapshot->upper[i]);
             writer.f64(snapshot->lower[i]);
@@ -609,12 +630,11 @@ BoundRegistry::saveShard(size_t s, persist::StateWriter &writer) const
             writer.f64(pending_job.boundAtSubmit);
             writer.u8(pending_job.scoreable ? 1 : 0);
         }
-        writer.u64(entry->calibScored);
-        writer.u64(entry->calibHits);
-        writer.u64(entry->calibInfinite);
         const std::vector<uint8_t> window = entry->calibWindow.serialize();
         writer.str(std::string(window.begin(), window.end()));
-        if (auto saved = entry->predictor->saveState(writer); !saved.ok())
+        // The core's state (epoch clock, submit count, scored counts)
+        // followed by the predictor's.
+        if (auto saved = entry->replay.saveState(writer); !saved.ok())
             return saved.error();
     }
     return Unit{};
@@ -639,12 +659,12 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
     auto confidence = reader.f64();
     if (!confidence.ok())
         return confidence.error();
-    auto refit_every = reader.u64();
-    if (!refit_every.ok())
-        return refit_every.error();
-    auto train_observations = reader.u64();
-    if (!train_observations.ok())
-        return train_observations.error();
+    auto epoch_seconds = reader.f64();
+    if (!epoch_seconds.ok())
+        return epoch_seconds.error();
+    auto train_jobs = reader.u64();
+    if (!train_jobs.ok())
+        return train_jobs.error();
     auto shard_count = reader.u64();
     if (!shard_count.ok())
         return shard_count.error();
@@ -654,8 +674,8 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
     if (method.value() != options_.method ||
         quantile.value() != options_.quantile ||
         confidence.value() != options_.confidence ||
-        refit_every.value() != options_.refitEvery ||
-        train_observations.value() != options_.trainObservations ||
+        epoch_seconds.value() != options_.epochSeconds ||
+        train_jobs.value() != options_.trainJobs ||
         shard_count.value() != shards_.size() ||
         grid_count.value() != kGridCount) {
         return ParseError{"", 0, "serveConfig",
@@ -691,7 +711,7 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
     auto next_keys = std::make_shared<KeyMap>();
     double pending_delta = 0.0;
     for (uint64_t i = 0; i < entry_count.value(); ++i) {
-        auto entry = std::make_shared<Entry>();
+        auto entry = std::make_shared<Entry>(makePredictor(), options_);
         auto machine = reader.str();
         if (!machine.ok())
             return machine.error();
@@ -708,14 +728,6 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
         if (!observations.ok())
             return observations.error();
         entry->observations = observations.value();
-        auto refits = reader.u64();
-        if (!refits.ok())
-            return refits.error();
-        entry->refits = refits.value();
-        auto finalized = reader.u8();
-        if (!finalized.ok())
-            return finalized.error();
-        entry->finalized = finalized.value() != 0;
         auto running = reader.u64();
         if (!running.ok())
             return running.error();
@@ -766,18 +778,6 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
             pending_job.scoreable = scoreable.value() != 0;
             entry->pending.emplace(job_id.value(), pending_job);
         }
-        auto calib_scored = reader.u64();
-        if (!calib_scored.ok())
-            return calib_scored.error();
-        entry->calibScored = calib_scored.value();
-        auto calib_hits = reader.u64();
-        if (!calib_hits.ok())
-            return calib_hits.error();
-        entry->calibHits = calib_hits.value();
-        auto calib_infinite = reader.u64();
-        if (!calib_infinite.ok())
-            return calib_infinite.error();
-        entry->calibInfinite = calib_infinite.value();
         auto window = reader.str();
         if (!window.ok())
             return window.error();
@@ -787,28 +787,19 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
         }
         entry->calibWindow.restore(std::vector<uint8_t>(
             window.value().begin(), window.value().end()));
-        core::PredictorOptions predictor_options;
-        predictor_options.quantile = options_.quantile;
-        predictor_options.confidence = options_.confidence;
-        predictor_options.rareEventTable = &rareTable_;
-        entry->predictor =
-            core::makePredictor(options_.method, predictor_options);
-        if (auto loaded = entry->predictor->loadState(reader); !loaded.ok())
+        if (auto loaded = entry->replay.loadState(reader); !loaded.ok())
             return loaded.error();
-        entry->lastTrims = sim::predictorTrimCount(*entry->predictor);
         // Restore the published grid exactly as saved — recomputing it
         // from the restored predictor would fold in observations made
         // after the last refit, which the frozen grid excludes.
-        entry->snapshot.store(
-            std::shared_ptr<const BoundSnapshot>(std::move(snapshot)),
-            std::memory_order_release);
+        entry->snapshot.store(std::move(snapshot));
         pending_delta += static_cast<double>(entry->pending.size());
         (*next_keys)[keyString(entry->machine, entry->queue,
                                entry->bucket)] = entry;
     }
 
     Shard &shard = *shards_[s];
-    const auto old_keys = shard.keys.load(std::memory_order_acquire);
+    const auto old_keys = shard.keys.load();
     double old_pending = 0.0;
     for (const auto &[key, entry] : *old_keys)
         old_pending += static_cast<double>(entry->pending.size());
@@ -822,7 +813,7 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
     shard.rejected = rejected.value();
     shard.clientSeq = std::move(next_client_seq);
     shard.pendingTotal = static_cast<uint64_t>(pending_delta);
-    shard.keys.store(std::move(next_keys), std::memory_order_release);
+    shard.keys.store(std::move(next_keys));
     return Unit{};
 }
 
@@ -838,17 +829,17 @@ BoundRegistry::calibrationReport() const
         // takes the shard lock — cold path, same as stats().
         std::lock_guard<std::mutex> lock(shards_[s]->writer);
         const auto keys =
-            shards_[s]->keys.load(std::memory_order_acquire);
+            shards_[s]->keys.load();
         for (const auto &[key, entry] : *keys) {
             CalibrationRow row;
             row.machine = entry->machine;
             row.queue = entry->queue;
             row.bucket = entry->bucket;
             row.observations = entry->observations;
-            row.finalized = entry->finalized;
-            row.scored = entry->calibScored;
-            row.hits = entry->calibHits;
-            row.infinite = entry->calibInfinite;
+            row.finalized = entry->replay.finalized();
+            row.scored = entry->replay.evaluated();
+            row.hits = entry->replay.correct();
+            row.infinite = entry->replay.infinite();
             row.windowCount = entry->calibWindow.count();
             row.windowHits = entry->calibWindow.hits();
             if (row.scored > 0) {
@@ -902,7 +893,7 @@ BoundRegistry::shardInfo(size_t s) const
     Shard &shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.writer);
     ShardInfo info;
-    const auto keys = shard.keys.load(std::memory_order_acquire);
+    const auto keys = shard.keys.load();
     info.entries = keys->size();
     info.pending = shard.pendingTotal;
     info.applied = shard.applied;

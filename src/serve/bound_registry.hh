@@ -11,19 +11,28 @@
  * Read path: queries never take a lock. Each entry publishes an
  * immutable BoundSnapshot (a grid of quantile bounds captured with
  * Predictor::boundGrid() while the bound is frozen) through an
- * std::atomic<std::shared_ptr>; the shard's key map itself is
- * copy-on-write behind another atomic shared_ptr, so a query is two
- * acquire loads and a map lookup. Writers republish a snapshot only
- * when the frozen bound actually moved — after a refit, a
- * finalizeTraining, or a change-point trim (detected via
- * sim::predictorTrimCount) — so the scoreBatch frozen-bound invariant
- * from the streaming replay carries over: between publishes, every
- * answer the grid gives is exactly what boundAt() would return.
+ * AtomicSharedPtr; the shard's key map itself is copy-on-write behind
+ * another one, so a query is two pointer loads and a map lookup. Writers republish a snapshot at
+ * most once per applied event, and only when the frozen bound moved —
+ * a refit that followed new observations, a finalizeTraining, or a
+ * change-point trim — so the scoreBatch frozen-bound invariant from the
+ * replay carries over: between publishes, every answer the grid gives
+ * is exactly what boundAt() would have returned at the last move.
  *
- * Determinism: every mutation (entry creation, refit-every-K policy,
- * training finalization at a fixed observation count, snapshot version
- * bumps, accept/reject decisions) is a pure function of the per-shard
- * event sequence, so WAL replay reconstructs a shard bit-identically.
+ * Refit policy: each entry runs the offline replay's Section 5.1 rules
+ * through its own sim::QueueCore, on the events' virtual time. A Submit
+ * at T fires the key's epochs at or before T (every epochSeconds from
+ * its first submit), finalizes training at the trainJobs-th submit and
+ * captures the bound the job will be scored against; a Start at T
+ * fires the epochs strictly before T, then observes the wait. Fed the
+ * event order of serve::eventsFromJobs, an entry's scored, hit and
+ * infinite counts equal ReplaySimulator's evaluated, correct and
+ * infinite counts on the same queue.
+ *
+ * Determinism: every mutation (entry creation, epoch refits, training
+ * finalization at a fixed submit count, snapshot version bumps,
+ * accept/reject decisions) is a pure function of the per-shard event
+ * sequence, so WAL replay reconstructs a shard bit-identically.
  */
 
 #ifndef QDEL_SERVE_BOUND_REGISTRY_HH
@@ -40,6 +49,7 @@
 #include "core/predictor.hh"
 #include "core/rare_event.hh"
 #include "serve/wire.hh"
+#include "sim/replay/queue_core.hh"
 #include "util/expected.hh"
 
 namespace qdel {
@@ -92,12 +102,17 @@ class BoundRegistry
     {
         size_t shards = 8;            //!< Power of two not required.
         std::string method = "bmbp";  //!< core::makePredictor() name.
-        double quantile = 0.95;       //!< Primary quantile to bound.
+        /** Primary quantile to bound; must be a kGridQuantiles point,
+         *  since calibration scores that grid bound. */
+        double quantile = 0.95;
         double confidence = 0.95;     //!< Confidence level C.
-        /** refit() after every this many observations per key (>= 1). */
-        uint64_t refitEvery = 50;
-        /** finalizeTraining() once a key has this many observations. */
-        uint64_t trainObservations = 100;
+        /** Refit period in event virtual seconds, per key; 0 = refit
+         *  at every submit (ReplayConfig::epochSeconds). */
+        double epochSeconds = 300.0;
+        /** Submits per key that only warm up the history, the live
+         *  form of the offline training prefix; 0 scores from the
+         *  first submit. */
+        uint64_t trainJobs = 100;
 
         /** Validate ranges and the method name (CLI entry point). */
         Expected<Unit> validate() const;
@@ -270,12 +285,17 @@ class BoundRegistry
     struct Shard;
 
     std::shared_ptr<Entry> findEntry(size_t s, const std::string &key) const;
-    std::shared_ptr<Entry> getOrCreateLocked(size_t s, const JobEvent &event,
-                                             const std::string &key);
-    void observeLocked(Entry &entry, double wait);
+    std::shared_ptr<Entry> makeEntry(const JobEvent &event) const;
+    void insertLocked(size_t s, const std::string &key,
+                      std::shared_ptr<Entry> entry);
+    std::unique_ptr<core::Predictor> makePredictor() const;
+    void releaseLocked(Entry &entry, double time, double wait);
+    /** Why @p time cannot drive an entry's epoch clock, or nullptr. */
+    const char *eventTimeProblem(double time) const;
     void scoreLocked(Entry &entry, bool scoreable, double bound,
                      double wait, uint64_t traceId);
-    void publish(Entry &entry, bool bump_version);
+    std::shared_ptr<BoundSnapshot> captureGrid(const Entry &entry) const;
+    void publish(Entry &entry, std::shared_ptr<BoundSnapshot> snapshot);
 
     Options options_;
     size_t primaryGridIndex_ = 0;  //!< gridIndexFor(options_.quantile).

@@ -8,56 +8,24 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
-#include <limits>
 #include <optional>
 
-#include "obs/domain_metrics.hh"
-#include "obs/obs.hh"
 #include "persist/checkpoint.hh"
 #include "persist/io.hh"
 #include "persist/state_codec.hh"
-#include "stats/descriptive.hh"
 
 namespace qdel {
 namespace sim {
 
 namespace {
 
-/** Pending-queue entry: a submitted job waiting to be released. */
-struct PendingRelease
-{
-    double time;  //!< Release (start) time: submit + wait.
-    double wait;  //!< The wait that becomes visible at release.
-
-    bool
-    operator>(const PendingRelease &other) const
-    {
-        return time > other.time;
-    }
-};
-
-/**
- * Everything the event loop needs to continue from a point mid-trace.
- * The pending releases are kept as a plain vector in heap order
- * (std::push_heap/pop_heap with the same comparator std::priority_queue
- * is specified in terms of) so the exact layout can be serialized and
- * restored — a resumed run pops releases in the identical order an
- * uninterrupted run would have.
- */
-struct LoopState
-{
-    size_t nextJob = 0;
-    bool trainingFinalized = false;
-    double nextRefit = 0.0;
-    double nextSnapshot = 0.0;
-    std::vector<PendingRelease> pending;
-    std::vector<double> ratios;
-};
-
-/** Bumped when the replay snapshot payload changes incompatibly. */
-constexpr uint32_t kReplayStateVersion = 1;
+/** Bumped when the replay snapshot payload changes incompatibly. v2:
+ *  one echo vector and the QueueCore state layout (refit-dirty flag). */
+constexpr uint32_t kReplayStateVersion = 2;
 constexpr char kReplayStateTag[] = "replay-driver";
+
+/** Jobs handed to the core per call; bounds the column staging. */
+constexpr size_t kChunkJobs = 4096;
 
 /**
  * Identity of the input trace: size and a CRC over the raw bit
@@ -79,78 +47,50 @@ traceFingerprint(const trace::Trace &t)
     return (static_cast<uint64_t>(t.size()) << 32) ^ crc;
 }
 
+/** The config and probe echoed into a checkpoint, so a resume that
+ *  asks a different question is refused. */
+std::vector<double>
+replayEcho(const ReplayConfig &config, const ReplayProbe &probe)
+{
+    std::vector<double> echo = {config.epochSeconds, config.trainFraction,
+                                probe.captureSeries ? 1.0 : 0.0,
+                                probe.seriesBegin, probe.seriesEnd,
+                                probe.snapshotInterval};
+    for (const auto &[q, upper] : probe.snapshotQuantiles)
+        echo.insert(echo.end(), {q, upper ? 1.0 : 0.0});
+    return echo;
+}
+
 Expected<std::string>
-encodeReplayState(uint64_t fingerprint, const ReplayConfig &config,
-                  const ReplayProbe &probe, const LoopState &state,
-                  const ReplayResult &result,
-                  const core::Predictor &predictor)
+encodeReplayState(uint64_t fingerprint, const std::vector<double> &echo,
+                  const QueueCore &queue)
 {
     persist::StateWriter writer;
     persist::writeStateHeader(writer, kReplayStateTag, kReplayStateVersion);
     writer.u64(fingerprint);
-    // Config and probe echo: a resumed run must be asking the same
-    // question as the interrupted one.
-    writer.f64(config.epochSeconds);
-    writer.f64(config.trainFraction);
-    writer.u8(probe.captureSeries ? 1 : 0);
-    writer.f64(probe.seriesBegin);
-    writer.f64(probe.seriesEnd);
-    writer.f64(probe.snapshotInterval);
-    writer.u64(probe.snapshotQuantiles.size());
-    for (const auto &[q, upper] : probe.snapshotQuantiles) {
-        writer.f64(q);
-        writer.u8(upper ? 1 : 0);
-    }
-    // Driver position and accumulated results.
-    writer.u64(state.nextJob);
-    writer.u8(state.trainingFinalized ? 1 : 0);
-    writer.f64(state.nextRefit);
-    writer.f64(state.nextSnapshot);
-    writer.u64(result.evaluatedJobs);
-    writer.u64(result.correct);
-    writer.u64(result.infinitePredictions);
-    writer.doubles(state.ratios);
-    writer.u64(state.pending.size());
-    for (const PendingRelease &release : state.pending) {
-        writer.f64(release.time);
-        writer.f64(release.wait);
-    }
-    writer.u64(result.series.size());
-    for (const SeriesPoint &point : result.series) {
-        writer.f64(point.time);
-        writer.f64(point.value);
-    }
-    writer.u64(result.snapshots.size());
-    for (const QuantileSnapshot &snap : result.snapshots) {
-        writer.f64(snap.time);
-        writer.doubles(snap.values);
-    }
-    if (auto ok = predictor.saveState(writer); !ok.ok())
+    writer.doubles(echo);
+    if (auto ok = queue.saveState(writer); !ok.ok())
         return ok.error();
     return writer.take();
 }
 
 /**
- * Inverse of encodeReplayState(). Parses into locals and commits to
- * @p state / @p result only when the whole payload (including the
- * predictor sub-payload) verified — except the predictor itself, whose
- * loadState() commits as soon as *its* parse succeeds; the caller
- * tracks that via @p predictor_loaded and refuses to cold-start with a
- * half-restored predictor.
+ * Inverse of encodeReplayState(). The core commits its state only when
+ * the whole payload (including the predictor sub-payload) verified —
+ * except the predictor itself, whose loadState() commits as soon as
+ * *its* parse succeeds; the caller tracks that via @p predictor_loaded
+ * and refuses to cold-start with a half-restored predictor.
  */
 Expected<Unit>
 decodeReplayState(const std::string &payload, uint64_t fingerprint,
-                  size_t trace_size, const ReplayConfig &config,
-                  const ReplayProbe &probe, LoopState *state,
-                  ReplayResult *result, core::Predictor &predictor,
-                  bool *predictor_loaded)
+                  const std::vector<double> &echo, size_t trace_size,
+                  QueueCore &queue, bool *predictor_loaded)
 {
     persist::StateReader reader(payload, "replay-snapshot");
     if (auto ok = persist::readStateHeader(reader, kReplayStateTag,
                                            kReplayStateVersion);
         !ok.ok())
         return ok.error();
-
     auto fp = reader.u64();
     if (!fp.ok())
         return fp.error();
@@ -158,130 +98,18 @@ decodeReplayState(const std::string &payload, uint64_t fingerprint,
         return ParseError{"", 0, "fingerprint",
                           "checkpoint was written for a different trace"};
     }
-
-    auto epoch_seconds = reader.f64();
-    auto train_fraction = reader.f64();
-    auto capture_series = reader.u8();
-    auto series_begin = reader.f64();
-    auto series_end = reader.f64();
-    auto snap_interval = reader.f64();
-    auto n_quantiles = reader.u64();
-    for (const ParseError *error :
-         {epoch_seconds.errorIf(), train_fraction.errorIf(),
-          capture_series.errorIf(), series_begin.errorIf(),
-          series_end.errorIf(), snap_interval.errorIf(),
-          n_quantiles.errorIf()}) {
-        if (error)
-            return *error;
-    }
-    bool probe_matches =
-        epoch_seconds.value() == config.epochSeconds &&
-        train_fraction.value() == config.trainFraction &&
-        (capture_series.value() != 0) == probe.captureSeries &&
-        series_begin.value() == probe.seriesBegin &&
-        series_end.value() == probe.seriesEnd &&
-        snap_interval.value() == probe.snapshotInterval &&
-        n_quantiles.value() == probe.snapshotQuantiles.size();
-    for (uint64_t i = 0; i < n_quantiles.value(); ++i) {
-        auto q = reader.f64();
-        auto upper = reader.u8();
-        for (const ParseError *error : {q.errorIf(), upper.errorIf()}) {
-            if (error)
-                return *error;
-        }
-        probe_matches = probe_matches &&
-                        q.value() == probe.snapshotQuantiles[i].first &&
-                        (upper.value() != 0) ==
-                            probe.snapshotQuantiles[i].second;
-    }
-    if (!probe_matches) {
+    auto saved_echo = reader.doubles();
+    if (!saved_echo.ok())
+        return saved_echo.error();
+    if (saved_echo.value() != echo) {
         return ParseError{"", 0, "config",
                           "checkpoint was written under a different "
                           "replay config or probe"};
     }
-
-    auto next_job = reader.u64();
-    auto finalized = reader.u8();
-    auto next_refit = reader.f64();
-    auto next_snapshot = reader.f64();
-    auto evaluated = reader.u64();
-    auto correct = reader.u64();
-    auto infinite = reader.u64();
-    auto ratios = reader.doubles();
-    auto n_pending = reader.u64();
-    for (const ParseError *error :
-         {next_job.errorIf(), finalized.errorIf(), next_refit.errorIf(),
-          next_snapshot.errorIf(), evaluated.errorIf(), correct.errorIf(),
-          infinite.errorIf(), ratios.errorIf(), n_pending.errorIf()}) {
-        if (error)
-            return *error;
-    }
-    if (next_job.value() > trace_size) {
-        return ParseError{"", 0, "nextJob",
-                          "checkpoint is ahead of the trace (" +
-                              std::to_string(next_job.value()) + " > " +
-                              std::to_string(trace_size) + " jobs)"};
-    }
-    std::vector<PendingRelease> pending;
-    pending.reserve(static_cast<size_t>(n_pending.value()));
-    for (uint64_t i = 0; i < n_pending.value(); ++i) {
-        auto time = reader.f64();
-        auto wait = reader.f64();
-        for (const ParseError *error : {time.errorIf(), wait.errorIf()}) {
-            if (error)
-                return *error;
-        }
-        pending.push_back({time.value(), wait.value()});
-    }
-    auto n_series = reader.u64();
-    if (!n_series.ok())
-        return n_series.error();
-    std::vector<SeriesPoint> series;
-    series.reserve(static_cast<size_t>(n_series.value()));
-    for (uint64_t i = 0; i < n_series.value(); ++i) {
-        auto time = reader.f64();
-        auto value = reader.f64();
-        for (const ParseError *error : {time.errorIf(), value.errorIf()}) {
-            if (error)
-                return *error;
-        }
-        series.push_back({time.value(), value.value()});
-    }
-    auto n_snapshots = reader.u64();
-    if (!n_snapshots.ok())
-        return n_snapshots.error();
-    std::vector<QuantileSnapshot> snapshots;
-    snapshots.reserve(static_cast<size_t>(n_snapshots.value()));
-    for (uint64_t i = 0; i < n_snapshots.value(); ++i) {
-        auto time = reader.f64();
-        if (!time.ok())
-            return time.error();
-        auto values = reader.doubles();
-        if (!values.ok())
-            return values.error();
-        snapshots.push_back({time.value(), std::move(values).value()});
-    }
-
-    *predictor_loaded = true;  // loadState commits on its own success
-    if (auto ok = predictor.loadState(reader); !ok.ok()) {
-        *predictor_loaded = false;
+    if (auto ok = queue.loadState(reader, predictor_loaded, trace_size);
+        !ok.ok())
         return ok.error();
-    }
-    if (auto ok = reader.expectEnd(); !ok.ok())
-        return ok.error();
-
-    state->nextJob = static_cast<size_t>(next_job.value());
-    state->trainingFinalized = finalized.value() != 0;
-    state->nextRefit = next_refit.value();
-    state->nextSnapshot = next_snapshot.value();
-    state->pending = std::move(pending);
-    state->ratios = std::move(ratios).value();
-    result->evaluatedJobs = static_cast<size_t>(evaluated.value());
-    result->correct = static_cast<size_t>(correct.value());
-    result->infinitePredictions = static_cast<size_t>(infinite.value());
-    result->series = std::move(series);
-    result->snapshots = std::move(snapshots);
-    return Unit{};
+    return reader.expectEnd();
 }
 
 } // namespace
@@ -306,9 +134,7 @@ ReplayConfig::validate() const
 Expected<Unit>
 ReplayCheckpointOptions::validate() const
 {
-    if (!enabled())
-        return Unit{};
-    if (keepSnapshots == 0) {
+    if (enabled() && keepSnapshots == 0) {
         return ParseError{dir, 0, "keepSnapshots",
                           "must retain at least one snapshot"};
     }
@@ -316,39 +142,22 @@ ReplayCheckpointOptions::validate() const
 }
 
 Expected<Unit>
-ReplayProbe::validate() const
+collectScores(QueueCore &queue, ReplayResult *result)
 {
-    if (!snapshotQuantiles.empty()) {
-        // A snapshot tick that re-arms at now + interval <= now would
-        // spin forever in advance_to().
-        if (!(snapshotInterval > 0.0) || !std::isfinite(snapshotInterval)) {
-            return ParseError{"", 0, "snapshotInterval",
-                              "must be finite and > 0 when snapshot "
-                              "quantiles are requested, got " +
-                                  std::to_string(snapshotInterval)};
-        }
-        for (const auto &[q, upper] : snapshotQuantiles) {
-            if (!(q > 0.0 && q < 1.0)) {
-                return ParseError{"", 0, "snapshotQuantiles",
-                                  "quantiles must be in (0, 1), got " +
-                                      std::to_string(q)};
-            }
-        }
+    result->trainingJobs = queue.trainingJobs();
+    result->evaluatedJobs = queue.evaluated();
+    result->correct = queue.correct();
+    result->infinitePredictions = queue.infinite();
+    if (result->evaluatedJobs > 0) {
+        result->correctFraction =
+            static_cast<double>(result->correct) /
+            static_cast<double>(result->evaluatedJobs);
     }
-    if (captureSeries || !snapshotQuantiles.empty()) {
-        if (!std::isfinite(seriesBegin) || !std::isfinite(seriesEnd) ||
-            !(seriesEnd >= seriesBegin)) {
-            return ParseError{"", 0, "seriesBegin/seriesEnd",
-                              "capture window must be finite with end >= "
-                              "begin"};
-        }
-    }
+    auto median = queue.medianRatio();
+    if (!median.ok())
+        return median.error();
+    result->medianRatio = median.value();
     return Unit{};
-}
-
-ReplaySimulator::ReplaySimulator(ReplayConfig config)
-    : config_(config)
-{
 }
 
 Expected<ReplayResult>
@@ -376,23 +185,14 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
     const size_t training =
         static_cast<size_t>(config_.trainFraction *
                             static_cast<double>(t.size()));
-    result.trainingJobs = training;
-
-    const double inf = std::numeric_limits<double>::infinity();
-    const bool epoch_per_job = config_.epochSeconds <= 0.0;
-
-    LoopState state;
-    state.nextRefit = epoch_per_job ? inf : t[0].submitTime;
-    state.nextSnapshot = probe.snapshotQuantiles.empty()
-                             ? inf
-                             : probe.seriesBegin;
 
     // --- Crash safety -------------------------------------------------
+    QueueCore queue(predictor, {config_.epochSeconds, training}, &probe);
     std::optional<persist::CheckpointManager> manager;
+    persist::CheckpointConfig cc;
     uint64_t fingerprint = 0;
     if (ckpt.enabled()) {
         fingerprint = traceFingerprint(t);
-        persist::CheckpointConfig cc;
         cc.dir = ckpt.dir;
         cc.keepSnapshots = ckpt.keepSnapshots;
         cc.syncEveryRecords = ckpt.walSyncEveryRecords;
@@ -400,64 +200,64 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
         if (!opened.ok())
             return opened.error();
         manager.emplace(std::move(opened).value());
+        queue.logMutationsTo(&*manager);
+    }
+    const std::vector<double> echo = replayEcho(config_, probe);
 
-        if (manager->hasExistingState()) {
-            if (!ckpt.resume) {
-                return ParseError{
-                    ckpt.dir, 0, "checkpoint-dir",
-                    "directory already contains checkpoint state; "
-                    "resume it (--resume) or use a fresh directory"};
-            }
-            bool predictor_loaded = false;
-            // A snapshot written for a different trace or under a
-            // different config is a mismatch, not corruption: the
-            // ladder must not degrade it into a silent cold start.
-            std::optional<ParseError> incompatible;
-            auto report = persist::recoverState(
-                cc,
-                [&](const std::string &payload) {
-                    auto decoded = decodeReplayState(
-                        payload, fingerprint, t.size(), config_, probe,
-                        &state, &result, predictor, &predictor_loaded);
-                    if (!decoded.ok() && !incompatible &&
-                        (decoded.error().field == "fingerprint" ||
-                         decoded.error().field == "config")) {
-                        incompatible = decoded.error();
-                    }
-                    return decoded;
-                },
-                // The trace is the replay's input log: driver position
-                // cannot be advanced by WAL records, so resume is
-                // snapshot-only (the WAL serves predictor-only
-                // rehydration, see persist::PredictorStore).
-                nullptr);
-            if (!report.ok())
-                return report.error();
-            if (incompatible)
-                return *incompatible;
-            result.recoveryNotes.push_back(
-                std::string("recovery source: ") +
-                persist::recoverySourceName(report.value().source));
-            for (const std::string &note : report.value().notes)
-                result.recoveryNotes.push_back(note);
-            if (report.value().source ==
-                    persist::RecoverySource::ColdStart &&
-                predictor_loaded) {
-                return ParseError{
-                    ckpt.dir, 0, "recovery",
-                    "no snapshot fully applied but the predictor was "
-                    "partially restored; use a fresh predictor instance"};
-            }
-            result.resumedFromJob = state.nextJob;
-        } else if (ckpt.resume) {
-            result.recoveryNotes.push_back(
-                "resume requested but directory is pristine; cold start");
+    if (manager && manager->hasExistingState()) {
+        if (!ckpt.resume) {
+            return ParseError{
+                ckpt.dir, 0, "checkpoint-dir",
+                "directory already contains checkpoint state; "
+                "resume it (--resume) or use a fresh directory"};
         }
+        bool predictor_loaded = false;
+        // A snapshot written for a different trace or under a
+        // different config is a mismatch, not corruption: the ladder
+        // must not degrade it into a silent cold start.
+        std::optional<ParseError> incompatible;
+        auto report = persist::recoverState(
+            cc,
+            [&](const std::string &payload) {
+                auto decoded = decodeReplayState(
+                    payload, fingerprint, echo, t.size(), queue,
+                    &predictor_loaded);
+                if (!decoded.ok() && !incompatible &&
+                    (decoded.error().field == "fingerprint" ||
+                     decoded.error().field == "config")) {
+                    incompatible = decoded.error();
+                }
+                return decoded;
+            },
+            // The trace is the replay's input log: driver position
+            // cannot be advanced by WAL records, so resume is
+            // snapshot-only (the WAL serves predictor-only
+            // rehydration, see persist::PredictorStore).
+            nullptr);
+        if (!report.ok())
+            return report.error();
+        if (incompatible)
+            return *incompatible;
+        result.recoveryNotes.push_back(
+            std::string("recovery source: ") +
+            persist::recoverySourceName(report.value().source));
+        for (const std::string &note : report.value().notes)
+            result.recoveryNotes.push_back(note);
+        if (report.value().source == persist::RecoverySource::ColdStart &&
+            predictor_loaded) {
+            return ParseError{
+                ckpt.dir, 0, "recovery",
+                "no snapshot fully applied but the predictor was "
+                "partially restored; use a fresh predictor instance"};
+        }
+        result.resumedFromJob = queue.submits();
+    } else if (manager && ckpt.resume) {
+        result.recoveryNotes.push_back(
+            "resume requested but directory is pristine; cold start");
     }
 
     auto write_checkpoint = [&]() -> Expected<Unit> {
-        auto payload = encodeReplayState(fingerprint, config_, probe,
-                                         state, result, predictor);
+        auto payload = encodeReplayState(fingerprint, echo, queue);
         if (!payload.ok())
             return payload.error();
         return manager->checkpoint(payload.value());
@@ -471,169 +271,36 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             return ok.error();
     }
 
-    // --- Predictor mutations, WAL-logged when persistence is on ------
-    auto log_record = [&](persist::WalRecordType type,
-                          double value) -> Expected<Unit> {
-        if (!manager)
-            return Unit{};
-        return manager->appendRecord({type, value});
+    const size_t progress_every =
+        config_.onProgress != nullptr ? config_.progressEveryJobs : 0;
+    auto report_progress = [&]() {
+        config_.onProgress({queue.submits(), t.size(), queue.evaluated(),
+                            queue.correct()});
     };
+    const size_t checkpoint_every = manager ? ckpt.intervalJobs : 0;
 
-    auto observe = [&](double wait) -> Expected<Unit> {
-        if (auto ok = log_record(persist::WalRecordType::Observation, wait);
-            !ok.ok())
-            return ok.error();
-        predictor.observe(wait);
-        return Unit{};
-    };
-
-    auto refit = [&]() -> Expected<Unit> {
-        if (auto ok = log_record(persist::WalRecordType::Refit, 0.0);
-            !ok.ok())
-            return ok.error();
-        predictor.refit();
-        return Unit{};
-    };
-
-    auto finalize_training = [&]() -> Expected<Unit> {
-        if (auto ok = log_record(persist::WalRecordType::FinalizeTraining,
-                                 0.0);
-            !ok.ok())
-            return ok.error();
-        predictor.finalizeTraining();
-        return Unit{};
-    };
-
-    if (state.ratios.capacity() < t.size() - training)
-        state.ratios.reserve(t.size() - training);
-
-    auto process_epoch = [&](double now) -> Expected<Unit> {
-        if (auto ok = refit(); !ok.ok())
-            return ok.error();
-        if (probe.captureSeries && now >= probe.seriesBegin &&
-            now < probe.seriesEnd) {
-            const auto bound = predictor.upperBound();
-            if (bound.finite())
-                result.series.push_back({now, bound.value});
+    // The trace is one stream: feed it in chunks that end on every
+    // progress and checkpoint boundary (chunking never changes results).
+    std::vector<double> submit(kChunkJobs);
+    std::vector<double> wait(kChunkJobs);
+    while (queue.submits() < t.size()) {
+        const size_t begin = queue.submits();
+        size_t end = std::min(t.size(), begin + kChunkJobs);
+        for (size_t period : {progress_every, checkpoint_every}) {
+            if (period > 0)
+                end = std::min(end, (begin / period + 1) * period);
         }
-        return Unit{};
-    };
-
-    auto process_snapshot = [&](double now) {
-        QuantileSnapshot snap;
-        snap.time = now;
-        snap.values.reserve(probe.snapshotQuantiles.size());
-        for (const auto &[q, upper] : probe.snapshotQuantiles) {
-            const auto bound = predictor.boundAt(q, upper);
-            snap.values.push_back(bound.value);
+        for (size_t i = begin; i < end; ++i) {
+            submit[i - begin] = t[i].submitTime;
+            wait[i - begin] = t[i].waitSeconds;
         }
-        result.snapshots.push_back(std::move(snap));
-    };
-
-    // Advance virtual time to `horizon`, processing releases, refit
-    // epochs, and snapshot ticks in chronological order.
-    auto advance_to = [&](double horizon) -> Expected<Unit> {
-        while (true) {
-            const double t_release =
-                state.pending.empty() ? inf : state.pending.front().time;
-            const double t_epoch = state.nextRefit;
-            const double t_snap = state.nextSnapshot;
-            const double now = std::min({t_release, t_epoch, t_snap});
-            if (now > horizon)
-                break;
-            if (t_release <= t_epoch && t_release <= t_snap) {
-                if (auto ok = observe(state.pending.front().wait);
-                    !ok.ok())
-                    return ok.error();
-                std::pop_heap(state.pending.begin(), state.pending.end(),
-                              std::greater<PendingRelease>{});
-                state.pending.pop_back();
-            } else if (t_epoch <= t_snap) {
-                if (auto ok = process_epoch(now); !ok.ok())
-                    return ok.error();
-                state.nextRefit += config_.epochSeconds;
-            } else {
-                if (now < probe.seriesEnd)
-                    process_snapshot(now);
-                state.nextSnapshot =
-                    now < probe.seriesEnd ? now + probe.snapshotInterval
-                                          : inf;
-            }
-        }
-        return Unit{};
-    };
-
-    for (size_t i = state.nextJob; i < t.size(); ++i) {
-        const trace::JobRecord &job = t[i];
-        if (auto ok = advance_to(job.submitTime); !ok.ok())
-            return ok.error();
-
-        if (epoch_per_job) {
-            if (auto ok = refit(); !ok.ok())
-                return ok.error();
-        }
-
-        if (!state.trainingFinalized && i >= training) {
-            if (auto ok = finalize_training(); !ok.ok())
-                return ok.error();
-            // Re-arm with the post-training state so the first scored
-            // job sees a trained model even for epoch-based refits.
-            if (auto ok = refit(); !ok.ok())
-                return ok.error();
-            state.trainingFinalized = true;
-        }
-
-        if (i >= training) {
-            const auto bound = predictor.upperBound();
-            ++result.evaluatedJobs;
-            QDEL_OBS({
-                obs::replayMetrics().predictions.inc();
-                obs::events().emit(obs::EventType::PredictionIssued,
-                                   bound.value, job.waitSeconds);
-            });
-            if (!bound.finite()) {
-                ++result.infinitePredictions;
-                ++result.correct;
-                QDEL_OBS(
-                    obs::replayMetrics().infinitePredictions.inc());
-            } else {
-                if (bound.value >= job.waitSeconds) {
-                    ++result.correct;
-                    QDEL_OBS({
-                        obs::replayMetrics().boundHits.inc();
-                        obs::events().emit(obs::EventType::BoundHit,
-                                           bound.value,
-                                           job.waitSeconds);
-                    });
-                } else {
-                    QDEL_OBS({
-                        obs::replayMetrics().boundMisses.inc();
-                        obs::events().emit(obs::EventType::BoundMiss,
-                                           bound.value,
-                                           job.waitSeconds);
-                    });
-                }
-                state.ratios.push_back(job.waitSeconds /
-                                       std::max(bound.value, 1e-9));
-            }
-        }
-
-        state.pending.push_back(
-            {job.submitTime + job.waitSeconds, job.waitSeconds});
-        std::push_heap(state.pending.begin(), state.pending.end(),
-                       std::greater<PendingRelease>{});
-        state.nextJob = i + 1;
-        QDEL_OBS(obs::replayMetrics().jobsProcessed.inc());
-
-        if (config_.progressEveryJobs > 0 && config_.onProgress &&
-            state.nextJob % config_.progressEveryJobs == 0) {
-            config_.onProgress({state.nextJob, t.size(),
-                                result.evaluatedJobs, result.correct});
-        }
-
-        if (manager && ckpt.intervalJobs > 0 &&
-            state.nextJob % ckpt.intervalJobs == 0 &&
-            state.nextJob < t.size()) {
+        queue.processRows(submit.data(), wait.data(), end - begin);
+        if (queue.walError())
+            return *queue.walError();
+        if (progress_every > 0 && end % progress_every == 0)
+            report_progress();
+        if (checkpoint_every > 0 && end % checkpoint_every == 0 &&
+            end < t.size()) {
             if (auto ok = write_checkpoint(); !ok.ok())
                 return ok.error();
         }
@@ -644,8 +311,9 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
     // stay live. Idempotent on resume: a re-drained run finds every
     // event at or before the window end already consumed.
     if (probe.captureSeries || !probe.snapshotQuantiles.empty()) {
-        if (auto ok = advance_to(probe.seriesEnd); !ok.ok())
-            return ok.error();
+        queue.advanceTo(probe.seriesEnd);
+        if (queue.walError())
+            return *queue.walError();
     }
 
     // Closing checkpoint: a resume of a finished run replays nothing.
@@ -654,18 +322,13 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             return ok.error();
     }
 
-    if (config_.progressEveryJobs > 0 && config_.onProgress) {
-        config_.onProgress({state.nextJob, t.size(),
-                            result.evaluatedJobs, result.correct});
-    }
+    if (progress_every > 0)
+        report_progress();
 
-    if (result.evaluatedJobs > 0) {
-        result.correctFraction =
-            static_cast<double>(result.correct) /
-            static_cast<double>(result.evaluatedJobs);
-    }
-    if (!state.ratios.empty())
-        result.medianRatio = stats::median(std::move(state.ratios));
+    if (auto ok = collectScores(queue, &result); !ok.ok())
+        return ok.error();
+    result.series = queue.series();
+    result.snapshots = queue.snapshots();
     return result;
 }
 

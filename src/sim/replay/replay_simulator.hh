@@ -17,6 +17,11 @@
  * actual wait, the paper's correctness criterion) and the ratio
  * actual/predicted whose median is the paper's accuracy measure
  * (Table 4).
+ *
+ * The rules live in QueueCore (queue_core.hh), which the streaming
+ * replay and the online registry run too; the simulator feeds the
+ * trace to one core and adds validation, the progress callback and
+ * the checkpoint/recovery ladder around it.
  */
 
 #ifndef QDEL_SIM_REPLAY_REPLAY_SIMULATOR_HH
@@ -25,9 +30,11 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.hh"
+#include "sim/replay/queue_core.hh"
 #include "trace/trace.hh"
 #include "util/expected.hh"
 
@@ -90,45 +97,6 @@ struct ReplayCheckpointOptions
     Expected<Unit> validate() const;
 };
 
-/** A sampled point of the prediction time series (for the figures). */
-struct SeriesPoint
-{
-    double time = 0.0;   //!< Virtual time of the sample.
-    double value = 0.0;  //!< Upper bound in force at that time.
-};
-
-/** A multi-quantile snapshot row (paper Table 8). */
-struct QuantileSnapshot
-{
-    double time = 0.0;            //!< Virtual time of the snapshot.
-    std::vector<double> values;   //!< One bound per requested quantile.
-};
-
-/** Optional instrumentation of a replay run. */
-struct ReplayProbe
-{
-    /** Record the in-force bound at every refit inside [begin, end). */
-    bool captureSeries = false;
-    double seriesBegin = 0.0;
-    double seriesEnd = 0.0;
-
-    /**
-     * Also capture multi-quantile snapshots every snapshotInterval
-     * seconds inside the window. Entries are (quantile, upper?) pairs,
-     * evaluated through Predictor::boundAt().
-     */
-    std::vector<std::pair<double, bool>> snapshotQuantiles;
-    double snapshotInterval = 7200.0;
-
-    /**
-     * Check the instrumentation is runnable: a finite, positive
-     * snapshotInterval when snapshots are requested (a non-positive
-     * interval would re-arm the snapshot tick at the same virtual time
-     * forever), quantiles in (0, 1), and a finite window.
-     */
-    Expected<Unit> validate() const;
-};
-
 /** Results of one replay run. */
 struct ReplayResult
 {
@@ -158,12 +126,19 @@ struct ReplayResult
     std::vector<std::string> recoveryNotes;
 };
 
+/** Fill @p result's training and scored-job fields (counts, correct
+ *  fraction, median ratio) from a core that has consumed its queue. */
+Expected<Unit> collectScores(QueueCore &queue, ReplayResult *result);
+
 /** See file comment. */
 class ReplaySimulator
 {
   public:
     /** Store @p config; validation happens in run(). */
-    explicit ReplaySimulator(ReplayConfig config = {});
+    explicit ReplaySimulator(ReplayConfig config = {})
+        : config_(std::move(config))
+    {
+    }
 
     /**
      * Replay @p t against @p predictor.

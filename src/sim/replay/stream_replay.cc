@@ -9,15 +9,13 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
-#include <functional>
 #include <future>
-#include <limits>
 #include <memory>
 
 #include "obs/domain_metrics.hh"
 #include "obs/obs.hh"
 #include "sim/replay/evaluation.hh"
-#include "stats/spill_doubles.hh"
+#include "sim/replay/queue_core.hh"
 #include "util/resource_usage.hh"
 #include "util/thread_pool.hh"
 
@@ -29,21 +27,6 @@ namespace qdel {
 namespace sim {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/** Mirror of the replay simulator's pending-queue entry. */
-struct PendingRelease
-{
-    double time;  //!< Release (start) time: submit + wait.
-    double wait;  //!< The wait that becomes visible at release.
-
-    bool
-    operator>(const PendingRelease &other) const
-    {
-        return time > other.time;
-    }
-};
 
 /** RSS sampling cadence, in batches (plus once per shard change). */
 constexpr size_t kRssSampleEveryBatches = 32;
@@ -62,193 +45,6 @@ spillFilePath(const std::string &dir, uint64_t serial, size_t queue_id)
            std::to_string(serial) + "_" + std::to_string(queue_id) +
            ".spill";
 }
-
-/**
- * The replay event loop of exactly one queue, consuming (submit, wait)
- * runs in global order. State and event ordering mirror
- * ReplaySimulator::run() on the queue-filtered trace line for line;
- * the only differences are batched predictor entry points (see the
- * header's semantics contract) and spill-backed ratios.
- */
-class QueueCore
-{
-  public:
-    QueueCore(std::unique_ptr<core::Predictor> predictor,
-              size_t queue_total, const StreamReplayConfig &config,
-              std::string spill_path)
-        : predictor_(std::move(predictor)),
-          epochSeconds_(config.epochSeconds),
-          epochPerJob_(config.epochSeconds <= 0.0),
-          training_(static_cast<size_t>(
-              config.trainFraction * static_cast<double>(queue_total))),
-          queueTotal_(queue_total),
-          ratios_(std::move(spill_path), config.spillThresholdDoubles)
-    {
-    }
-
-    /** Feed the next @p n rows of this queue, in submission order. */
-    void
-    processRows(const double *submit, const double *wait, size_t n)
-    {
-        if (!armed_ && n > 0) {
-            // state.nextRefit = epoch_per_job ? inf : t[0].submitTime
-            nextRefit_ = epochPerJob_ ? kInf : submit[0];
-            armed_ = true;
-        }
-        ratioScratch_.resize(std::max(ratioScratch_.size(), n));
-
-        size_t r = 0;
-        while (r < n) {
-            advanceTo(submit[r]);
-
-            if (epochPerJob_)
-                predictor_->refit();
-
-            const size_t i = processed_ + r;
-            if (!trainingFinalized_ && i >= training_) {
-                predictor_->finalizeTraining();
-                predictor_->refit();
-                trainingFinalized_ = true;
-            }
-
-            // Extend a run of jobs that see no event (release or
-            // epoch) between their submits: the bound is frozen over
-            // the run, so it scores with one scoreBatch call. Events
-            // fire at times <= submit (inclusive), hence strict <;
-            // each job's own release joins the horizon because it can
-            // fire before a zero/short-wait successor.
-            size_t s = r + 1;
-            if (!epochPerJob_) {
-                double horizon =
-                    std::min(pending_.empty() ? kInf
-                                              : pending_.front().time,
-                             nextRefit_);
-                horizon = std::min(horizon, submit[r] + wait[r]);
-                const size_t limit =
-                    trainingFinalized_ ? n
-                                       : std::min(n, r + (training_ - i));
-                while (s < limit && submit[s] < horizon) {
-                    horizon = std::min(horizon, submit[s] + wait[s]);
-                    ++s;
-                }
-            }
-            const size_t count = s - r;
-
-            if (i >= training_) {
-                const auto score = predictor_->scoreBatch(
-                    wait + r, count, ratioScratch_.data());
-                evaluated_ += count;
-                correct_ += score.correct;
-                infinite_ += score.infinite;
-                if (score.infinite == 0)
-                    ratios_.append(ratioScratch_.data(), count);
-                QDEL_OBS({
-                    obs::replayMetrics().predictions.inc(count);
-                    if (score.infinite > 0) {
-                        obs::replayMetrics().infinitePredictions.inc(
-                            score.infinite);
-                    } else {
-                        obs::replayMetrics().boundHits.inc(score.correct);
-                        obs::replayMetrics().boundMisses.inc(
-                            count - score.correct);
-                    }
-                });
-            }
-
-            for (size_t k = r; k < s; ++k) {
-                pending_.push_back({submit[k] + wait[k], wait[k]});
-                std::push_heap(pending_.begin(), pending_.end(),
-                               std::greater<PendingRelease>{});
-            }
-            QDEL_OBS(obs::replayMetrics().jobsProcessed.inc(count));
-            r = s;
-        }
-        processed_ += n;
-    }
-
-    /** Close out the queue and assemble its ReplayResult. */
-    Expected<QueueStreamResult>
-    finish(const std::string &queue_name)
-    {
-        QueueStreamResult out;
-        out.queue = queue_name;
-        out.result.totalJobs = queueTotal_;
-        if (queueTotal_ == 0)
-            return out;
-        out.result.trainingJobs = training_;
-        out.result.evaluatedJobs = evaluated_;
-        out.result.correct = correct_;
-        out.result.infinitePredictions = infinite_;
-        if (evaluated_ > 0) {
-            out.result.correctFraction =
-                static_cast<double>(correct_) /
-                static_cast<double>(evaluated_);
-        }
-        if (ratios_.size() > 0) {
-            auto median = ratios_.median();
-            if (!median.ok())
-                return median.error();
-            out.result.medianRatio = median.value();
-        }
-        out.trims = predictorTrimCount(*predictor_);
-        return out;
-    }
-
-  private:
-    /**
-     * Process events with time <= @p horizon in chronological order,
-     * releases before an epoch at the same instant — the simulator's
-     * advance_to(), with runs of releases between epoch ticks gathered
-     * into one observeBatch call (same pop order, same trim behaviour).
-     */
-    void
-    advanceTo(double horizon)
-    {
-        while (true) {
-            const double t_release =
-                pending_.empty() ? kInf : pending_.front().time;
-            const double now = std::min(t_release, nextRefit_);
-            if (now > horizon)
-                break;
-            if (t_release <= nextRefit_) {
-                waitScratch_.clear();
-                const double cap = std::min(horizon, nextRefit_);
-                while (!pending_.empty() &&
-                       pending_.front().time <= cap) {
-                    waitScratch_.push_back(pending_.front().wait);
-                    std::pop_heap(pending_.begin(), pending_.end(),
-                                  std::greater<PendingRelease>{});
-                    pending_.pop_back();
-                }
-                predictor_->observeBatch(waitScratch_.data(),
-                                         waitScratch_.size());
-            } else {
-                predictor_->refit();
-                nextRefit_ += epochSeconds_;
-            }
-        }
-    }
-
-    std::unique_ptr<core::Predictor> predictor_;
-    const double epochSeconds_;
-    const bool epochPerJob_;
-    const size_t training_;
-    const size_t queueTotal_;
-
-    bool armed_ = false;
-    double nextRefit_ = kInf;
-    size_t processed_ = 0;
-    bool trainingFinalized_ = false;
-    std::vector<PendingRelease> pending_;
-
-    size_t evaluated_ = 0;
-    size_t correct_ = 0;
-    size_t infinite_ = 0;
-    stats::SpillDoubles ratios_;
-
-    std::vector<double> ratioScratch_;
-    std::vector<double> waitScratch_;
-};
 
 /** Reusable per-queue (submit, wait) staging for multi-queue batches. */
 struct QueueRun
@@ -295,16 +91,20 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
     const auto &queue_totals = reader.queueJobCounts();
     const size_t n_queues = queue_names.size();
 
+    std::vector<std::unique_ptr<core::Predictor>> predictors;
     std::vector<std::unique_ptr<QueueCore>> cores;
-    cores.reserve(n_queues);
     for (size_t q = 0; q < n_queues; ++q) {
         auto predictor = core::tryMakePredictor(method, options);
         if (!predictor.ok())
             return predictor.error();
+        predictors.push_back(std::move(predictor).value());
+        const auto training = static_cast<uint64_t>(
+            config.trainFraction * static_cast<double>(queue_totals[q]));
         cores.push_back(std::make_unique<QueueCore>(
-            std::move(predictor).value(),
-            static_cast<size_t>(queue_totals[q]), config,
-            spillFilePath(spill_dir, serial, q)));
+            *predictors.back(),
+            QueueCore::Rules{config.epochSeconds, training}, nullptr,
+            spillFilePath(spill_dir, serial, q),
+            config.spillThresholdDoubles));
     }
 
     StreamReplayResult result;
@@ -359,22 +159,18 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
                 run.submit.push_back(batch.submit[row]);
                 run.wait.push_back(batch.wait[row]);
             }
+            auto process = [&](size_t q) {
+                cores[q]->processRows(runs[q].submit.data(),
+                                      runs[q].wait.data(),
+                                      runs[q].submit.size());
+            };
             if (touched.size() == 1 || pool.size() == 1) {
-                for (size_t q : touched) {
-                    cores[q]->processRows(runs[q].submit.data(),
-                                          runs[q].wait.data(),
-                                          runs[q].submit.size());
-                }
+                for (size_t q : touched)
+                    process(q);
             } else {
                 std::vector<std::future<void>> joins;
-                joins.reserve(touched.size());
-                for (size_t q : touched) {
-                    joins.push_back(pool.submit([&, q] {
-                        cores[q]->processRows(runs[q].submit.data(),
-                                              runs[q].wait.data(),
-                                              runs[q].submit.size());
-                    }));
-                }
+                for (size_t q : touched)
+                    joins.push_back(pool.submit([&, q] { process(q); }));
                 for (auto &join : joins)
                     join.get();
             }
@@ -399,12 +195,16 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
     shards_completed = reader.shardCount();
     sample_memory();
 
-    result.queues.reserve(n_queues);
+    result.queues.resize(n_queues);
     for (size_t q = 0; q < n_queues; ++q) {
-        auto finished = cores[q]->finish(queue_names[q]);
-        if (!finished.ok())
-            return finished.error();
-        result.queues.push_back(std::move(finished).value());
+        QueueStreamResult &out = result.queues[q];
+        out.queue = queue_names[q];
+        out.result.totalJobs = static_cast<size_t>(queue_totals[q]);
+        if (out.result.totalJobs == 0)
+            continue;
+        if (auto ok = collectScores(*cores[q], &out.result); !ok.ok())
+            return ok.error();
+        out.trims = predictorTrimCount(*predictors[q]);
     }
     return result;
 }

@@ -10,7 +10,8 @@
  * produces on the in-memory trace filtered to that queue (no probe,
  * no checkpointing) — same evaluated/correct/infinite counts, same
  * bitwise medianRatio — for any batch size, shard size, and thread
- * count. Three properties make that possible:
+ * count. This holds by construction — both run one sim::QueueCore per
+ * queue — given three properties of that core:
  *
  *  1. *Frozen bounds between events.* A predictor's upperBound() only
  *     changes at refit() — including the refit a change-point trim

@@ -343,6 +343,45 @@ ExponentialDist::quantile(double p) const
     return p <= 0.0 ? 0.0 : -std::log1p(-p) / rate_;
 }
 
+// ----------------------------------------------------------------- Gamma
+
+GammaDist::GammaDist(double shape, double scale)
+    : shape_(shape), scale_(scale)
+{
+    if (!(shape > 0.0) || !(scale > 0.0))
+        panic("GammaDist: shape and scale must be positive");
+}
+
+double
+GammaDist::cdf(double x) const
+{
+    return x <= 0.0 ? 0.0 : incompleteGammaLower(shape_, x / scale_);
+}
+
+double
+GammaDist::quantile(double p) const
+{
+    if (p >= 1.0)
+        return std::numeric_limits<double>::infinity();
+    if (p <= 0.0)
+        return 0.0;
+    // Bracket [lo, hi] with cdf(lo) < p <= cdf(hi), then bisect until
+    // the midpoint no longer separates them.
+    double lo = 0.0;
+    double hi = mean();
+    while (cdf(hi) < p)
+        hi *= 2.0;
+    while (true) {
+        const double mid = lo + (hi - lo) / 2.0;
+        if (mid <= lo || mid >= hi)
+            return hi;
+        if (cdf(mid) < p)
+            lo = mid;
+        else
+            hi = mid;
+    }
+}
+
 // --------------------------------------------------------------- Weibull
 
 WeibullDist::WeibullDist(double shape, double scale)

@@ -119,6 +119,22 @@ class ExponentialDist
     double rate_;
 };
 
+/** Gamma distribution with shape k and scale theta (pgamma/qgamma). */
+class GammaDist
+{
+  public:
+    GammaDist(double shape, double scale);
+
+    double mean() const { return shape_ * scale_; }
+    double cdf(double x) const;
+    /** Inverts cdf() by bisection to the last representable bit. */
+    double quantile(double p) const;
+
+  private:
+    double shape_;
+    double scale_;
+};
+
 /** Weibull distribution with shape k and scale lambda. */
 class WeibullDist
 {

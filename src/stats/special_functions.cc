@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 
+#include "util/lgamma.hh"
 #include "util/logging.hh"
 
 namespace qdel {
@@ -67,13 +68,14 @@ betaContinuedFraction(double a, double b, double x)
 double
 logGamma(double x)
 {
-    return std::lgamma(x);
+    return logGammaReentrant(x);
 }
 
 double
 logBeta(double a, double b)
 {
-    return std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
+    return logGammaReentrant(a) + logGammaReentrant(b) -
+           logGammaReentrant(a + b);
 }
 
 double

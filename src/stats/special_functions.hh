@@ -17,7 +17,8 @@
 namespace qdel {
 namespace stats {
 
-/** Natural log of the gamma function (thin wrapper over std::lgamma). */
+/** Natural log of the gamma function (std::lgamma, minus the race on
+ *  glibc's signgam; see util/lgamma.hh). */
 double logGamma(double x);
 
 /** Natural log of the beta function B(a, b). */

@@ -62,6 +62,21 @@ SpillDoubles::~SpillDoubles()
 }
 
 void
+SpillDoubles::reset(std::vector<double> values)
+{
+    if (file_ != nullptr) {
+        std::fclose(file_);
+        std::remove(path_.c_str());
+        file_ = nullptr;
+    }
+    failed_ = false;
+    failReason_.clear();
+    count_ = values.size();
+    buffer_ = std::move(values);
+    maybeSpill();
+}
+
+void
 SpillDoubles::add(double value)
 {
     buffer_.push_back(value);

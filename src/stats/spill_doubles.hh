@@ -57,6 +57,12 @@ class SpillDoubles
     size_t size() const { return count_; }
     bool spilled() const { return file_ != nullptr; }
 
+    /** Every value added so far; only meaningful while !spilled(). */
+    const std::vector<double> &resident() const { return buffer_; }
+
+    /** Drop all values (and any spill file), then hold @p values. */
+    void reset(std::vector<double> values);
+
     /**
      * Exact median with stats::median() semantics (type-7 interpolation
      * of the two central order statistics). Errors on an empty sample

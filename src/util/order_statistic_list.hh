@@ -3,12 +3,12 @@
  * Order-statistic multiset of doubles backed by a list of sorted
  * blocks with a Fenwick index over block sizes.
  *
- * This is the cache-friendly successor to OrderStatisticTreap on the
- * BMBP hot path. A treap spends O(log n) *dependent* pointer
- * dereferences per operation (≈3·ln n node hops, each a potential
- * cache miss, plus one heap allocation per insert); this structure
- * spends two binary searches over contiguous arrays plus one short
- * memmove inside a single block, which the hardware prefetcher and
+ * This is the cache-friendly order-statistic structure on the BMBP
+ * hot path. A balanced tree (a treap, say) spends O(log n) *dependent*
+ * pointer dereferences per operation (≈3·ln n node hops, each a
+ * potential cache miss, plus one heap allocation per insert); this
+ * structure spends two binary searches over contiguous arrays plus one
+ * short memmove inside a single block, which the hardware prefetcher and
  * store buffers handle an order of magnitude faster at the history
  * sizes BMBP sees (tens of thousands of observations).
  *
@@ -21,8 +21,8 @@
  *
  * Duplicate values are allowed; insert places new duplicates after
  * existing ones and erase removes exactly one occurrence, matching
- * OrderStatisticTreap semantics (the test suite cross-checks the two
- * structures against each other).
+ * std::multiset semantics (the test suite cross-checks the two under
+ * random and sliding-window operation streams).
  */
 
 #ifndef QDEL_UTIL_ORDER_STATISTIC_LIST_HH

@@ -161,8 +161,8 @@ class FuzzHttpServer : public ::testing::Test
     {
         ServiceConfig config;
         config.registry.shards = 2;
-        config.registry.refitEvery = 5;
-        config.registry.trainObservations = 10;
+        config.registry.epochSeconds = 5;
+        config.registry.trainJobs = 10;
         auto opened = BoundService::open(config);
         ASSERT_TRUE(opened.ok());
         service_ = std::move(opened).value();

@@ -7,10 +7,16 @@
  */
 
 #include <cmath>
+#include <functional>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/predictor_factory.hh"
 #include "sim/replay/evaluation.hh"
+#include "sim/replay/replay_simulator.hh"
+#include "stats/distributions.hh"
 #include "stats/special_functions.hh"
 #include "stats/rng.hh"
 
@@ -111,6 +117,100 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(0.9, 0.9),
                       std::make_pair(0.95, 0.99),
                       std::make_pair(0.99, 0.95)));
+
+/** A wait distribution with an exact quantile function. */
+struct ExactCase
+{
+    const char *name;
+    std::function<double(double)> quantile;
+};
+
+/** Print the name only, so test names stay stable across builds. */
+void
+PrintTo(const ExactCase &exact_case, std::ostream *out)
+{
+    *out << exact_case.name;
+}
+
+class ExactQuantileOracle : public ::testing::TestWithParam<ExactCase>
+{
+};
+
+/**
+ * I.i.d. waits drawn by inverse transform from a distribution whose
+ * quantile is known exactly, replayed through the Section 5.1 core
+ * over 60 seeds. Two guarantees, each held to a stated binomial
+ * tolerance of 4 standard deviations:
+ *  - the pooled correct fraction is at least C;
+ *  - the bound frozen at each run's last epoch lies at or above the
+ *    true 0.95 quantile in at least a fraction C of the runs — the
+ *    confidence statement itself, checked against the exact quantile.
+ */
+TEST_P(ExactQuantileOracle, BmbpCoversTheTrueQuantile)
+{
+    const ExactCase &params = GetParam();
+    const double q = 0.95;
+    const double confidence = 0.95;
+    const size_t seeds = 60;
+    const size_t jobs = 1000;
+    const double true_quantile = params.quantile(q);
+
+    size_t evaluated = 0, correct = 0, covering_runs = 0;
+    for (uint64_t seed = 1; seed <= seeds; ++seed) {
+        stats::Rng rng(seed);
+        trace::Trace t;
+        for (size_t i = 0; i < jobs; ++i) {
+            trace::JobRecord job;
+            job.submitTime = 60.0 * static_cast<double>(i);
+            job.waitSeconds = params.quantile(rng.uniform());
+            t.add(job);
+        }
+        core::PredictorOptions options;
+        options.quantile = q;
+        options.confidence = confidence;
+        auto predictor = core::makePredictor("bmbp", options);
+        sim::ReplayProbe probe;
+        probe.captureSeries = true;
+        probe.seriesBegin = 0.0;
+        probe.seriesEnd = t[jobs - 1].submitTime;
+        sim::ReplaySimulator simulator({300.0, 0.10});
+        const auto result = simulator.run(t, *predictor, probe);
+        ASSERT_TRUE(result.ok());
+        ASSERT_FALSE(result.value().series.empty());
+        evaluated += result.value().evaluatedJobs;
+        correct += result.value().correct;
+        if (result.value().series.back().value >= true_quantile)
+            ++covering_runs;
+    }
+
+    const double n = static_cast<double>(evaluated);
+    const double pooled = static_cast<double>(correct) / n;
+    EXPECT_GE(pooled,
+              confidence - 4.0 * std::sqrt(confidence * (1 - confidence) / n))
+        << params.name;
+    const double s = static_cast<double>(seeds);
+    EXPECT_GE(static_cast<double>(covering_runs),
+              confidence * s -
+                  4.0 * std::sqrt(s * confidence * (1 - confidence)))
+        << params.name << ": " << covering_runs << "/" << seeds;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Distributions, ExactQuantileOracle,
+    ::testing::Values(
+        ExactCase{"lognormal",
+                  [](double p) {
+                      return stats::LogNormalDist(5.0, 1.5).quantile(p);
+                  }},
+        ExactCase{"gamma",
+                  [](double p) {
+                      return stats::GammaDist(2.0, 300.0).quantile(p);
+                  }},
+        ExactCase{"exponential",
+                  [](double p) {
+                      return stats::ExponentialDist(1.0 / 600.0).quantile(p);
+                  }}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 /** Bimodal marginals break the parametric baseline but not BMBP —
  *  the paper's central comparison, reproduced on a controlled trace. */

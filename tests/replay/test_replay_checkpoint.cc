@@ -16,6 +16,8 @@
 #include "core/bmbp_predictor.hh"
 #include "persist/fault_injection.hh"
 #include "persist/io.hh"
+#include "persist/snapshot.hh"
+#include "persist/state_codec.hh"
 #include "sim/replay/evaluation.hh"
 #include "sim/replay/replay_simulator.hh"
 
@@ -243,6 +245,61 @@ TEST(ReplayCheckpoint, CorruptNewestSnapshotFallsBackOneGeneration)
     auto resumed = simulator.run(t, *predictor, makeProbe(),
                                  makeCkpt(dir, true));
     ASSERT_TRUE(resumed.ok()) << resumed.error().str();
+    EXPECT_NE(resumed.value().recoveryNotes.front().find(
+                  "previous-snapshot"),
+              std::string::npos);
+    EXPECT_LT(resumed.value().resumedFromJob, t.size());
+    expectSameResult(plain, resumed.value());
+}
+
+TEST(ReplayCheckpoint, SnapshotAheadOfTheTraceIsRefused)
+{
+    fault::reset();
+    const trace::Trace t = makeTrace();
+    const ReplayResult plain = referenceRun(t);
+    const std::string dir = freshDir("ahead");
+    {
+        auto predictor = makePredictor();
+        ReplaySimulator simulator({300.0, 0.10});
+        ASSERT_TRUE(
+            simulator.run(t, *predictor, makeProbe(), makeCkpt(dir))
+                .ok());
+    }
+    auto entries = persist::listDirectory(dir);
+    ASSERT_TRUE(entries.ok());
+    std::string newest;
+    for (const std::string &name : entries.value()) {
+        if (name.rfind("snapshot-", 0) == 0 && name > newest)
+            newest = name;
+    }
+    ASSERT_FALSE(newest.empty());
+    // Re-seal the newest snapshot with its job position one past the
+    // trace's end. Its checksums stay valid, so only decode can tell.
+    auto payload = persist::readSnapshotFile(dir + "/" + newest);
+    ASSERT_TRUE(payload.ok());
+    persist::StateReader reader(payload.value());
+    ASSERT_TRUE(reader.str().ok());      // tag
+    ASSERT_TRUE(reader.u32().ok());      // version
+    ASSERT_TRUE(reader.u64().ok());      // trace fingerprint
+    ASSERT_TRUE(reader.doubles().ok());  // config echo; jobs come next
+    persist::StateWriter ahead;
+    ahead.u64(t.size() + 1);
+    std::string forged = payload.value();
+    forged.replace(forged.size() - reader.remaining(), ahead.bytes().size(),
+                   ahead.bytes());
+    ASSERT_TRUE(
+        persist::writeSnapshotFile(dir + "/" + newest, forged).ok());
+
+    auto predictor = makePredictor();
+    ReplaySimulator simulator({300.0, 0.10});
+    auto resumed = simulator.run(t, *predictor, makeProbe(),
+                                 makeCkpt(dir, true));
+    ASSERT_TRUE(resumed.ok()) << resumed.error().str();
+    bool refused = false;
+    for (const std::string &note : resumed.value().recoveryNotes)
+        refused = refused || note.find("ahead of its input") !=
+                                 std::string::npos;
+    EXPECT_TRUE(refused);
     EXPECT_NE(resumed.value().recoveryNotes.front().find(
                   "previous-snapshot"),
               std::string::npos);

@@ -5,6 +5,7 @@
  * identities, and the figure/table probes.
  */
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -146,6 +147,29 @@ TEST(Replay, EpochCountMatchesSpan)
     simulator.run(t, predictor).value();
     EXPECT_GE(predictor.refits, 19u);
     EXPECT_LE(predictor.refits, 23u);
+}
+
+TEST(Replay, LongGapsAndFarFutureTimesFinishPromptly)
+{
+    // Idle epochs are skipped in one step, and an epoch below the
+    // resolution of a double (1e20 + 300 == 1e20) still advances the
+    // clock, so neither a 1e15 s gap nor such times stall the replay.
+    trace::Trace t;
+    for (double submit : {1000.0, 1060.0, 1e15, 1e15 + 60.0, 1e20, 1e20}) {
+        trace::JobRecord job;
+        job.submitTime = submit;
+        job.waitSeconds = 30.0;
+        t.add(job);
+    }
+    ProbePredictor predictor;
+    ReplaySimulator simulator({300.0, 0.0});
+    const auto begin = std::chrono::steady_clock::now();
+    const auto result = simulator.run(t, predictor).value();
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(1));
+    EXPECT_EQ(result.evaluatedJobs, t.size());
+    // Only epochs after new observations refit, plus the finalize.
+    EXPECT_LE(predictor.refits, 2 * t.size());
 }
 
 TEST(Replay, InfinitePredictionsCountedCorrect)

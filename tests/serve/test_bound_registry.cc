@@ -2,13 +2,14 @@
  * @file
  * BoundRegistry contract tests. The load-bearing one compares the
  * registry's published snapshots against a standalone reference
- * predictor driven with the identical observe/refit/finalize policy:
- * every grid answer must bit-match boundAt() on the frozen reference —
- * that is the scoreBatch frozen-bound invariant carried to the serve
- * read path.
+ * predictor driven by hand with the Section 5.1 epoch rule: every grid
+ * answer must bit-match boundAt() on the frozen reference — that is
+ * the scoreBatch frozen-bound invariant carried to the serve read
+ * path.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "core/rare_event.hh"
 #include "persist/state_codec.hh"
 #include "serve/bound_registry.hh"
+#include "sim/replay/evaluation.hh"
 
 namespace qdel {
 namespace serve {
@@ -85,27 +87,46 @@ TEST(BoundRegistryOptions, ValidateRejectsBadKnobs)
     options.shards = 0;
     EXPECT_FALSE(options.validate().ok());
     options.shards = 8;
-    options.refitEvery = 0;
+    options.epochSeconds = -1.0;
     EXPECT_FALSE(options.validate().ok());
-    options.refitEvery = 50;
-    options.trainObservations = 0;
+    options.epochSeconds = std::numeric_limits<double>::quiet_NaN();
     EXPECT_FALSE(options.validate().ok());
-    options.trainObservations = 100;
+    options.epochSeconds = 0.0;  // refit at every submit
+    EXPECT_TRUE(options.validate().ok());
+    options.trainJobs = 0;  // score from the first submit
+    EXPECT_TRUE(options.validate().ok());
     options.method = "no-such-method";
     EXPECT_FALSE(options.validate().ok());
+}
+
+TEST(BoundRegistryOptions, OffGridQuantileIsRejected)
+{
+    // Calibration scores upper[gridIndexFor(quantile)], so 0.93 would
+    // silently judge the 0.95 bound.
+    BoundRegistry::Options options;
+    options.quantile = 0.93;
+    const auto valid = options.validate();
+    ASSERT_FALSE(valid.ok());
+    EXPECT_EQ(valid.error().field, "quantile");
+    for (double q : kGridQuantiles) {
+        options.quantile = q;
+        EXPECT_TRUE(options.validate().ok()) << q;
+    }
 }
 
 TEST(BoundRegistry, PublishedGridBitMatchesReferencePredictor)
 {
     BoundRegistry::Options options;
     options.shards = 4;
-    options.refitEvery = 25;
-    options.trainObservations = 60;
+    options.epochSeconds = 300.0;
+    options.trainJobs = 60;
     BoundRegistry registry(options);
 
-    // Reference: a standalone predictor driven by hand with the exact
-    // registry policy (finalize+refit at trainObservations, refit
-    // every refitEvery afterwards).
+    // Reference: a standalone predictor driven by hand with the epoch
+    // rule — epochs every epochSeconds from the first submit; a start
+    // fires the epochs strictly before it, then observes; a submit
+    // fires the epochs at or before it, then finalizes + refits at the
+    // trainJobs-th submit.
     core::RareEventTable rare_table(options.quantile);
     core::PredictorOptions predictor_options;
     predictor_options.quantile = options.quantile;
@@ -113,11 +134,11 @@ TEST(BoundRegistry, PublishedGridBitMatchesReferencePredictor)
     predictor_options.rareEventTable = &rare_table;
     auto reference = core::makePredictor(options.method, predictor_options);
 
-    // The registry publishes a grid only at refit points; between
-    // them the published bounds stay frozen even though the live
+    // The registry publishes a grid only when the bound moves; between
+    // moves the published bounds stay frozen even though the live
     // predictor history keeps growing. Mirror that: snapshot the
-    // reference grid at each publish point and compare the registry's
-    // answers against the *last published* reference grid.
+    // reference grid at each refit and trim, and compare the
+    // registry's answers against the *last* reference grid.
     double ref_upper[kGridCount];
     double ref_lower[kGridCount];
     const auto capture_grid = [&]() {
@@ -128,29 +149,47 @@ TEST(BoundRegistry, PublishedGridBitMatchesReferencePredictor)
                 reference->boundAt(kGridQuantiles[gi], false).value;
         }
     };
-    capture_grid();  // entry creation publishes the empty-history grid
+    double next_epoch = 0.0;  // armed by the first submit, at t = 0
+    const auto fire_epochs = [&](double time, bool inclusive) {
+        while (next_epoch < time || (inclusive && next_epoch == time)) {
+            reference->refit();
+            capture_grid();
+            next_epoch += options.epochSeconds;
+        }
+    };
 
     const auto waits = syntheticWaits(200, 42);
-    uint64_t observations = 0;
-    bool finalized = false;
+    BoundQuery query;
+    query.machine = "m";
+    query.queue = "q";
+    query.procs = 4;
     for (size_t i = 0; i < waits.size(); ++i) {
-        feedWait(registry, i + 1, waits[i]);
-        reference->observe(waits[i]);
-        ++observations;
-        if (!finalized && observations >= options.trainObservations) {
+        const double submit_time = 60.0 * static_cast<double>(i);
+        JobEvent submit;
+        submit.kind = EventKind::Submit;
+        submit.jobId = i + 1;
+        submit.time = submit_time;
+        submit.machine = "m";
+        submit.queue = "q";
+        submit.procs = 4;
+        ASSERT_TRUE(registry.apply(submit).applied);
+        fire_epochs(submit_time, /*inclusive=*/true);
+        if (i == options.trainJobs) {
             reference->finalizeTraining();
-            reference->refit();
-            finalized = true;
-            capture_grid();
-        } else if (observations % options.refitEvery == 0) {
             reference->refit();
             capture_grid();
         }
 
-        BoundQuery query;
-        query.machine = "m";
-        query.queue = "q";
-        query.procs = 4;
+        JobEvent start = submit;
+        start.kind = EventKind::Start;
+        start.time = submit_time + waits[i];
+        ASSERT_TRUE(registry.apply(start).applied);
+        fire_epochs(start.time, /*inclusive=*/false);
+        const size_t trims = sim::predictorTrimCount(*reference);
+        reference->observe(start.time - submit_time);
+        if (sim::predictorTrimCount(*reference) != trims)
+            capture_grid();
+
         for (size_t gi = 0; gi < kGridCount; ++gi) {
             query.quantile = kGridQuantiles[gi];
             const BoundAnswer answer = registry.query(query);
@@ -169,27 +208,76 @@ TEST(BoundRegistry, PublishedGridBitMatchesReferencePredictor)
 TEST(BoundRegistry, SnapshotVersionBumpsOnlyWhenBoundMoves)
 {
     BoundRegistry::Options options;
-    options.refitEvery = 10;
-    options.trainObservations = 1000;  // never finalizes in this test
+    options.epochSeconds = 100.0;
+    options.trainJobs = 1000;  // never finalizes in this test
     BoundRegistry registry(options);
 
     BoundQuery query;
     query.machine = "m";
     query.queue = "q";
     query.procs = 4;
+    const auto event = [](EventKind kind, uint64_t job, double time) {
+        JobEvent e;
+        e.kind = kind;
+        e.jobId = job;
+        e.time = time;
+        e.machine = "m";
+        e.queue = "q";
+        e.procs = 4;
+        return e;
+    };
 
-    const auto waits = syntheticWaits(9, 7);
-    for (size_t i = 0; i < waits.size(); ++i)
-        feedWait(registry, i + 1, waits[i]);
+    // Nine jobs inside the first epoch: only the first submit's
+    // epoch-0 refit publishes.
+    for (uint64_t job = 1; job <= 9; ++job) {
+        const double t = 10.0 * static_cast<double>(job - 1);
+        ASSERT_TRUE(registry.apply(event(EventKind::Submit, job, t)).applied);
+        ASSERT_TRUE(
+            registry.apply(event(EventKind::Start, job, t + 5.0)).applied);
+    }
     const BoundAnswer before = registry.query(query);
     ASSERT_TRUE(before.known);
-    EXPECT_EQ(before.version, 1u) << "creation publishes version 1; no"
-                                     " refit happened in 9 observations";
+    EXPECT_EQ(before.version, 1u) << "no epoch ticked after the first";
 
-    feedWait(registry, 10, 123.0);  // 10th observation: refit fires
+    // The epoch at t=100 follows nine observations: one publish.
+    ASSERT_TRUE(registry.apply(event(EventKind::Submit, 10, 100.0)).applied);
     const BoundAnswer after = registry.query(query);
     EXPECT_EQ(after.version, 2u);
-    EXPECT_EQ(after.observations, 10u);
+    EXPECT_EQ(after.observations, 9u);
+
+    // The epoch at t=200 follows no new observation: the bound cannot
+    // have moved, so nothing is published.
+    ASSERT_TRUE(registry.apply(event(EventKind::Submit, 11, 250.0)).applied);
+    EXPECT_EQ(registry.query(query).version, 2u);
+}
+
+TEST(BoundRegistry, NonFiniteEventTimesAreRejected)
+{
+    BoundRegistry registry(BoundRegistry::Options{});
+    JobEvent submit;
+    submit.kind = EventKind::Submit;
+    submit.jobId = 1;
+    submit.machine = "m";
+    submit.queue = "q";
+    submit.procs = 1;
+    for (double bad : {std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        submit.time = bad;
+        EXPECT_STREQ(registry.apply(submit).rejectReason,
+                     "event time is not finite");
+    }
+    EXPECT_EQ(registry.stats().entries, 0u) << "rejects create no entry";
+
+    submit.time = 10.0;
+    ASSERT_TRUE(registry.apply(submit).applied);
+    JobEvent start = submit;
+    start.kind = EventKind::Start;
+    start.time = std::numeric_limits<double>::infinity();
+    EXPECT_STREQ(registry.apply(start).rejectReason,
+                 "event time is not finite");
+    start.time = 20.0;
+    EXPECT_TRUE(registry.apply(start).applied);
 }
 
 TEST(BoundRegistry, RejectsAreDeterministicAndCounted)
@@ -278,7 +366,7 @@ TEST(BoundRegistry, KeysRouteToStableShardsAndBucketsShareEntries)
 {
     BoundRegistry::Options options;
     options.shards = 8;
-    options.refitEvery = 1;  // publish a snapshot on every observation
+    options.epochSeconds = 0.0;  // refit (and publish) at every submit
     BoundRegistry registry(options);
     // procs 1 and 4 share a bucket, so they share an entry and shard.
     EXPECT_EQ(registry.shardForKey("m", "q", procBucketFor(1)),
@@ -286,6 +374,14 @@ TEST(BoundRegistry, KeysRouteToStableShardsAndBucketsShareEntries)
     feedWait(registry, 1, 10.0, "m", "q", 1);
     feedWait(registry, 2, 20.0, "m", "q", 4);
     EXPECT_EQ(registry.stats().entries, 1u);
+    // A third submit in the bucket refits over both observations.
+    JobEvent submit;
+    submit.kind = EventKind::Submit;
+    submit.jobId = 3;
+    submit.machine = "m";
+    submit.queue = "q";
+    submit.procs = 2;
+    ASSERT_TRUE(registry.apply(submit).applied);
     BoundQuery query;
     query.machine = "m";
     query.queue = "q";
@@ -297,8 +393,8 @@ TEST(BoundRegistry, SaveLoadRoundTripsBitIdentically)
 {
     BoundRegistry::Options options;
     options.shards = 2;
-    options.refitEvery = 10;
-    options.trainObservations = 30;
+    options.epochSeconds = 10.0;
+    options.trainJobs = 30;
     BoundRegistry registry(options);
     const auto waits = syntheticWaits(80, 3);
     for (size_t i = 0; i < waits.size(); ++i) {
@@ -360,6 +456,33 @@ TEST(BoundRegistry, LoadShardRejectsForeignConfiguration)
               std::string::npos);
 }
 
+TEST(BoundRegistry, LoadShardRefusesTheV3Layout)
+{
+    // v4 inserted the replay core's state into every entry; a v3
+    // payload must be refused, not parsed with the new layout.
+    BoundRegistry registry(BoundRegistry::Options{});
+    feedWait(registry, 1, 10.0);
+    persist::StateWriter writer;
+    {
+        auto lock = registry.lockShard(0);
+        ASSERT_TRUE(registry.saveShard(0, writer).ok());
+    }
+    std::string payload = writer.take();
+    persist::StateWriter v3_header;
+    persist::writeStateHeader(v3_header, "qdel-serve-shard", 3);
+    persist::StateWriter v4_header;
+    persist::writeStateHeader(v4_header, "qdel-serve-shard", 4);
+    ASSERT_EQ(payload.compare(0, v4_header.bytes().size(), v4_header.bytes()),
+              0);
+    payload.replace(0, v4_header.bytes().size(), v3_header.bytes());
+
+    BoundRegistry other(BoundRegistry::Options{});
+    persist::StateReader reader(payload, "shard");
+    auto loaded = other.loadShard(0, reader);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().field, "version");
+}
+
 TEST(BoundRegistry, EnumerateIsKeySorted)
 {
     BoundRegistry registry(BoundRegistry::Options{});
@@ -382,8 +505,11 @@ TEST(BoundRegistry, ConcurrentQueriesDuringWritesStayCoherent)
     // the count the previous version published — monotone per reader).
     BoundRegistry::Options options;
     options.shards = 2;
-    options.refitEvery = 5;
-    options.trainObservations = 20;
+    // feedWait submits every job at t = 0, so an epoch rule would
+    // rarely fire; refitting at every submit republishes once per job
+    // and keeps the readers racing a steady stream of publishes.
+    options.epochSeconds = 0.0;
+    options.trainJobs = 20;
     BoundRegistry registry(options);
     feedWait(registry, 0, 1.0);
 
@@ -416,6 +542,50 @@ TEST(BoundRegistry, ConcurrentQueriesDuringWritesStayCoherent)
     for (auto &reader : readers)
         reader.join();
     EXPECT_GT(answered.load(), 0u);
+    BoundQuery query;
+    query.machine = "m";
+    query.queue = "q";
+    query.procs = 4;
+    EXPECT_GE(registry.query(query).version, waits.size())
+        << "every submit after an observation republishes";
+}
+
+TEST(BoundRegistry, FarFutureTimesAndLongGapsApplyPromptly)
+{
+    // A long quiet gap moves the epoch clock in one step rather than
+    // one iteration per idle epoch, and a time where one epoch is
+    // below the resolution of a double (1e20 + 300 == 1e20) is
+    // refused, so no single event can stall a shard.
+    BoundRegistry registry(BoundRegistry::Options{});  // 300 s epochs
+    const auto begin = std::chrono::steady_clock::now();
+    JobEvent submit;
+    submit.kind = EventKind::Submit;
+    submit.jobId = 1;
+    submit.machine = "m";
+    submit.queue = "q";
+    submit.procs = 1;
+    submit.time = 1e20;
+    EXPECT_STREQ(registry.apply(submit).rejectReason,
+                 "event time is too large for the epoch length");
+    EXPECT_EQ(registry.stats().entries, 0u);
+
+    JobEvent start = submit;
+    start.kind = EventKind::Start;
+    for (double t : {0.0, 1e15, 2e15}) {
+        submit.time = t;
+        ASSERT_TRUE(registry.apply(submit).applied) << t;
+        start.time = t + 512.0;  // exact at 2e15, where ulp is 0.25
+        ASSERT_TRUE(registry.apply(start).applied) << t;
+        ++submit.jobId;
+        start.jobId = submit.jobId;
+    }
+    start.time = 1e20;  // a start is held to the same limit
+    submit.time = 3e15;
+    ASSERT_TRUE(registry.apply(submit).applied);
+    EXPECT_STREQ(registry.apply(start).rejectReason,
+                 "event time is too large for the epoch length");
+    EXPECT_LT(std::chrono::steady_clock::now() - begin,
+              std::chrono::seconds(1));
 }
 
 } // namespace

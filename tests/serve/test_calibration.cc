@@ -9,19 +9,27 @@
  * live report must agree exactly, and its empirical coverage must sit
  * within binomial tolerance of the requested confidence. A deliberately
  * mis-specified predictor (the raw 0.5-percentile claiming C = 0.95)
- * must trip the binomial failing flag.
+ * must trip the binomial failing flag, and so must a regime shift the
+ * bound cannot follow. The offline-equals-online test feeds a trace's
+ * event stream through BoundService and requires every queue's served
+ * scored/hit/infinite counts to equal ReplaySimulator's on that queue.
  */
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/predictor_factory.hh"
 #include "obs/calibration.hh"
 #include "persist/state_codec.hh"
 #include "serve/bound_registry.hh"
+#include "serve/service.hh"
+#include "sim/replay/evaluation.hh"
+#include "sim/replay/replay_simulator.hh"
 #include "stats/special_functions.hh"
 
 namespace qdel {
@@ -130,8 +138,8 @@ TEST(Calibration, LiveReportMatchesTheOfflineScoringOracle)
     options.method = "bmbp";
     options.quantile = 0.95;
     options.confidence = 0.95;
-    options.refitEvery = 10;
-    options.trainObservations = 20;
+    options.epochSeconds = 10.0;
+    options.trainJobs = 20;
     ASSERT_TRUE(options.validate().ok());
     BoundRegistry registry(options);
 
@@ -146,18 +154,16 @@ TEST(Calibration, LiveReportMatchesTheOfflineScoringOracle)
     double t = 0.0;
     for (size_t i = 0; i < waits.size(); ++i) {
         t += 1.0;
+        ASSERT_TRUE(
+            registry.apply(makeEvent(EventKind::Submit, i + 1, t))
+                .applied);
         // The oracle freezes the published bound the instant the
         // submit is processed — exactly what a live client querying at
         // submit time would have been told.
         const BoundAnswer at_submit = registry.query(probe);
-        const bool scoreable =
-            at_submit.known &&
-            at_submit.observations >= options.trainObservations;
+        const bool scoreable = i >= options.trainJobs;
         const double frozen = at_submit.upper;
 
-        ASSERT_TRUE(
-            registry.apply(makeEvent(EventKind::Submit, i + 1, t))
-                .applied);
         ASSERT_TRUE(registry
                         .apply(makeEvent(EventKind::Start, i + 1,
                                          t + waits[i]))
@@ -206,8 +212,8 @@ TEST(Calibration, MisSpecifiedPredictorTripsTheFailingFlag)
     options.method = "percentile";
     options.quantile = 0.5;
     options.confidence = 0.95;
-    options.refitEvery = 10;
-    options.trainObservations = 20;
+    options.epochSeconds = 10.0;
+    options.trainJobs = 20;
     ASSERT_TRUE(options.validate().ok());
     BoundRegistry registry(options);
 
@@ -240,8 +246,8 @@ TEST(Calibration, ShardStateV3RoundTripsCalibrationAndPendingBounds)
     BoundRegistry::Options options;
     options.shards = 1;
     options.method = "bmbp";
-    options.refitEvery = 10;
-    options.trainObservations = 20;
+    options.epochSeconds = 10.0;
+    options.trainJobs = 20;
     ASSERT_TRUE(options.validate().ok());
 
     BoundRegistry registry(options);
@@ -317,6 +323,150 @@ TEST(Calibration, ShardInfoCountsPendingAndApplied)
     EXPECT_EQ(info.pending, 1u);
     EXPECT_EQ(info.applied, 3u);
     EXPECT_EQ(info.rejected, 0u);
+}
+
+/**
+ * Three queues in the shape of the stream-parity fixture: interleaved,
+ * each with its own wait regime, one shifting regime mid-trace (which
+ * provokes change-point trims), zero-wait jobs (a release tied with its
+ * own submit) and duplicate submit times. Every third job of a queue is
+ * released exactly on one of its queue's 300 s epoch ticks, where a
+ * release must be observed before the tick's refit. Times are whole
+ * seconds, so a wait recovered as start - submit is the trace's wait
+ * bit for bit, and each queue's jobs share one proc bucket.
+ */
+std::vector<trace::JobRecord>
+parityJobs(size_t per_queue)
+{
+    const char *const queues[] = {"batch", "debug", "long"};
+    const int procs[] = {2, 16, 128};
+    double first_submit[3] = {};
+    std::vector<trace::JobRecord> jobs;
+    double submit = 10'000.0;
+    for (size_t i = 0; i < 3 * per_queue; ++i) {
+        submit += static_cast<double>(i % 7) * 7.0;  // dup when i%7==0
+        const size_t q = i % 3;
+        if (i < 3)
+            first_submit[q] = submit;
+        double wait;
+        if (q == 0) {
+            wait = (i < (3 * per_queue) / 2 ? 50.0 : 9'000.0) +
+                   static_cast<double>((i * 37) % 113);
+        } else if (q == 1) {
+            // Heavy-tailed: wide gaps between the upper order statistics.
+            wait = std::round(30.0 * std::pow(1.4, (i * 131) % 23));
+        } else {
+            wait = 600.0 + static_cast<double>((i * 53) % 2'999);
+        }
+        if (i % 9 < 3) {
+            // Snap the release onto the queue's next epoch tick.
+            const double ticks =
+                std::ceil((submit + wait - first_submit[q]) / 300.0);
+            wait = first_submit[q] + 300.0 * ticks - submit;
+        }
+        if (i % 17 == 0)
+            wait = 0.0;  // released at its submit instant
+        trace::JobRecord job;
+        job.submitTime = submit;
+        job.waitSeconds = wait;
+        job.procs = procs[q];
+        job.runSeconds = 60.0;
+        job.queue = queues[q];
+        jobs.push_back(job);
+    }
+    return jobs;
+}
+
+TEST(Calibration, ServedCountsEqualOfflineReplayPerQueue)
+{
+    const size_t per_queue = 1500;
+    const auto jobs = parityJobs(per_queue);
+
+    ServiceConfig config;
+    config.registry.shards = 4;
+    config.registry.epochSeconds = 300.0;
+    // The offline training prefix, floor(0.1 x queue total).
+    config.registry.trainJobs = per_queue / 10;
+    auto opened = BoundService::open(config);
+    ASSERT_TRUE(opened.ok()) << opened.error().str();
+    BoundService &service = *opened.value();
+    for (const JobEvent &event : eventsFromJobs(jobs, "parity")) {
+        auto outcome = service.ingest(event);
+        ASSERT_TRUE(outcome.ok());
+        ASSERT_TRUE(outcome.value().applied);
+    }
+
+    const auto report = service.registry().calibrationReport();
+    ASSERT_EQ(report.rows.size(), 3u);
+    size_t trims = 0;
+    for (const auto &row : report.rows) {
+        trace::Trace queue_trace;
+        for (const auto &job : jobs) {
+            if (job.queue == row.queue)
+                queue_trace.add(job);
+        }
+        auto predictor = core::makePredictor("bmbp", {});
+        sim::ReplaySimulator simulator({300.0, 0.10});
+        const auto offline = simulator.run(queue_trace, *predictor);
+        ASSERT_TRUE(offline.ok());
+        trims += sim::predictorTrimCount(*predictor);
+
+        EXPECT_EQ(offline.value().trainingJobs, config.registry.trainJobs);
+        EXPECT_TRUE(row.finalized) << row.queue;
+        EXPECT_EQ(row.scored, offline.value().evaluatedJobs) << row.queue;
+        EXPECT_EQ(row.hits, offline.value().correct) << row.queue;
+        EXPECT_EQ(row.infinite, offline.value().infinitePredictions)
+            << row.queue;
+    }
+    EXPECT_GT(trims, 0u) << "the regime shift must exercise trims";
+}
+
+TEST(Calibration, RegimeShiftTripsTheFailingFlagThroughTheService)
+{
+    // The non-trimming log-normal baseline cannot follow a 50x jump in
+    // waits: its bound stays anchored to the old regime, coverage
+    // collapses, and the binomial test must say so.
+    ServiceConfig config;
+    config.registry.shards = 2;
+    config.registry.method = "lognormal";
+    config.registry.epochSeconds = 300.0;
+    config.registry.trainJobs = 50;
+    auto opened = BoundService::open(config);
+    ASSERT_TRUE(opened.ok()) << opened.error().str();
+    BoundService &service = *opened.value();
+
+    std::mt19937 rng(5);
+    std::lognormal_distribution<double> calm(4.0, 0.5);
+    std::lognormal_distribution<double> storm(8.0, 0.5);
+    std::vector<trace::JobRecord> jobs;
+    for (size_t i = 0; i < 1200; ++i) {
+        trace::JobRecord job;
+        job.submitTime = 60.0 * static_cast<double>(i);
+        job.waitSeconds = std::round(i < 800 ? calm(rng) : storm(rng));
+        job.procs = 4;
+        job.queue = "q";
+        jobs.push_back(job);
+    }
+    const auto events = eventsFromJobs(jobs, "m");
+    const auto ingest_until = [&](double horizon, size_t *next) {
+        for (; *next < events.size() && events[*next].time < horizon;
+             ++*next) {
+            ASSERT_TRUE(service.ingest(events[*next]).ok());
+        }
+    };
+
+    size_t next = 0;
+    ingest_until(jobs[800].submitTime, &next);
+    auto report = service.registry().calibrationReport();
+    ASSERT_EQ(report.rows.size(), 1u);
+    ASSERT_GE(report.rows[0].windowCount, 50u);
+    EXPECT_FALSE(report.rows[0].failing) << "calm regime is covered";
+
+    ingest_until(std::numeric_limits<double>::infinity(), &next);
+    report = service.registry().calibrationReport();
+    EXPECT_TRUE(report.rows[0].failing);
+    EXPECT_LT(report.rows[0].windowCoverage, 0.5);
+    EXPECT_EQ(report.failingEntries, 1u);
 }
 
 } // namespace

@@ -83,8 +83,8 @@ sweepConfig()
 {
     ServiceConfig config;  // ephemeral: the digest covers memory state
     config.registry.shards = 2;
-    config.registry.refitEvery = 8;
-    config.registry.trainObservations = 20;
+    config.registry.epochSeconds = 8;
+    config.registry.trainJobs = 20;
     return config;
 }
 

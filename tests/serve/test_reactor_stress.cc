@@ -195,8 +195,8 @@ class ReactorStressTest : public ::testing::Test
         obs::setEnabled(true);
         ServiceConfig config;
         config.registry.shards = 4;
-        config.registry.refitEvery = 5;
-        config.registry.trainObservations = 10;
+        config.registry.epochSeconds = 5;
+        config.registry.trainJobs = 10;
         auto opened = BoundService::open(config);
         ASSERT_TRUE(opened.ok());
         service_ = std::move(opened).value();

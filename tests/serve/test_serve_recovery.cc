@@ -63,8 +63,8 @@ sweepConfig(const std::string &state_dir)
 {
     ServiceConfig config;
     config.registry.shards = 2;
-    config.registry.refitEvery = 8;
-    config.registry.trainObservations = 20;
+    config.registry.epochSeconds = 8;
+    config.registry.trainJobs = 20;
     config.stateDir = state_dir;
     config.checkpointEveryEvents = 24;  // faults hit checkpoints too
     return config;

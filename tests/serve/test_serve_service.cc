@@ -61,8 +61,8 @@ smallConfig(const std::string &state_dir)
 {
     ServiceConfig config;
     config.registry.shards = 4;
-    config.registry.refitEvery = 10;
-    config.registry.trainObservations = 25;
+    config.registry.epochSeconds = 10;
+    config.registry.trainJobs = 25;
     config.stateDir = state_dir;
     return config;
 }

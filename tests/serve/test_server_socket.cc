@@ -145,8 +145,8 @@ class ServerSocketTest : public ::testing::Test
         obs::setEnabled(true);
         ServiceConfig config;
         config.registry.shards = 2;
-        config.registry.refitEvery = 5;
-        config.registry.trainObservations = 10;
+        config.registry.epochSeconds = 5;
+        config.registry.trainJobs = 10;
         auto opened = BoundService::open(config);
         ASSERT_TRUE(opened.ok());
         service_ = std::move(opened).value();
@@ -227,9 +227,9 @@ TEST_F(ServerSocketTest, EventsThenQueryOverOneBinaryConnection)
     auto answer = decodeAnswer(std::string_view(payload).substr(1));
     ASSERT_TRUE(answer.ok());
     EXPECT_TRUE(answer.value().known);
-    // The snapshot is frozen at the last publish: training finalized
-    // (and published) at 10 observations; 11 and 12 are not yet in.
-    EXPECT_EQ(answer.value().observations, 10u);
+    // The snapshot is frozen at the last publish: job 12's submit
+    // ticked an epoch over 11 observations; job 12's own wait is not in.
+    EXPECT_EQ(answer.value().observations, 11u);
     // The answer must equal the service's own view exactly.
     const BoundAnswer direct = service_->query(query);
     EXPECT_EQ(answer.value().upper, direct.upper);
@@ -641,8 +641,8 @@ class OverloadTest : public ::testing::Test
         obs::setEnabled(true);
         ServiceConfig config;
         config.registry.shards = 2;
-        config.registry.refitEvery = 5;
-        config.registry.trainObservations = 10;
+        config.registry.epochSeconds = 5;
+        config.registry.trainJobs = 10;
         config.maxPendingPerShard = maxPending;
         config.shedRetryAfterSeconds = retryAfter;
         auto opened = BoundService::open(config);

@@ -185,6 +185,21 @@ TEST(Weibull, CdfQuantile)
     EXPECT_NEAR(expo.cdf(2.0), 1.0 - std::exp(-1.0), 1e-12);
 }
 
+TEST(Gamma, CdfQuantile)
+{
+    GammaDist dist(2.0, 1.0);
+    EXPECT_DOUBLE_EQ(dist.cdf(0.0), 0.0);
+    // Erlang(2): F(x) = 1 - (1 + x) e^-x; its median is 1.67834699...
+    EXPECT_NEAR(dist.cdf(1.5), 1.0 - 2.5 * std::exp(-1.5), 1e-12);
+    EXPECT_NEAR(dist.quantile(0.5), 1.6783469900166608, 1e-9);
+    for (double p : {0.05, 0.5, 0.95, 0.999})
+        EXPECT_NEAR(dist.cdf(dist.quantile(p)), p, 1e-12);
+    // Shape 1 reduces to an exponential with rate 1/scale.
+    GammaDist expo(1.0, 4.0);
+    EXPECT_NEAR(expo.quantile(0.95), ExponentialDist(0.25).quantile(0.95),
+                1e-9);
+}
+
 TEST(Pareto, CdfQuantile)
 {
     ParetoDist dist(1.0, 1.16);  // the "80-20" tail index

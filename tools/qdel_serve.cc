@@ -37,10 +37,14 @@
  *   --state-dir DIR      durable per-shard checkpoints + WALs
  *   --shards N           registry shards (default 8)
  *   --method NAME        predictor method (default bmbp)
- *   --quantile Q         primary quantile to bound (default .95)
+ *   --quantile Q         primary quantile to bound, one of the published
+ *                        grid points (default .95)
  *   --confidence C       confidence level (default .95)
- *   --refit-every N      refit a key every N observations (default 50)
- *   --train-obs N        finalize training after N observations (100)
+ *   --epoch S            refit a key every S seconds of event time, as
+ *                        qdel_predict --epoch (default 300; 0 refits
+ *                        at every submit)
+ *   --train-jobs N       a key's first N submits only warm up its
+ *                        history and are not scored (default 100)
  *   --checkpoint-every N auto-checkpoint a shard every N events (1000)
  *   --keep-snapshots N   retained snapshot generations (default 2)
  *   --sync-every N       fsync the WAL every N records (default 1;
@@ -97,7 +101,7 @@ usage(std::ostream &out)
            "                  [--state-dir=DIR] [--shards=N]\n"
            "                  [--method=bmbp] [--quantile=.95] "
            "[--confidence=.95]\n"
-           "                  [--refit-every=50] [--train-obs=100]\n"
+           "                  [--epoch=300] [--train-jobs=100]\n"
            "                  [--checkpoint-every=1000] "
            "[--keep-snapshots=2] [--sync-every=1]\n"
            "                  [--drive=TRACE [--machine=NAME] [--resume]]\n"
@@ -157,20 +161,14 @@ main(int argc, char **argv)
     config.registry.quantile = cliValue(cli.getDouble("quantile", 0.95));
     config.registry.confidence =
         cliValue(cli.getDouble("confidence", 0.95));
-    const long long refit_every = cliValue(cli.getInt("refit-every", 50));
-    const long long train_obs = cliValue(cli.getInt("train-obs", 100));
-    if (refit_every < 1) {
-        std::cerr << "error: --refit-every: must be >= 1, got "
-                  << refit_every << "\n";
-        return 1;
-    }
-    if (train_obs < 1) {
-        std::cerr << "error: --train-obs: must be >= 1, got " << train_obs
+    config.registry.epochSeconds = cliValue(cli.getDouble("epoch", 300.0));
+    const long long train_jobs = cliValue(cli.getInt("train-jobs", 100));
+    if (train_jobs < 0) {
+        std::cerr << "error: --train-jobs: must be >= 0, got " << train_jobs
                   << "\n";
         return 1;
     }
-    config.registry.refitEvery = static_cast<uint64_t>(refit_every);
-    config.registry.trainObservations = static_cast<uint64_t>(train_obs);
+    config.registry.trainJobs = static_cast<uint64_t>(train_jobs);
     config.stateDir = cli.getString("state-dir", "");
     const long long checkpoint_every =
         cliValue(cli.getInt("checkpoint-every", 1000));
