@@ -16,9 +16,11 @@
  *  - wire codec: encode -> frame -> unframe -> decode round-trips for
  *    the query and event message types.
  *
- * Two rows then put the kernel back in, against a real BoundServer on
+ * Three rows then put the kernel back in, against a real BoundServer on
  * loopback: BM_ServeNetworkQps (pipelined clients through the epoll
- * reactor — the >= 1M queries/sec *network* target) and
+ * reactor — the >= 1M queries/sec *network* target),
+ * BM_ServeNetworkIngestDurable (pipelined events into a WAL-backed
+ * service: the group commit's fsyncs per event and ack latency) and
  * BM_ServeOverloadHealthyLatency (a healthy client among stalled
  * neighbours, plus the shed path's refusal latency).
  */
@@ -33,6 +35,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -182,7 +185,13 @@ BM_ServeQueryLatency(benchmark::State &state)
 }
 BENCHMARK(BM_ServeQueryLatency);
 
-/** Ingest throughput: WAL-less apply() through the shard writers. */
+/**
+ * Ingest throughput: WAL-less apply() through the shard writers. Jobs
+ * are submitted a minute apart, so the key crosses a 300 s epoch every
+ * five submits and the row keeps paying the refit + republish cost
+ * (with every submit at t = 0 the key would stop refitting after its
+ * first few epochs).
+ */
 void
 BM_ServeIngestThroughput(benchmark::State &state)
 {
@@ -196,14 +205,15 @@ BM_ServeIngestThroughput(benchmark::State &state)
         serve::JobEvent submit;
         submit.kind = serve::EventKind::Submit;
         submit.jobId = ++job_id;
-        submit.time = 0.0;
+        submit.time = 60.0 * static_cast<double>(job_id);
         submit.machine = "machine0";
         submit.queue = "queue0";
         submit.procs = 8;
         benchmark::DoNotOptimize(registry.apply(submit).applied);
         serve::JobEvent start = submit;
         start.kind = serve::EventKind::Start;
-        start.time = 30.0 + static_cast<double>((job_id * 37) % 900);
+        start.time =
+            submit.time + 30.0 + static_cast<double>((job_id * 37) % 900);
         benchmark::DoNotOptimize(registry.apply(start).applied);
     }
     state.counters["events_per_sec"] = benchmark::Counter(
@@ -377,13 +387,12 @@ networkServer()
     return *server;
 }
 
-/** (sum, count) of the server's batch-size histogram right now. */
+/** (sum, count) of a histogram in the process registry right now. */
 std::pair<double, uint64_t>
-batchFramesHistogram()
+histogramNow(const char *name)
 {
-    for (const auto &histogram :
-         obs::registry().snapshot().histograms) {
-        if (histogram.name == "qdel_serve_batch_frames")
+    for (const auto &histogram : obs::registry().snapshot().histograms) {
+        if (histogram.name == name)
             return {histogram.sum, histogram.count};
     }
     return {0.0, 0};
@@ -426,7 +435,7 @@ runNetworkQps(benchmark::State &state, bool traced)
                                      serve::encodeQuery(query));
     }
 
-    const auto histogram_before = batchFramesHistogram();
+    const auto histogram_before = histogramNow("qdel_serve_batch_frames");
     std::vector<double> rtts;
     rtts.reserve(1 << 16);
     std::string buffer;
@@ -481,7 +490,7 @@ runNetworkQps(benchmark::State &state, bool traced)
         state.SkipWithError("pipelined round trip failed");
         return;
     }
-    const auto histogram_after = batchFramesHistogram();
+    const auto histogram_after = histogramNow("qdel_serve_batch_frames");
 
     std::sort(rtts.begin(), rtts.end());
     const auto at = [&](double p) {
@@ -536,6 +545,132 @@ BENCHMARK(BM_ServeNetworkQpsTraced)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)
+    ->UseRealTime();
+
+/**
+ * Durable ingest over the wire: one connection keeps Submit/Start
+ * event frames pipelined at depth 16 into a --state-dir service behind
+ * a real BoundServer, with the daemon's defaults (checkpoint every
+ * 1000 events per shard) and --sync-every=state.range(0). Each batch
+ * touches four keys, so at sync=1 the group commit pays one fsync per
+ * dirty shard per drained batch. events_per_sec counts durably acked
+ * events; events_per_fsync is events over qdel_persist_fsync_seconds
+ * observations (checkpoints included); rtt_p50/p99_us are per-batch
+ * round trips.
+ */
+void
+BM_ServeNetworkIngestDurable(benchmark::State &state)
+{
+    constexpr size_t kDepth = 16;
+    const bool obs_was_enabled = obs::enabled();
+    obs::setEnabled(true);  // For the fsync histogram.
+    char dir_template[] = "/tmp/qdel_bench_durable_XXXXXX";
+    const char *dir = ::mkdtemp(dir_template);
+    if (dir == nullptr) {
+        state.SkipWithError("mkdtemp failed");
+        return;
+    }
+    serve::ServiceConfig config;
+    config.registry.shards = 8;
+    config.registry.trainJobs = 100;
+    config.registry.epochSeconds = 300.0;
+    config.stateDir = dir;
+    config.checkpointEveryEvents = 1000;
+    config.syncEveryRecords = static_cast<size_t>(state.range(0));
+    auto opened = serve::BoundService::open(config);
+    if (!opened.ok()) {
+        state.SkipWithError("service open failed");
+        return;
+    }
+    auto service = std::move(opened).value();
+    auto started = serve::BoundServer::start(*service, {});
+    if (!started.ok()) {
+        state.SkipWithError("server start failed");
+        return;
+    }
+    auto server = std::move(started).value();
+    const int fd = connectLoopback(server->port());
+    if (fd < 0) {
+        state.SkipWithError("connect failed");
+        return;
+    }
+
+    const auto fsyncs_before = histogramNow("qdel_persist_fsync_seconds");
+    std::vector<double> rtts;
+    rtts.reserve(1 << 16);
+    std::string batch;
+    std::string payload;
+    uint64_t job_id = 0;
+    bool failed = false;
+    for (auto _ : state) {
+        batch.clear();
+        for (size_t i = 0; i < kDepth / 2; ++i) {
+            serve::JobEvent submit;
+            submit.kind = serve::EventKind::Submit;
+            submit.jobId = ++job_id;
+            submit.time = 60.0 * static_cast<double>(job_id);
+            submit.machine = machineName(job_id % kMachines);
+            submit.queue = queueName(0);
+            submit.procs = 8;
+            serve::JobEvent start = submit;
+            start.kind = serve::EventKind::Start;
+            start.time = submit.time + 30.0 +
+                         static_cast<double>((job_id * 37) % 900);
+            batch += serve::frameRequest(serve::Opcode::Event,
+                                         serve::encodeEvent(submit));
+            batch += serve::frameRequest(serve::Opcode::Event,
+                                         serve::encodeEvent(start));
+        }
+        const auto begin = std::chrono::steady_clock::now();
+        if (!sendAll(fd, batch)) {
+            failed = true;
+            break;
+        }
+        for (size_t i = 0; i < kDepth && !failed; ++i) {
+            failed = !readFrame(fd, &payload) || payload.empty() ||
+                     payload[0] != static_cast<char>(serve::Status::Ok);
+        }
+        if (failed)
+            break;
+        rtts.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - begin)
+                           .count());
+    }
+    const auto fsyncs_after = histogramNow("qdel_persist_fsync_seconds");
+    ::close(fd);
+    server->stop();
+    service.reset();
+    std::error_code ignored;
+    std::filesystem::remove_all(dir, ignored);
+    obs::setEnabled(obs_was_enabled);
+    if (failed) {
+        state.SkipWithError("durable round trip failed");
+        return;
+    }
+
+    std::sort(rtts.begin(), rtts.end());
+    const auto at = [&](double p) {
+        return rtts.empty()
+                   ? 0.0
+                   : rtts[std::min(rtts.size() - 1,
+                                   static_cast<size_t>(
+                                       p * static_cast<double>(
+                                               rtts.size())))];
+    };
+    const double events =
+        static_cast<double>(state.iterations()) * kDepth;
+    const uint64_t fsyncs = fsyncs_after.second - fsyncs_before.second;
+    state.counters["rtt_p50_us"] = at(0.50);
+    state.counters["rtt_p99_us"] = at(0.99);
+    state.counters["events_per_fsync"] =
+        fsyncs == 0 ? 0.0 : events / static_cast<double>(fsyncs);
+    state.counters["events_per_sec"] =
+        benchmark::Counter(events, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ServeNetworkIngestDurable)
+    ->ArgName("sync")
+    ->Arg(1)
+    ->Arg(0)
     ->UseRealTime();
 
 /**

@@ -5,7 +5,8 @@
  *  - latency histograms span 1us .. ~16s in powers of four — wide
  *    enough for both an in-memory refit (microseconds) and an fsync
  *    on spinning rust (tens of milliseconds), at 13 buckets;
- *  - checkpoint payload sizes span 256 B .. ~1 GiB in powers of four.
+ *  - checkpoint payload sizes span 256 B .. ~1 GiB in powers of four;
+ *  - group-commit sizes span 1 .. 512 records in powers of two.
  */
 
 #include "obs/domain_metrics.hh"
@@ -126,6 +127,10 @@ persistMetrics()
                              latencyBounds()),
         registry().histogram("qdel_persist_checkpoint_bytes",
                              "Checkpoint payload sizes", byteBounds()),
+        registry().histogram("qdel_persist_group_commit_events",
+                             "WAL records covered by one group-commit"
+                             " fsync",
+                             exponentialBounds(1.0, 2.0, 10)),
     };
     return metrics;
 }

@@ -66,6 +66,7 @@ struct PersistMetrics
     Histogram &fsyncSeconds;      //!< qdel_persist_fsync_seconds
     Histogram &checkpointSeconds; //!< qdel_persist_checkpoint_seconds
     Histogram &checkpointBytes;   //!< qdel_persist_checkpoint_bytes
+    Histogram &groupCommitEvents; //!< qdel_persist_group_commit_events
 };
 
 /** Trace ingestion (src/trace/): parse throughput + .qtc cache. */

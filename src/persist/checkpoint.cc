@@ -246,6 +246,16 @@ CheckpointManager::sync()
     return wal_->sync();
 }
 
+Expected<Unit>
+CheckpointManager::syncPending()
+{
+    if (!wal_ || recordsSinceSync_ == 0)
+        return Unit{};
+    QDEL_OBS(obs::persistMetrics().groupCommitEvents.observe(
+        static_cast<double>(recordsSinceSync_)));
+    return sync();
+}
+
 const char *
 recoverySourceName(RecoverySource source)
 {

@@ -103,6 +103,19 @@ class CheckpointManager
     /** Force an fsync of the open WAL segment. */
     Expected<Unit> sync();
 
+    /** Records appended since the last sync (a checkpoint's rotation
+     *  syncs, so it resets this too). */
+    size_t unsyncedRecords() const { return recordsSinceSync_; }
+
+    /**
+     * fsync the open WAL segment if records were appended since the
+     * last sync; a no-op otherwise. This is the group commit: one
+     * fsync covers every record appended before it, and the number of
+     * records it covered is observed into
+     * qdel_persist_group_commit_events.
+     */
+    Expected<Unit> syncPending();
+
   private:
     CheckpointManager() = default;
 

@@ -22,7 +22,13 @@
  *    and EPOLLEXCLUSIVE in every loop, a transient accept() error
  *    drops it from the erring loop's set for a capped backoff, and a
  *    shed connection is an ordinary nonblocking Conn whose grace
- *    window is a wheel deadline.
+ *    window is a wheel deadline;
+ *  - group commit: an event is staged (WAL write + apply) when its
+ *    frame is handled, and its shard is committed (one fsync) once per
+ *    wake, after every ready connection was read. A connection whose
+ *    output holds an event reply flushes only after that commit; a
+ *    query-only connection flushes as soon as it is read. A failed
+ *    commit closes the connections waiting on it without a reply.
  */
 
 #include "serve/server.hh"
@@ -109,6 +115,11 @@ struct Conn
     /** Over the connection limit: lives only to sniff and refuse.
      *  Written once before the connection is published. */
     bool shed = false;
+
+    /** Shards whose commit the event replies in out wait on; empty
+     *  for query-only traffic. Cleared by the end-of-wake commit. */
+    std::vector<uint32_t> awaitShards;
+    bool awaiting = false;  //!< Listed in Loop::awaiting.
 
     /** Absolute deadline + which budget armed it (idle vs io). An io
      *  deadline is sticky: dribbled bytes never extend it. */
@@ -307,6 +318,13 @@ struct Loop
      *  emitted line (loop-thread only). */
     int64_t lastSlowLogNanos = 0;
 
+    /** Group commit, reset every wake: the shards events were staged
+     *  into (shardState[s] marks membership, then a failed commit),
+     *  and the connections whose replies wait on their commit. */
+    std::vector<uint32_t> dirtyShards;
+    std::vector<uint8_t> shardState;
+    std::vector<Conn *> awaiting;
+
     /** Query-batch scratch: reset (not freed) between batches. */
     std::vector<BoundQuery> queries;
     std::vector<BoundAnswer> answers;
@@ -341,7 +359,10 @@ struct Loop
     void onReadable(Conn *c);
     bool onWritable(Conn *c);
     bool flushOut(Conn *c);
+    void finishBatch(Conn *c, bool serviced);
     void rearmDeadline(Conn *c, bool serviced);
+    void noteStaged(Conn *c, size_t shard);
+    void commitStaged();
     void processInput(Conn *c, size_t *frames);
     void processBinary(Conn *c, size_t *frames);
     void processHttp(Conn *c, size_t *frames);
@@ -361,7 +382,7 @@ struct Loop
 struct SlowLogGuard
 {
     Loop *loop;
-    const char *what;      //!< "frame", "query_batch", or "http".
+    const char *what;      //!< "frame", "query_batch", "http", "commit".
     uint64_t trace = 0;    //!< Filled in once the request is decoded.
     int64_t startNanos;    //!< -1 when the log is disabled.
 
@@ -378,9 +399,9 @@ struct SlowLogGuard
     }
 };
 
-/** Route one parsed HTTP request, appending the response to @p out. */
-void handleHttpRequest(Loop *loop, const HttpRequest &request,
-                       std::string &out, bool keepAlive);
+/** Route one parsed HTTP request, appending the response to c->out. */
+void handleHttpRequest(Loop *loop, Conn *c, const HttpRequest &request,
+                       bool keepAlive);
 
 } // namespace
 
@@ -508,6 +529,7 @@ BoundServer::start(BoundService &service, const ServerOptions &options)
         loop->reactor = impl.get();
         loop->service = impl->service;
         loop->options = &impl->options;
+        loop->shardState.assign(service.shardCount(), 0);
         loop->epollFd = ::epoll_create1(EPOLL_CLOEXEC);
         loop->wakeFd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
         if (loop->epollFd < 0 || loop->wakeFd < 0) {
@@ -601,6 +623,7 @@ Loop::run()
                  (EPOLLIN | EPOLLRDHUP | EPOLLHUP)) != 0)
                 onReadable(c);
         }
+        commitStaged();
         const auto now = Clock::now();
         if (listenerPaused && now >= listenerResumeAt)
             watchListener(true);
@@ -785,6 +808,8 @@ void
 Loop::closeConn(Conn *c)
 {
     wheel.disarm(c);
+    if (c->awaiting)
+        awaiting.erase(std::find(awaiting.begin(), awaiting.end(), c));
     {
         // Unpublish before freeing: a /debug/conns walk on another
         // thread only ever sees members of this set.
@@ -859,11 +884,78 @@ Loop::onReadable(Conn *c)
         QDEL_OBS(obs::serveMetrics().batchFrames.observe(
             static_cast<double>(frames)));
     }
+    if (!c->awaitShards.empty()) {
+        // Event replies leave only after commitStaged() synced them.
+        if (!c->awaiting) {
+            c->awaiting = true;
+            awaiting.push_back(c);
+        }
+        return;
+    }
+    finishBatch(c, frames > 0);
+}
+
+/** Flush @p c's replies, release an oversized receive buffer, and
+ *  re-arm its deadline. */
+void
+Loop::finishBatch(Conn *c, bool serviced)
+{
     if (!flushOut(c))
         return;
     if (c->in.shrinkIfOversized())
         QDEL_OBS(obs::serveMetrics().bufferShrinks.inc());
-    rearmDeadline(c, frames > 0);
+    rearmDeadline(c, serviced);
+}
+
+/** Record that @p c holds a reply to an event staged into @p shard. */
+void
+Loop::noteStaged(Conn *c, size_t shard)
+{
+    const auto s = static_cast<uint32_t>(shard);
+    if (shardState[s] == 0) {
+        shardState[s] = 1;
+        dirtyShards.push_back(s);
+    }
+    if (std::find(c->awaitShards.begin(), c->awaitShards.end(), s) ==
+        c->awaitShards.end())
+        c->awaitShards.push_back(s);
+}
+
+/**
+ * The end-of-wake group commit: one BoundService::commit per shard
+ * staged into during the wake, then the flush of every connection
+ * waiting on them. A connection waiting on a shard whose commit failed
+ * is closed with its replies unsent — none of them may claim a
+ * durability the disk did not confirm.
+ */
+void
+Loop::commitStaged()
+{
+    constexpr uint8_t kCommitFailed = 2;
+    for (uint32_t s : dirtyShards) {
+        QDEL_OBS_SPAN(span, obs::serveMetrics().requestSeconds,
+                      obs::EventType::Span, "serve_commit");
+        SlowLogGuard slow(this, "commit");
+        if (!service->commit(s).ok())
+            shardState[s] = kCommitFailed;
+    }
+    for (Conn *c : awaiting) {
+        c->awaiting = false;
+        const bool failed =
+            std::any_of(c->awaitShards.begin(), c->awaitShards.end(),
+                        [&](uint32_t s) {
+                            return shardState[s] == kCommitFailed;
+                        });
+        c->awaitShards.clear();
+        if (failed)
+            closeConn(c);
+        else
+            finishBatch(c, true);
+    }
+    awaiting.clear();
+    for (uint32_t s : dirtyShards)
+        shardState[s] = 0;
+    dirtyShards.clear();
 }
 
 bool
@@ -1058,11 +1150,13 @@ Loop::handleFramePayload(Conn *c, std::string_view payload)
         // carrying the same id.
         QDEL_OBS(span.setTrace(event.value().traceId));
         slow.trace = event.value().traceId;
-        auto outcome = service->ingest(event.value());
+        size_t shard = 0;
+        auto outcome = service->stage(event.value(), &shard);
         if (!outcome.ok()) {
             appendErrorFrame(c->out, outcome.error().reason);
             return;
         }
+        noteStaged(c, shard);
         const ApplyOutcome &applied = outcome.value();
         if (applied.shed) {
             appendShedFrame(c->out, "shard pending bound exceeded",
@@ -1196,7 +1290,7 @@ Loop::processHttp(Conn *c, size_t *frames)
         if (data.size() - head_end < request.contentLength)
             return;  // Need the body; head is re-parsed next pass.
         ++*frames;
-        handleHttpRequest(this, request, c->out, request.keepAlive);
+        handleHttpRequest(this, c, request, request.keepAlive);
         c->in.consume(head_end + request.contentLength);
         if (!request.keepAlive) {
             c->closing = true;
@@ -1290,6 +1384,10 @@ shardsToJson(const BoundService &service)
         out += ",\"clients\":" + std::to_string(row.info.clients);
         out += ",\"walSinceCheckpoint\":" +
                std::to_string(row.walSinceCheckpoint);
+        out += ",\"failed\":";
+        out += row.failure.empty() ? "false" : "true";
+        if (!row.failure.empty())
+            out += ",\"failure\":\"" + jsonEscape(row.failure) + "\"";
         out += "}";
     }
     out += "]}";
@@ -1354,10 +1452,11 @@ connsToJson(const std::vector<std::unique_ptr<Loop>> &loops)
 }
 
 void
-handleHttpRequest(Loop *loop, const HttpRequest &request,
-                  std::string &out, bool keepAlive)
+handleHttpRequest(Loop *loop, Conn *c, const HttpRequest &request,
+                  bool keepAlive)
 {
     BoundService *service = loop->service;
+    std::string &out = c->out;
     QDEL_OBS({
         obs::serveMetrics().requests.inc();
         obs::serveMetrics().httpRequests.inc();
@@ -1377,6 +1476,15 @@ handleHttpRequest(Loop *loop, const HttpRequest &request,
     };
 
     if (request.method == "GET" && request.path == "/healthz") {
+        // A failed shard takes no writes until a restart recovers it.
+        const size_t failed = service->failedShards();
+        if (failed > 0) {
+            appendHttpResponse(out, 503, "application/json",
+                               "{\"status\":\"failed\",\"failedShards\":" +
+                                   std::to_string(failed) + "}",
+                               keepAlive);
+            return;
+        }
         appendHttpResponse(out, 200, "application/json",
                            "{\"status\":\"ok\"}", keepAlive);
         return;
@@ -1453,12 +1561,14 @@ handleHttpRequest(Loop *loop, const HttpRequest &request,
             rejectBad();
             return;
         }
-        auto outcome = service->ingest(event);
+        size_t shard = 0;
+        auto outcome = service->stage(event, &shard);
         if (!outcome.ok()) {
             appendHttpResponse(out, 500, "text/plain",
                                outcome.error().reason + "\n", keepAlive);
             return;
         }
+        loop->noteStaged(c, shard);
         const ApplyOutcome &applied = outcome.value();
         if (applied.shed) {
             appendHttpResponse(

@@ -23,7 +23,12 @@
  * complete frame in the batch is handled (consecutive bound queries
  * dispatch through BoundRegistry::queryBatch), and the concatenated
  * responses flush with one send — a pipelined client costs ~2
- * syscalls per batch. When the total connection count reaches
+ * syscalls per batch. Events are only staged while their frames are
+ * handled; once every ready connection of the wake was read, the loop
+ * commits (fsyncs) each shard the wake touched once and then flushes
+ * the connections holding event replies, so an ack follows the fsync
+ * that covers it (the group commit, see service.hh). A failed commit
+ * closes the connections waiting on it without a reply. When the total connection count reaches
  * maxConnections, the accepting loop keeps the new connection only to
  * refuse it: the same protocol sniff picks a structured refusal (HTTP
  * 503 + Retry-After, or a binary Status::Shed frame for a client

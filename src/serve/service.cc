@@ -11,6 +11,7 @@
 #include "obs/domain_metrics.hh"
 #include "obs/obs.hh"
 #include "persist/state_codec.hh"
+#include "util/logging.hh"
 
 namespace qdel {
 namespace serve {
@@ -73,12 +74,14 @@ BoundService::open(const ServiceConfig &config)
     const size_t shards = service->registry_->shardCount();
     service->stores_.reserve(shards);
     service->eventsSinceCheckpoint_.assign(shards, 0);
+    service->failures_.assign(shards, std::string());
     service->recoveries_.reserve(shards);
     for (size_t s = 0; s < shards; ++s) {
         persist::CheckpointConfig shard_config;
         shard_config.dir = shardDir(config.stateDir, s);
         shard_config.keepSnapshots = config.keepSnapshots;
-        shard_config.syncEveryRecords = config.syncEveryRecords;
+        // commit() applies the sync rule, so appends never sync.
+        shard_config.syncEveryRecords = 0;
 
         auto lock = service->registry_->lockShard(s);
         auto recovered = persist::recoverState(
@@ -132,8 +135,25 @@ BoundService::open(const ServiceConfig &config)
 Expected<ApplyOutcome>
 BoundService::ingest(const JobEvent &event)
 {
+    size_t s = 0;
+    auto outcome = stage(event, &s);
+    if (!outcome.ok())
+        return outcome;
+    if (auto ok = commit(s); !ok.ok())
+        return ok.error();
+    return outcome;
+}
+
+Expected<ApplyOutcome>
+BoundService::stage(const JobEvent &event, size_t *shard)
+{
     const size_t s = registry_->shardForEvent(event);
+    *shard = s;
     auto lock = registry_->lockShard(s);
+    // A failed shard's memory may hold events the disk does not; it
+    // must not answer anything, a dedup hit included.
+    if (durable() && !failures_[s].empty())
+        return failedErrorLocked(s);
     // Dedup before shed: a retry of an already-processed event must
     // report its (deterministic) prior outcome, never a fresh shed.
     if (registry_->isDuplicateLocked(s, event)) {
@@ -156,13 +176,13 @@ BoundService::ingest(const JobEvent &event)
         record.type = persist::WalRecordType::Blob;
         record.blob = encodeEvent(event);
         if (auto ok = stores_[s]->appendRecord(record); !ok.ok())
-            return ok.error();
+            return failShardLocked(s, ok.error());
     }
     const ApplyOutcome outcome = registry_->applyLocked(s, event);
     if (durable() && config_.checkpointEveryEvents > 0 &&
         ++eventsSinceCheckpoint_[s] >= config_.checkpointEveryEvents) {
         if (auto ok = checkpointShardLocked(s); !ok.ok())
-            return ok.error();
+            return failShardLocked(s, ok.error());
     }
     // Traced ingests mark the service layer too, so the drained event
     // stream shows reactor -> service -> registry for one request.
@@ -175,6 +195,43 @@ BoundService::ingest(const JobEvent &event)
         }
     });
     return outcome;
+}
+
+Expected<Unit>
+BoundService::commit(size_t s)
+{
+    if (!durable())
+        return Unit{};
+    auto lock = registry_->lockShard(s);
+    if (!failures_[s].empty())
+        return failedErrorLocked(s);
+    const size_t every = config_.syncEveryRecords;
+    if (every == 0 || stores_[s]->unsyncedRecords() < every)
+        return Unit{};
+    if (auto ok = stores_[s]->syncPending(); !ok.ok())
+        return failShardLocked(s, ok.error());
+    return Unit{};
+}
+
+ParseError
+BoundService::failedErrorLocked(size_t s) const
+{
+    return ParseError{shardDir(config_.stateDir, s), 0, "shard",
+                      "shard " + std::to_string(s) + " failed (" +
+                          failures_[s] +
+                          "); restart the service to recover it"};
+}
+
+ParseError
+BoundService::failShardLocked(size_t s, const ParseError &error)
+{
+    if (failures_[s].empty()) {
+        failures_[s] = error.str();
+        failedShards_.fetch_add(1, std::memory_order_relaxed);
+        warn("serve: shard ", s, " failed and takes no more writes: ",
+             failures_[s]);
+    }
+    return error;
 }
 
 std::vector<BoundService::ShardDebug>
@@ -193,6 +250,7 @@ BoundService::debugShards() const
             // fine for an introspection endpoint.
             auto lock = registry_->lockShard(s);
             row.walSinceCheckpoint = eventsSinceCheckpoint_[s];
+            row.failure = failures_[s];
         }
         out.push_back(row);
     }
@@ -218,8 +276,10 @@ BoundService::checkpointAll()
         return Unit{};
     for (size_t s = 0; s < registry_->shardCount(); ++s) {
         auto lock = registry_->lockShard(s);
+        if (!failures_[s].empty())
+            return failedErrorLocked(s);
         if (auto ok = checkpointShardLocked(s); !ok.ok())
-            return ok.error();
+            return failShardLocked(s, ok.error());
     }
     return Unit{};
 }
@@ -231,8 +291,10 @@ BoundService::syncAll()
         return Unit{};
     for (size_t s = 0; s < registry_->shardCount(); ++s) {
         auto lock = registry_->lockShard(s);
+        if (!failures_[s].empty())
+            return failedErrorLocked(s);
         if (auto ok = stores_[s]->sync(); !ok.ok())
-            return ok.error();
+            return failShardLocked(s, ok.error());
     }
     return Unit{};
 }

@@ -2,8 +2,9 @@
  * @file
  * BoundService durability contract: WAL-before-mutate ingest, the
  * per-shard checkpoint tree, count-triggered checkpoints, recovery to
- * a byte-identical registry (digest equality), and the ephemeral mode
- * the throughput bench runs in.
+ * a byte-identical registry (digest equality), the ephemeral mode the
+ * throughput bench runs in, and the group commit: stage() writes,
+ * commit() fsyncs by the sync rule, and a failed fsync fails the shard.
  */
 
 #include <filesystem>
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
+#include "persist/fault_injection.hh"
 #include "persist/io.hh"
 #include "serve/service.hh"
 #include "serve/wire.hh"
@@ -65,6 +68,44 @@ smallConfig(const std::string &state_dir)
     config.registry.trainJobs = 25;
     config.stateDir = state_dir;
     return config;
+}
+
+/** (count, sum) of histogram @p name in the process registry. */
+std::pair<uint64_t, double>
+histogramNow(const std::string &name)
+{
+    for (const auto &histogram : obs::registry().snapshot().histograms) {
+        if (histogram.name == name)
+            return {histogram.count, histogram.sum};
+    }
+    return {0, 0.0};
+}
+
+uint64_t
+fsyncsNow()
+{
+    return histogramNow("qdel_persist_fsync_seconds").first;
+}
+
+/** Submits for one key (so one shard), @p count of them from job
+ *  @p first on. */
+std::vector<JobEvent>
+oneKeySubmits(uint64_t first, size_t count)
+{
+    std::vector<JobEvent> events;
+    for (size_t i = 0; i < count; ++i) {
+        JobEvent submit;
+        submit.kind = EventKind::Submit;
+        submit.jobId = first + i;
+        submit.time = 10.0 * static_cast<double>(first + i);
+        submit.machine = "m1";
+        submit.queue = "normal";
+        submit.procs = 8;
+        submit.clientId = "group";
+        submit.seq = first + i;
+        events.push_back(submit);
+    }
+    return events;
 }
 
 TEST(ServiceConfig, ValidatePropagatesRegistryErrors)
@@ -241,6 +282,106 @@ TEST(BoundService, RecoveredServiceContinuesIdenticallyToUnkilledOne)
         ASSERT_TRUE(service.ingest(event).ok());
     }
     EXPECT_EQ(service.digest(), want);
+}
+
+TEST(BoundService, CommitFsyncsByTheSyncRule)
+{
+    obs::setEnabled(true);
+    struct Case
+    {
+        size_t syncEvery;
+        size_t staged;
+        uint64_t fsyncs;  //!< Expected from one commit.
+    };
+    const Case cases[] = {
+        {1, 1, 1}, {1, 5, 1},   // any unsynced record: one fsync
+        {3, 2, 0}, {3, 3, 1},   // N or more
+        {0, 5, 0},              // only checkpoints sync
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE("sync every " + std::to_string(c.syncEvery) +
+                     ", staged " + std::to_string(c.staged));
+        auto config = smallConfig(freshDir("rule"));
+        config.syncEveryRecords = c.syncEvery;
+        auto opened = BoundService::open(config);
+        ASSERT_TRUE(opened.ok());
+        auto &service = *opened.value();
+        const uint64_t before = fsyncsNow();
+        size_t shard = 0;
+        for (const auto &event : oneKeySubmits(1, c.staged))
+            ASSERT_TRUE(service.stage(event, &shard).ok());
+        EXPECT_EQ(fsyncsNow(), before) << "stage() never fsyncs";
+        ASSERT_TRUE(service.commit(shard).ok());
+        EXPECT_EQ(fsyncsNow() - before, c.fsyncs);
+        // Everything staged is covered now: a second commit (another
+        // loop's, say) has nothing left to sync.
+        ASSERT_TRUE(service.commit(shard).ok());
+        EXPECT_EQ(fsyncsNow() - before, c.fsyncs);
+    }
+    obs::setEnabled(false);
+}
+
+TEST(BoundService, GroupCommitHistogramCountsRecordsPerFsync)
+{
+    obs::setEnabled(true);
+    auto opened = BoundService::open(smallConfig(freshDir("hist")));
+    ASSERT_TRUE(opened.ok());
+    auto &service = *opened.value();
+    const auto before = histogramNow("qdel_persist_group_commit_events");
+    size_t shard = 0;
+    for (const auto &event : oneKeySubmits(1, 7))
+        ASSERT_TRUE(service.stage(event, &shard).ok());
+    ASSERT_TRUE(service.commit(shard).ok());
+    const auto after = histogramNow("qdel_persist_group_commit_events");
+    EXPECT_EQ(after.first - before.first, 1u);
+    EXPECT_EQ(after.second - before.second, 7.0);
+    obs::setEnabled(false);
+}
+
+TEST(BoundService, FailedFsyncFailsTheShardUntilRestart)
+{
+    const std::string dir = freshDir("failstop");
+    const auto events = oneKeySubmits(1, 4);
+    size_t shard = 0;
+    {
+        auto opened = BoundService::open(smallConfig(dir));
+        ASSERT_TRUE(opened.ok());
+        auto &service = *opened.value();
+        ASSERT_TRUE(service.ingest(events[0]).ok());
+        ASSERT_TRUE(service.stage(events[1], &shard).ok());
+        // configure() restarts the op count: the next fsync fails.
+        fault::configure({fault::Kind::FailFsync, 0, 1});
+        EXPECT_FALSE(service.commit(shard).ok());
+        fault::reset();
+        EXPECT_EQ(service.failedShards(), 1u);
+        EXPECT_FALSE(service.debugShards()[shard].failure.empty());
+
+        // The retry of the unsynced event is an error, never a dedup
+        // ack; so is anything new, and so is a checkpoint.
+        size_t again = 0;
+        EXPECT_FALSE(service.stage(events[1], &again).ok());
+        EXPECT_FALSE(service.ingest(events[2]).ok());
+        EXPECT_FALSE(service.commit(shard).ok());
+        EXPECT_FALSE(service.checkpointAll().ok());
+
+        // Fail-stop is per shard: the others keep taking writes.
+        for (const auto &event : eventStream(20, 6)) {
+            if (service.registry().shardForEvent(event) != shard) {
+                EXPECT_TRUE(service.ingest(event).ok());
+            }
+        }
+    }
+    // A restart recovers what the disk holds (the failed fsync left
+    // its data in place) and the shard takes writes again.
+    auto reopened = BoundService::open(smallConfig(dir));
+    ASSERT_TRUE(reopened.ok());
+    auto &service = *reopened.value();
+    EXPECT_EQ(service.failedShards(), 0u);
+    EXPECT_GE(service.stats().processedPerShard[shard], 1u);
+    auto retry = service.ingest(events[1]);
+    ASSERT_TRUE(retry.ok());
+    EXPECT_TRUE(retry.value().applied || retry.value().deduped);
+    EXPECT_TRUE(service.ingest(events[3]).ok());
 }
 
 } // namespace

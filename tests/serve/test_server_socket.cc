@@ -3,8 +3,9 @@
  * End-to-end socket tests: a real BoundServer on an ephemeral port,
  * exercised over loopback with both protocols — binary framing
  * (ping/event/query/stats), the HTTP fallback (healthz, bound, event,
- * metrics, 404), the protocol sniff under byte-dribbling clients, and
- * the corrupt-length teardown.
+ * metrics, 404), the protocol sniff under byte-dribbling clients, the
+ * corrupt-length teardown, and the group commit of a durable server
+ * (one fsync per dirty shard per wake, acks only after it).
  */
 
 #include <arpa/inet.h>
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "obs/domain_metrics.hh"
 #include "obs/events.hh"
 #include "obs/metrics.hh"
+#include "persist/fault_injection.hh"
 #include "persist/state_codec.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
@@ -99,6 +102,21 @@ class Client
         uint32_t length = 0;
         std::memcpy(&length, header.data(), 4);
         return readExactly(length);
+    }
+
+    /** Whatever has already arrived, without blocking. */
+    std::string
+    readNow()
+    {
+        std::string out;
+        char chunk[4096];
+        for (;;) {
+            const ssize_t n =
+                ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
+            if (n <= 0)
+                return out;
+            out.append(chunk, static_cast<size_t>(n));
+        }
     }
 
     /** Read until the peer closes (HTTP responses are close-delimited). */
@@ -1135,6 +1153,264 @@ TEST_F(OverloadTest, ServerRunsExactlyReactorThreadsThreads)
     EXPECT_EQ(threadCount() - before, 2u);
     server_->stop();
     EXPECT_EQ(threadCount(), before);
+}
+
+/** (count, sum) of histogram @p name in the process registry. */
+std::pair<uint64_t, double>
+histogramNow(const std::string &name)
+{
+    for (const auto &histogram : obs::registry().snapshot().histograms) {
+        if (histogram.name == name)
+            return {histogram.count, histogram.sum};
+    }
+    return {0, 0.0};
+}
+
+/**
+ * A durable server on one reactor loop that syncs every record — the
+ * group commit at its strictest: each drained batch's events may share
+ * one fsync per shard, and no event reply may leave before it.
+ */
+class GroupCommitTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        fault::reset();
+        obs::setEnabled(true);
+        // One directory per test: ctest runs them in parallel.
+        const auto *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        dir_ = ::testing::TempDir() + "qdel_group_commit_" + test->name();
+        std::filesystem::remove_all(dir_);
+        auto opened = BoundService::open(config());
+        ASSERT_TRUE(opened.ok());
+        service_ = std::move(opened).value();
+        // One queue name per shard, so a window can touch both.
+        for (int q = 0; queues_[0].empty() || queues_[1].empty(); ++q) {
+            JobEvent probe;
+            probe.machine = "gc";
+            probe.queue = "q" + std::to_string(q);
+            probe.procs = 4;
+            std::string &slot =
+                queues_[service_->registry().shardForEvent(probe)];
+            if (slot.empty())
+                slot = probe.queue;
+        }
+        threadsBefore_ = threadCount();
+        ServerOptions options;
+        options.reactorThreads = 1;
+        auto server = BoundServer::start(*service_, options);
+        ASSERT_TRUE(server.ok());
+        server_ = std::move(server).value();
+    }
+
+    void
+    TearDown() override
+    {
+        if (server_ != nullptr)
+            server_->stop();
+        fault::reset();
+        obs::setEnabled(false);
+    }
+
+    ServiceConfig
+    config() const
+    {
+        ServiceConfig config;
+        config.registry.shards = 2;
+        config.registry.epochSeconds = 5;
+        config.registry.trainJobs = 10;
+        config.stateDir = dir_;
+        config.syncEveryRecords = 1;
+        return config;
+    }
+
+    /** @p count events: Submit/Start pairs whose keys alternate
+     *  between the two shards, client-sequenced for retries. */
+    std::vector<JobEvent>
+    window(uint64_t firstJob, size_t count) const
+    {
+        std::vector<JobEvent> events;
+        for (uint64_t job = firstJob; events.size() < count; ++job) {
+            JobEvent submit;
+            submit.kind = EventKind::Submit;
+            submit.jobId = job;
+            submit.time = 100.0 * static_cast<double>(job);
+            submit.machine = "gc";
+            submit.queue = queues_[job % 2];
+            submit.procs = 4;
+            submit.clientId = "gc";
+            JobEvent start = submit;
+            start.kind = EventKind::Start;
+            start.time = submit.time + 20.0 + static_cast<double>(job);
+            for (JobEvent *event : {&submit, &start}) {
+                if (events.size() == count)
+                    break;
+                event->seq = 2 * job + (event == &start ? 1 : 0);
+                events.push_back(*event);
+            }
+        }
+        return events;
+    }
+
+    static std::string
+    frames(const std::vector<JobEvent> &events, size_t from, size_t to)
+    {
+        std::string out;
+        for (size_t i = from; i < to; ++i)
+            out += frameRequest(Opcode::Event, encodeEvent(events[i]));
+        return out;
+    }
+
+    size_t
+    shardOf(const JobEvent &event) const
+    {
+        return service_->registry().shardForEvent(event);
+    }
+
+    std::string dir_;
+    std::string queues_[2];
+    size_t threadsBefore_ = 0;
+    std::unique_ptr<BoundService> service_;
+    std::unique_ptr<BoundServer> server_;
+};
+
+TEST_F(GroupCommitTest, PipelinedWindowSharesOneFsyncPerDirtyShard)
+{
+    // Group commit adds no thread: the one loop is the server.
+    EXPECT_EQ(threadCount() - threadsBefore_, 1u);
+    Client client(server_->port());
+    ASSERT_TRUE(client.connected());
+    client.setRecvTimeoutMs(5000);
+    const auto events = window(1, 16);
+    const uint64_t fsyncs_before =
+        histogramNow("qdel_persist_fsync_seconds").first;
+    const uint64_t batches_before =
+        histogramNow("qdel_serve_batch_frames").first;
+    ASSERT_TRUE(client.send(frames(events, 0, events.size())));
+    for (size_t i = 0; i < events.size(); ++i) {
+        const std::string payload = client.readFrame();
+        ASSERT_FALSE(payload.empty()) << "reply " << i;
+        EXPECT_EQ(payload[0], 0) << "reply " << i;
+    }
+    const uint64_t fsyncs =
+        histogramNow("qdel_persist_fsync_seconds").first - fsyncs_before;
+    const uint64_t batches =
+        histogramNow("qdel_serve_batch_frames").first - batches_before;
+    EXPECT_GE(fsyncs, 2u) << "each touched shard is synced";
+    EXPECT_LT(fsyncs, events.size());
+    EXPECT_LE(fsyncs, batches * 2) << "at most one fsync per dirty shard "
+                                      "per drained batch";
+
+    // The daemon's state equals an in-process service fed the same
+    // per-shard order.
+    server_->stop();
+    ServiceConfig ephemeral = config();
+    ephemeral.stateDir.clear();
+    auto reference = BoundService::open(ephemeral);
+    ASSERT_TRUE(reference.ok());
+    for (const auto &event : events)
+        ASSERT_TRUE(reference.value()->ingest(event).ok());
+    EXPECT_EQ(service_->digest(), reference.value()->digest());
+}
+
+TEST_F(GroupCommitTest, FailedCommitClosesTheBatchWithoutAnAck)
+{
+    Client client(server_->port());
+    ASSERT_TRUE(client.connected());
+    client.setRecvTimeoutMs(5000);
+    const auto events = window(1, 24);
+    uint64_t acked[2] = {0, 0};
+    ASSERT_TRUE(client.send(frames(events, 0, 8)));
+    for (size_t i = 0; i < 8; ++i) {
+        const std::string payload = client.readFrame();
+        ASSERT_FALSE(payload.empty());
+        ASSERT_EQ(payload[0], 0);
+        ++acked[shardOf(events[i])];
+    }
+
+    // The next fsync — the second window's group commit — fails: the
+    // connection closes with none of the window's replies sent.
+    fault::configure({fault::Kind::FailFsync, 0, 1});
+    ASSERT_TRUE(client.send(frames(events, 8, events.size())));
+    EXPECT_EQ(client.readFrame(), "") << "no ack may precede its fsync";
+    EXPECT_EQ(service_->failedShards(), 1u);
+    {
+        Client http(server_->port());
+        ASSERT_TRUE(http.send("GET /healthz HTTP/1.1\r\n\r\n"));
+        EXPECT_NE(http.readToEof().find(" 503 "), std::string::npos);
+    }
+    {
+        Client http(server_->port());
+        ASSERT_TRUE(http.send("GET /debug/shards HTTP/1.1\r\n\r\n"));
+        EXPECT_NE(http.readToEof().find("\"failed\":true"),
+                  std::string::npos);
+    }
+
+    // Commits run in staging order, so the window's first event names
+    // the failed shard. Its retry is an error, never a dedup ack.
+    Client retry(server_->port());
+    ASSERT_TRUE(retry.connected());
+    retry.setRecvTimeoutMs(5000);
+    ASSERT_TRUE(retry.send(frameRequest(Opcode::Event,
+                                        encodeEvent(events[8]))));
+    const std::string payload = retry.readFrame();
+    ASSERT_FALSE(payload.empty());
+    EXPECT_EQ(static_cast<uint8_t>(payload[0]),
+              static_cast<uint8_t>(Status::Error));
+
+    // Reopening the state directory recovers every acked event.
+    server_->stop();
+    service_.reset();
+    auto reopened = BoundService::open(config());
+    ASSERT_TRUE(reopened.ok());
+    const auto processed = reopened.value()->stats().processedPerShard;
+    for (size_t s = 0; s < 2; ++s)
+        EXPECT_GE(processed[s], acked[s]) << "shard " << s;
+}
+
+TEST_F(GroupCommitTest, QueryOnlyConnectionDoesNotWaitOnTheCommit)
+{
+    Client stats(server_->port());
+    Client writer(server_->port());
+    Client reader(server_->port());
+    for (Client *client : {&stats, &writer, &reader}) {
+        ASSERT_TRUE(client->connected());
+        client->setRecvTimeoutMs(5000);
+        // One round trip each, so all three are adopted by the loop.
+        ASSERT_TRUE(client->send(frameRequest(Opcode::Ping, "")));
+        ASSERT_EQ(client->readFrame().size(), 5u);
+    }
+    BoundQuery query;
+    query.machine = "gc";
+    query.queue = queues_[0];
+    query.procs = 4;
+    query.quantile = 0.95;
+    {
+        // Stand in for a slow writer: hold shard 0's writer lock, so
+        // the loop blocks inside a Stats request while an event and a
+        // query queue up behind it and reach the loop in one wake.
+        auto lock =
+            const_cast<BoundRegistry &>(service_->registry()).lockShard(0);
+        ASSERT_TRUE(stats.send(frameRequest(Opcode::Stats, "")));
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        const auto events = window(1, 1);
+        ASSERT_TRUE(writer.send(frames(events, 0, 1)));
+        ASSERT_TRUE(
+            reader.send(frameRequest(Opcode::Query, encodeQuery(query))));
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        // That wake's commit will fail and close the writer.
+        fault::configure({fault::Kind::FailFsync, 0, 1});
+    }
+    EXPECT_FALSE(stats.readFrame().empty());
+    EXPECT_EQ(writer.readFrame(), "");
+    // The writer was closed by the commit; the query's answer was sent
+    // before the commit ran, so it has already arrived.
+    const std::string answer = reader.readNow();
+    ASSERT_GE(answer.size(), 5u);
+    EXPECT_EQ(answer[4], 0) << "Status::Ok";
 }
 
 } // namespace

@@ -47,8 +47,11 @@
  *                        history and are not scored (default 100)
  *   --checkpoint-every N auto-checkpoint a shard every N events (1000)
  *   --keep-snapshots N   retained snapshot generations (default 2)
- *   --sync-every N       fsync the WAL every N records (default 1;
- *                        0 defers syncs to checkpoints)
+ *   --sync-every N       fsync a shard's WAL at the end of a reactor
+ *                        batch once >= N of its records are unsynced;
+ *                        event replies leave after that fsync (default
+ *                        1: every ack is durable; 0 leaves syncing to
+ *                        checkpoints)
  *   --drive FILE         ingest a trace (.swf/.txt/.qtc source formats
  *                        accepted by the trace loader) and exit unless
  *                        --port is also given
