@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "util/json.hh"
+
 namespace qdel {
 namespace obs {
 
@@ -26,58 +28,51 @@ eventPhase(const Event &event)
     return event.durNanos > 0 ? "X" : "i";
 }
 
+/** Chrome trace_event timestamps are microseconds; keep sub-us
+ *  resolution with a fractional part. */
 std::string
-formatPayload(double v)
+micros(int64_t nanos)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    return buf;
+    return jsonNumber(static_cast<double>(nanos) / 1000.0, "%.3f");
 }
 
-/** One event as a trace_event JSON object (no trailing newline). */
-std::string
-renderEventObject(const Event &event)
+/**
+ * One event as a trace_event JSON object (no trailing newline).
+ * Payloads keep 12 significant digits; an infinite bound (no history
+ * yet) or a NaN payload is null.
+ */
+void
+writeEventObject(JsonWriter &w, const Event &event)
 {
-    // Chrome trace_event timestamps are microseconds; keep sub-us
-    // resolution with a fractional part.
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"name\":\"%s\",\"cat\":\"qdel\",\"ph\":\"%s\",\"pid\":1,"
-        "\"tid\":%u,\"ts\":%.3f",
-        eventTypeName(event.type), eventPhase(event),
-        event.tid, static_cast<double>(event.tsNanos) / 1000.0);
-    std::string out = buf;
+    w.beginObject()
+        .field("name", eventTypeName(event.type))
+        .field("cat", "qdel")
+        .field("ph", eventPhase(event))
+        .field("pid", 1)
+        .field("tid", event.tid)
+        .key("ts")
+        .raw(micros(event.tsNanos));
     if (event.durNanos > 0) {
-        std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f",
-                      static_cast<double>(event.durNanos) / 1000.0);
-        out += buf;
+        w.key("dur").raw(micros(event.durNanos));
     } else {
         // Instant scope: "t" (thread) keeps the marker on its track.
-        out += ",\"s\":\"t\"";
+        w.field("s", "t");
     }
-    out += ",\"args\":{";
-    bool first = true;
-    if (event.label && event.label[0] != '\0') {
-        out += std::string("\"label\":\"") + event.label + "\"";
-        first = false;
-    }
+    w.key("args").beginObject();
+    if (event.label && event.label[0] != '\0')
+        w.field("label", event.label);
     if (event.a != 0.0 || event.b != 0.0) {
-        out += std::string(first ? "" : ",") +
-               "\"a\":" + formatPayload(event.a) +
-               ",\"b\":" + formatPayload(event.b);
-        first = false;
+        w.key("a").raw(jsonNumber(event.a, "%.12g"));
+        w.key("b").raw(jsonNumber(event.b, "%.12g"));
     }
     if (event.trace != 0) {
         // Hex string, zero-padded to 16 digits, matching the
         // X-Qdel-Trace header format so grep finds it verbatim.
-        std::snprintf(buf, sizeof(buf),
-                      "%s\"trace\":\"%016" PRIx64 "\"",
-                      first ? "" : ",", event.trace);
-        out += buf;
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016" PRIx64, event.trace);
+        w.field("trace", hex);
     }
-    out += "}}";
-    return out;
+    w.endObject().endObject();
 }
 
 } // namespace
@@ -214,7 +209,8 @@ renderJsonLines(const std::vector<Event> &events)
 {
     std::string out;
     for (const Event &event : events) {
-        out += renderEventObject(event);
+        JsonWriter w(out);
+        writeEventObject(w, event);
         out += '\n';
     }
     return out;
@@ -223,12 +219,21 @@ renderJsonLines(const std::vector<Event> &events)
 std::string
 renderChromeTrace(const std::vector<Event> &events)
 {
-    std::string out = "{\"traceEvents\":[\n";
-    for (size_t i = 0; i < events.size(); ++i) {
-        out += renderEventObject(events[i]);
-        out += (i + 1 < events.size()) ? ",\n" : "\n";
+    // One event per line: each element is its object text after a
+    // newline, and the closing bracket gets a line of its own.
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject().key("traceEvents").beginArray();
+    std::string line;
+    for (const Event &event : events) {
+        line.assign(1, '\n');
+        JsonWriter element(line);
+        writeEventObject(element, event);
+        w.raw(line);
     }
-    out += "],\"displayTimeUnit\":\"ms\"}\n";
+    out += '\n';
+    w.endArray().field("displayTimeUnit", "ms").endObject();
+    out += '\n';
     return out;
 }
 

@@ -235,41 +235,29 @@ renderPrometheus(const MetricsSnapshot &snapshot)
 std::string
 renderJson(const MetricsSnapshot &snapshot)
 {
-    std::string out = "{\n  \"counters\": {";
-    char buf[64];
-    bool first = true;
-    for (const CounterSnapshot &c : snapshot.counters) {
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, c.value);
-        out += std::string(first ? "" : ",") + "\n    \"" +
-               jsonEscape(c.name) + "\": " + buf;
-        first = false;
-    }
-    out += "\n  },\n  \"gauges\": {";
-    first = true;
-    for (const GaugeSnapshot &g : snapshot.gauges) {
-        out += std::string(first ? "" : ",") + "\n    \"" +
-               jsonEscape(g.name) + "\": " + detail::formatDouble(g.value);
-        first = false;
-    }
-    out += "\n  },\n  \"histograms\": {";
-    first = true;
+    // Gauges, sums and bounds keep the exposition's 12 digits.
+    const auto number = [](double v) { return jsonNumber(v, "%.12g"); };
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject().key("counters").beginObject();
+    for (const CounterSnapshot &c : snapshot.counters)
+        w.field(c.name, c.value);
+    w.endObject().key("gauges").beginObject();
+    for (const GaugeSnapshot &g : snapshot.gauges)
+        w.key(g.name).raw(number(g.value));
+    w.endObject().key("histograms").beginObject();
     for (const HistogramSnapshot &h : snapshot.histograms) {
-        out += std::string(first ? "" : ",") + "\n    \"" +
-               jsonEscape(h.name) + "\": {\"bounds\": [";
-        for (size_t i = 0; i < h.bounds.size(); ++i) {
-            out += (i ? ", " : "") + detail::formatDouble(h.bounds[i]);
-        }
-        out += "], \"counts\": [";
-        for (size_t i = 0; i < h.counts.size(); ++i) {
-            std::snprintf(buf, sizeof(buf), "%" PRIu64, h.counts[i]);
-            out += std::string(i ? ", " : "") + buf;
-        }
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, h.count);
-        out += std::string("], \"sum\": ") +
-               detail::formatDouble(h.sum) + ", \"count\": " + buf + "}";
-        first = false;
+        w.key(h.name).beginObject().key("bounds").beginArray();
+        for (double bound : h.bounds)
+            w.raw(number(bound));
+        w.endArray().key("counts").beginArray();
+        for (uint64_t count : h.counts)
+            w.value(count);
+        w.endArray().key("sum").raw(number(h.sum));
+        w.field("count", h.count).endObject();
     }
-    out += "\n  }\n}\n";
+    w.endObject().endObject();
+    out += '\n';
     return out;
 }
 

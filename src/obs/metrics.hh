@@ -262,7 +262,8 @@ struct MetricsSnapshot
 /** Prometheus text exposition format (HELP/TYPE + samples). */
 std::string renderPrometheus(const MetricsSnapshot &snapshot);
 
-/** The same content as a single JSON object. */
+/** The same content as one compact JSON object, newline-terminated;
+ *  a non-finite gauge, bound or sum is null. */
 std::string renderJson(const MetricsSnapshot &snapshot);
 
 /**

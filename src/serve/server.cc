@@ -2,7 +2,10 @@
  * @file
  * Implementation of the TCP front end: a sharded epoll reactor whose
  * loops also accept and shed. See server.hh for the loop model,
- * deadline, and shedding semantics.
+ * deadline, and shedding semantics. This file is transport only: what
+ * an HTTP request means and every JSON body are in routes.cc; the
+ * binary opcodes are dispatched here, next to the query batch scratch
+ * they share.
  *
  * Hot-path invariants the reactor maintains:
  *
@@ -56,11 +59,11 @@
 #include "obs/domain_metrics.hh"
 #include "obs/events.hh"
 #include "obs/obs.hh"
-#include "persist/state_codec.hh"
 #include "serve/conn_buffer.hh"
 #include "serve/http.hh"
 #include "serve/netfault.hh"
-#include "util/json.hh"
+#include "serve/routes.hh"
+#include "serve/timer_wheel.hh"
 #include "util/logging.hh"
 
 namespace qdel {
@@ -162,103 +165,6 @@ struct Conn
     }
 };
 
-/**
- * Hashed timing wheel: 256 slots x 10ms ticks. arm()/disarm() are O(1)
- * pointer splices; advance() visits only the slots the clock crossed
- * and checks each resident's absolute deadline, so entries further
- * than one rotation out are merely re-homed once per rotation.
- */
-class TimerWheel
-{
-  public:
-    static constexpr int kTickMs = 10;
-    static constexpr int64_t kSlots = 256;  // Power of two.
-
-    TimerWheel() : lastTick_(tickOf(Clock::now())) {}
-
-    /** epoll_wait budget: tick-resolution while anything is armed. */
-    int pollTimeoutMs() const { return armed_ > 0 ? kTickMs : 500; }
-
-    void
-    arm(Conn *c, Clock::time_point deadline)
-    {
-        disarm(c);
-        // Never arm into the tick being/just scanned: a deadline inside
-        // the current tick lands in the next one and expires there.
-        const int64_t tick = std::max(tickOf(deadline), lastTick_ + 1);
-        const size_t slot = static_cast<size_t>(tick & (kSlots - 1));
-        c->timerSlot = static_cast<int>(slot);
-        c->timerPrev = nullptr;
-        c->timerNext = slots_[slot];
-        if (slots_[slot] != nullptr)
-            slots_[slot]->timerPrev = c;
-        slots_[slot] = c;
-        ++armed_;
-    }
-
-    void
-    disarm(Conn *c)
-    {
-        if (c->timerSlot < 0)
-            return;
-        if (c->timerPrev != nullptr)
-            c->timerPrev->timerNext = c->timerNext;
-        else
-            slots_[c->timerSlot] = c->timerNext;
-        if (c->timerNext != nullptr)
-            c->timerNext->timerPrev = c->timerPrev;
-        c->timerPrev = nullptr;
-        c->timerNext = nullptr;
-        c->timerSlot = -1;
-        --armed_;
-    }
-
-    /** Advance to @p now; expired connections land in @p expired. */
-    void
-    advance(Clock::time_point now, std::vector<Conn *> &expired)
-    {
-        const int64_t now_tick = tickOf(now);
-        if (now_tick <= lastTick_)
-            return;
-        int64_t from = lastTick_ + 1;
-        // After a stall longer than one rotation every slot is due
-        // exactly once; scanning further would revisit slots.
-        if (now_tick - from >= kSlots)
-            from = now_tick - kSlots + 1;
-        lastTick_ = now_tick;
-        for (int64_t t = from; t <= now_tick; ++t) {
-            Conn *c = slots_[t & (kSlots - 1)];
-            while (c != nullptr) {
-                Conn *next = c->timerNext;
-                if (c->deadline <= now) {
-                    disarm(c);
-                    expired.push_back(c);
-                } else {
-                    // Resident from a later rotation (or due later in
-                    // this tick): re-home it past lastTick_.
-                    disarm(c);
-                    arm(c, c->deadline);
-                }
-                c = next;
-            }
-        }
-    }
-
-  private:
-    static int64_t
-    tickOf(Clock::time_point tp)
-    {
-        return std::chrono::duration_cast<std::chrono::milliseconds>(
-                   tp.time_since_epoch())
-                   .count() /
-               kTickMs;
-    }
-
-    Conn *slots_[kSlots] = {};
-    int64_t lastTick_ = 0;
-    size_t armed_ = 0;
-};
-
 /** What every loop shares: the listener, admission, and placement. */
 struct Reactor
 {
@@ -277,6 +183,7 @@ struct Reactor
     std::atomic<size_t> shedInFlight{0};
 
     Loop *place();
+    std::vector<LoopView> connViews() const;
 };
 
 /** One event loop: epoll instance + timer wheel + batch scratch. */
@@ -298,7 +205,7 @@ struct Loop
      *  connection the instant it is accepted. */
     std::atomic<size_t> connCount{0};
 
-    TimerWheel wheel;
+    TimerWheel<Conn> wheel;
 
     /** After a transient accept() error the listener leaves this
      *  loop's epoll set until listenerResumeAt (capped backoff). */
@@ -366,6 +273,7 @@ struct Loop
     void processInput(Conn *c, size_t *frames);
     void processBinary(Conn *c, size_t *frames);
     void processHttp(Conn *c, size_t *frames);
+    void handleHttp(Conn *c, const HttpRequest &request);
     void handleFramePayload(Conn *c, std::string_view payload);
     void flushQueryBatch(Conn *c);
     BoundQuery &nextQuerySlot();
@@ -398,10 +306,6 @@ struct SlowLogGuard
             loop->maybeLogSlow(what, startNanos, trace);
     }
 };
-
-/** Route one parsed HTTP request, appending the response to c->out. */
-void handleHttpRequest(Loop *loop, Conn *c, const HttpRequest &request,
-                       bool keepAlive);
 
 } // namespace
 
@@ -585,6 +489,42 @@ Reactor::place()
         return nullptr;
     loops[best]->connCount.fetch_add(1, std::memory_order_relaxed);
     return loops[best].get();
+}
+
+/** GET /debug/conns rows: each loop's connections, read from their
+ *  relaxed introspection mirrors under the loop's connsMutex. */
+std::vector<LoopView>
+Reactor::connViews() const
+{
+    static const char *const kProtoNames[] = {"sniff", "binary", "http"};
+    const int64_t now_nanos =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now().time_since_epoch())
+            .count();
+    std::vector<LoopView> views(loops.size());
+    for (size_t i = 0; i < loops.size(); ++i) {
+        Loop &loop = *loops[i];
+        views[i].connCount = loop.connCount.load(std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(loop.connsMutex);
+        for (const Conn *c : loop.conns) {
+            if (c->shed)
+                continue;
+            const uint8_t proto =
+                c->protoView.load(std::memory_order_relaxed);
+            ConnView &view = views[i].conns.emplace_back();
+            view.fd = c->fd;
+            view.proto = proto < 3 ? kProtoNames[proto] : "?";
+            view.inBytes = c->inBytesView.load(std::memory_order_relaxed);
+            view.outBytes = c->outBytesView.load(std::memory_order_relaxed);
+            view.idleDeadline = c->idleView.load(std::memory_order_relaxed);
+            view.deadlineMs =
+                static_cast<double>(
+                    c->deadlineView.load(std::memory_order_relaxed) -
+                    now_nanos) /
+                1e6;
+        }
+    }
+    return views;
 }
 
 void
@@ -1163,25 +1103,15 @@ Loop::handleFramePayload(Conn *c, std::string_view payload)
                             applied.retryAfterSeconds);
             return;
         }
-        const size_t mark = beginFrame(c->out);
-        putU8(c->out, static_cast<uint8_t>(Status::Ok));
-        putU8(c->out, applied.applied ? 1 : 0);
-        putStr(c->out, applied.applied || applied.deduped
-                           ? std::string_view()
-                           : std::string_view(applied.rejectReason));
-        putU8(c->out, applied.deduped ? 1 : 0);
-        endFrame(c->out, mark);
+        appendEventAckFrame(c->out, applied.applied, applied.deduped,
+                            applied.rejectReason);
         return;
     }
     case Opcode::Query:
         return;  // Handled above.
-    case Opcode::Ping: {
-        const size_t mark = beginFrame(c->out);
-        putU8(c->out, static_cast<uint8_t>(Status::Ok));
-        putU32(c->out, kWireVersion);
-        endFrame(c->out, mark);
+    case Opcode::Ping:
+        appendPingFrame(c->out);
         return;
-    }
     case Opcode::Checkpoint: {
         if (auto ok = service->checkpointAll(); !ok.ok()) {
             appendErrorFrame(c->out, ok.error().reason);
@@ -1239,6 +1169,13 @@ Loop::flushQueryBatch(Conn *c)
 void
 Loop::processHttp(Conn *c, size_t *frames)
 {
+    // A request that cannot be framed is refused and the connection
+    // closed: the byte stream cannot be resynchronized.
+    const auto refuse = [c](int status, const std::string &reason) {
+        appendHttpResponse(c->out, status, "text/plain", reason + "\n",
+                           /*keepAlive=*/false);
+        c->closing = true;
+    };
     for (;;) {
         const std::string_view data = c->in.view();
         size_t head_end = data.find("\r\n\r\n");
@@ -1251,12 +1188,8 @@ Loop::processHttp(Conn *c, size_t *frames)
         if (complete)
             head_end += separator;
         if ((complete ? head_end : data.size()) > kMaxHttpHeadBytes) {
-            appendHttpResponse(c->out, 431, "text/plain",
-                               "request head exceeds " +
-                                   std::to_string(kMaxHttpHeadBytes) +
-                                   " bytes\n",
-                               /*keepAlive=*/false);
-            c->closing = true;
+            refuse(431, "request head exceeds " +
+                            std::to_string(kMaxHttpHeadBytes) + " bytes");
             return;
         }
         if (!complete)
@@ -1271,26 +1204,19 @@ Loop::processHttp(Conn *c, size_t *frames)
                 status = 411;
             else if (parsed.error().field == "http.headerCount")
                 status = 431;
-            appendHttpResponse(c->out, status, "text/plain",
-                               parsed.error().reason + "\n",
-                               /*keepAlive=*/false);
-            c->closing = true;
+            refuse(status, parsed.error().reason);
             return;
         }
         HttpRequest request = std::move(parsed).value();
         if (request.contentLength > kMaxFrameBytes) {
-            appendHttpResponse(c->out, 413, "text/plain",
-                               "request body exceeds " +
-                                   std::to_string(kMaxFrameBytes) +
-                                   " bytes\n",
-                               /*keepAlive=*/false);
-            c->closing = true;
+            refuse(413, "request body exceeds " +
+                            std::to_string(kMaxFrameBytes) + " bytes");
             return;
         }
         if (data.size() - head_end < request.contentLength)
             return;  // Need the body; head is re-parsed next pass.
         ++*frames;
-        handleHttpRequest(this, c, request, request.keepAlive);
+        handleHttp(c, request);
         c->in.consume(head_end + request.contentLength);
         if (!request.keepAlive) {
             c->closing = true;
@@ -1298,6 +1224,28 @@ Loop::processHttp(Conn *c, size_t *frames)
         }
         // Keep-alive: loop in case the client pipelined more requests.
     }
+}
+
+/** Answer one HTTP request through routeHttp(). A reply to a staged
+ *  event waits for its shard's commit, like a binary event ack. */
+void
+Loop::handleHttp(Conn *c, const HttpRequest &request)
+{
+    QDEL_OBS({
+        obs::serveMetrics().requests.inc();
+        obs::serveMetrics().httpRequests.inc();
+    });
+    QDEL_OBS_SPAN(span, obs::serveMetrics().requestSeconds,
+                  obs::EventType::Span, "serve_http");
+    QDEL_OBS(span.setTrace(request.traceId));
+    SlowLogGuard slow(this, "http");
+    slow.trace = request.traceId;
+    const HttpReply reply = routeHttp(
+        *service, request, [this] { return reactor->connViews(); });
+    appendHttpResponse(c->out, reply.status, reply.contentType, reply.body,
+                       request.keepAlive, reply.headers);
+    if (reply.stagedShard)
+        noteStaged(c, *reply.stagedShard);
 }
 
 void
@@ -1318,296 +1266,6 @@ Loop::maybeLogSlow(const char *what, int64_t startNanos, uint64_t trace)
         std::snprintf(suffix, sizeof(suffix), " trace=%016" PRIx64, trace);
     warn("slow ", what, " request: ", elapsed / 1000, "us (threshold ",
          options->slowRequestUs, "us)", suffix);
-}
-
-/** GET /debug/calibration: the live analogue of the offline
- *  correct-fraction table, one row per (machine, queue, bucket). */
-std::string
-calibrationToJson(const BoundRegistry::CalibrationReport &report)
-{
-    std::string out = "{\"confidence\":" + jsonNumber(report.confidence);
-    out += ",\"quantile\":" + jsonNumber(report.quantile);
-    out += ",\"windowCapacity\":" + std::to_string(report.windowCapacity);
-    out += ",\"entries\":" + std::to_string(report.rows.size());
-    out += ",\"scoredEntries\":" + std::to_string(report.scoredEntries);
-    out += ",\"failingEntries\":" + std::to_string(report.failingEntries);
-    out += ",\"worstCoverage\":" + jsonNumber(report.worstCoverage);
-    out += ",\"maxUndercoverage\":" + jsonNumber(report.maxUndercoverage);
-    out += ",\"rows\":[";
-    bool first = true;
-    for (const auto &row : report.rows) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "{\"machine\":\"" + jsonEscape(row.machine) + "\"";
-        out += ",\"queue\":\"" + jsonEscape(row.queue) + "\"";
-        out += ",\"bucket\":" + std::to_string(row.bucket);
-        out += ",\"bucketLabel\":\"" +
-               jsonEscape(procBucketLabel(row.bucket)) + "\"";
-        out += ",\"observations\":" + std::to_string(row.observations);
-        out += ",\"finalized\":";
-        out += row.finalized ? "true" : "false";
-        out += ",\"scored\":" + std::to_string(row.scored);
-        out += ",\"hits\":" + std::to_string(row.hits);
-        out += ",\"infinite\":" + std::to_string(row.infinite);
-        out += ",\"windowCount\":" + std::to_string(row.windowCount);
-        out += ",\"windowHits\":" + std::to_string(row.windowHits);
-        out += ",\"lifetimeCoverage\":" + jsonNumber(row.lifetimeCoverage);
-        out += ",\"windowCoverage\":" + jsonNumber(row.windowCoverage);
-        out += ",\"drift\":" + jsonNumber(row.drift);
-        out += ",\"pValue\":" + jsonNumber(row.pValue);
-        out += ",\"failing\":";
-        out += row.failing ? "true" : "false";
-        out += "}";
-    }
-    out += "]}";
-    return out;
-}
-
-/** GET /debug/shards: per-shard registry counters + WAL replay depth. */
-std::string
-shardsToJson(const BoundService &service)
-{
-    const auto rows = service.debugShards();
-    std::string out = "{\"durable\":";
-    out += service.durable() ? "true" : "false";
-    out += ",\"shards\":[";
-    for (size_t s = 0; s < rows.size(); ++s) {
-        if (s > 0)
-            out += ",";
-        const auto &row = rows[s];
-        out += "{\"shard\":" + std::to_string(s);
-        out += ",\"entries\":" + std::to_string(row.info.entries);
-        out += ",\"pending\":" + std::to_string(row.info.pending);
-        out += ",\"applied\":" + std::to_string(row.info.applied);
-        out += ",\"rejected\":" + std::to_string(row.info.rejected);
-        out += ",\"clients\":" + std::to_string(row.info.clients);
-        out += ",\"walSinceCheckpoint\":" +
-               std::to_string(row.walSinceCheckpoint);
-        out += ",\"failed\":";
-        out += row.failure.empty() ? "false" : "true";
-        if (!row.failure.empty())
-            out += ",\"failure\":\"" + jsonEscape(row.failure) + "\"";
-        out += "}";
-    }
-    out += "]}";
-    return out;
-}
-
-/** GET /debug/conns: every loop's connections from the relaxed
- *  introspection mirrors — buffer depths, deadline, protocol. */
-std::string
-connsToJson(const std::vector<std::unique_ptr<Loop>> &loops)
-{
-    const int64_t now_nanos =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count();
-    std::string out = "{\"loops\":[";
-    for (size_t i = 0; i < loops.size(); ++i) {
-        if (i > 0)
-            out += ",";
-        Loop &loop = *loops[i];
-        out += "{\"loop\":" + std::to_string(i);
-        out += ",\"connCount\":" +
-               std::to_string(
-                   loop.connCount.load(std::memory_order_relaxed));
-        out += ",\"conns\":[";
-        bool first = true;
-        std::lock_guard<std::mutex> lock(loop.connsMutex);
-        for (const Conn *c : loop.conns) {
-            if (c->shed)
-                continue;
-            if (!first)
-                out += ",";
-            first = false;
-            static const char *const kProtoNames[] = {"sniff", "binary",
-                                                      "http"};
-            const uint8_t proto =
-                c->protoView.load(std::memory_order_relaxed);
-            out += "{\"fd\":" + std::to_string(c->fd);
-            out += ",\"proto\":\"";
-            out += proto < 3 ? kProtoNames[proto] : "?";
-            out += "\",\"inBytes\":" +
-                   std::to_string(
-                       c->inBytesView.load(std::memory_order_relaxed));
-            out += ",\"outBytes\":" +
-                   std::to_string(
-                       c->outBytesView.load(std::memory_order_relaxed));
-            out += ",\"idleDeadline\":";
-            out += c->idleView.load(std::memory_order_relaxed) ? "true"
-                                                               : "false";
-            out += ",\"deadlineMs\":" +
-                   jsonNumber(static_cast<double>(
-                                  c->deadlineView.load(
-                                      std::memory_order_relaxed) -
-                                  now_nanos) /
-                              1e6);
-            out += "}";
-        }
-        out += "]}";
-    }
-    out += "]}";
-    return out;
-}
-
-void
-handleHttpRequest(Loop *loop, Conn *c, const HttpRequest &request,
-                  bool keepAlive)
-{
-    BoundService *service = loop->service;
-    std::string &out = c->out;
-    QDEL_OBS({
-        obs::serveMetrics().requests.inc();
-        obs::serveMetrics().httpRequests.inc();
-    });
-    QDEL_OBS_SPAN(span, obs::serveMetrics().requestSeconds,
-                  obs::EventType::Span, "serve_http");
-    QDEL_OBS(span.setTrace(request.traceId));
-    SlowLogGuard slow(loop, "http");
-    slow.trace = request.traceId;
-
-    HttpParams params(request);
-    auto rejectBad = [&] {
-        appendHttpResponse(out, 400, "text/plain",
-                           std::string("malformed parameter '") +
-                               params.bad() + "'\n",
-                           keepAlive);
-    };
-
-    if (request.method == "GET" && request.path == "/healthz") {
-        // A failed shard takes no writes until a restart recovers it.
-        const size_t failed = service->failedShards();
-        if (failed > 0) {
-            appendHttpResponse(out, 503, "application/json",
-                               "{\"status\":\"failed\",\"failedShards\":" +
-                                   std::to_string(failed) + "}",
-                               keepAlive);
-            return;
-        }
-        appendHttpResponse(out, 200, "application/json",
-                           "{\"status\":\"ok\"}", keepAlive);
-        return;
-    }
-    if (request.method == "GET" && request.path == "/metrics") {
-        // Refresh the calibration gauges so the scrape reflects the
-        // entries as of this instant (counters are always live).
-        service->registry().calibrationReport();
-        appendHttpResponse(
-            out, 200, "text/plain; version=0.0.4",
-            obs::renderPrometheus(obs::registry().snapshot()), keepAlive);
-        return;
-    }
-    if (request.method == "GET" && request.path == "/bound") {
-        QDEL_OBS_SPAN(query_span, obs::serveMetrics().querySeconds,
-                      obs::EventType::Span, "serve_query");
-        QDEL_OBS(query_span.setTrace(request.traceId));
-        BoundQuery query;
-        query.machine = params.str("machine");
-        query.queue = params.str("queue");
-        query.procs = params.integer("procs", 1);
-        query.quantile = params.finite("q", 0.95);
-        query.traceId = request.traceId;
-        if (params.bad() != nullptr) {
-            rejectBad();
-            return;
-        }
-        appendHttpResponse(out, 200, "application/json",
-                           answerToJson(service->query(query)), keepAlive);
-        return;
-    }
-    if (request.method == "GET" &&
-        request.path == "/debug/calibration") {
-        appendHttpResponse(
-            out, 200, "application/json",
-            calibrationToJson(service->registry().calibrationReport()),
-            keepAlive);
-        return;
-    }
-    if (request.method == "GET" && request.path == "/debug/shards") {
-        appendHttpResponse(out, 200, "application/json",
-                           shardsToJson(*service), keepAlive);
-        return;
-    }
-    if (request.method == "GET" && request.path == "/debug/conns") {
-        appendHttpResponse(out, 200, "application/json",
-                           connsToJson(loop->reactor->loops), keepAlive);
-        return;
-    }
-    if (request.method == "POST" && request.path == "/event") {
-        JobEvent event;
-        const std::string kind = params.str("kind");
-        if (kind == "submit") {
-            event.kind = EventKind::Submit;
-        } else if (kind == "start") {
-            event.kind = EventKind::Start;
-        } else if (kind == "done") {
-            event.kind = EventKind::Done;
-        } else {
-            appendHttpResponse(out, 400, "text/plain",
-                               "kind must be submit|start|done\n",
-                               keepAlive);
-            return;
-        }
-        event.jobId = params.u64("job", 0);
-        event.time = params.finite("time", 0.0);
-        event.machine = params.str("machine");
-        event.queue = params.str("queue");
-        event.procs = params.integer("procs", 1);
-        event.clientId = params.str("client");
-        event.seq = params.u64("seq", 0);
-        event.traceId = request.traceId;
-        if (params.bad() != nullptr) {
-            rejectBad();
-            return;
-        }
-        size_t shard = 0;
-        auto outcome = service->stage(event, &shard);
-        if (!outcome.ok()) {
-            appendHttpResponse(out, 500, "text/plain",
-                               outcome.error().reason + "\n", keepAlive);
-            return;
-        }
-        loop->noteStaged(c, shard);
-        const ApplyOutcome &applied = outcome.value();
-        if (applied.shed) {
-            appendHttpResponse(
-                out, 503, "text/plain",
-                "overloaded: shard pending bound exceeded\n", keepAlive,
-                {{"Retry-After",
-                  std::to_string(applied.retryAfterSeconds)}});
-            return;
-        }
-        std::string body = "{\"applied\":";
-        body += applied.applied ? "true" : "false";
-        if (applied.deduped)
-            body += ",\"deduped\":true";
-        if (!applied.applied && !applied.deduped) {
-            body += ",\"reason\":\"";
-            body += jsonEscape(applied.rejectReason);
-            body += "\"";
-        }
-        body += "}";
-        appendHttpResponse(out, 200, "application/json", body, keepAlive);
-        return;
-    }
-    if (request.method == "POST" && request.path == "/checkpoint") {
-        if (auto ok = service->checkpointAll(); !ok.ok()) {
-            appendHttpResponse(out, 500, "text/plain",
-                               ok.error().reason + "\n", keepAlive);
-            return;
-        }
-        appendHttpResponse(out, 200, "application/json", "{\"ok\":true}",
-                           keepAlive);
-        return;
-    }
-    if (request.method == "GET" && request.path == "/stats") {
-        appendHttpResponse(out, 200, "application/json",
-                           statsToJson(service->stats()), keepAlive);
-        return;
-    }
-    appendHttpResponse(out, 404, "text/plain", "unknown route\n",
-                       keepAlive);
 }
 
 } // namespace

@@ -136,6 +136,28 @@ appendAnswerFrame(std::string &out, const BoundAnswer &answer)
     endFrame(out, mark);
 }
 
+void
+appendEventAckFrame(std::string &out, bool applied, bool deduped,
+                    const char *rejectReason)
+{
+    const size_t mark = beginFrame(out);
+    putU8(out, static_cast<uint8_t>(Status::Ok));
+    putU8(out, applied ? 1 : 0);
+    putStr(out, applied || deduped ? std::string_view()
+                                   : std::string_view(rejectReason));
+    putU8(out, deduped ? 1 : 0);
+    endFrame(out, mark);
+}
+
+void
+appendPingFrame(std::string &out)
+{
+    const size_t mark = beginFrame(out);
+    putU8(out, static_cast<uint8_t>(Status::Ok));
+    putU32(out, kWireVersion);
+    endFrame(out, mark);
+}
+
 int
 procBucketFor(int procs)
 {
@@ -500,36 +522,6 @@ eventsFromJobs(const std::vector<trace::JobRecord> &jobs,
                                 static_cast<uint8_t>(b.kind);
                      });
     return events;
-}
-
-std::string
-answerToJson(const BoundAnswer &answer)
-{
-    std::string out = "{\"known\":";
-    out += answer.known ? "true" : "false";
-    out += ",\"upper\":" + jsonNumber(answer.upper);
-    out += ",\"lower\":" + jsonNumber(answer.lower);
-    out += ",\"quantile\":" + jsonNumber(answer.quantile);
-    out += ",\"confidence\":" + jsonNumber(answer.confidence);
-    out += ",\"history\":" + std::to_string(answer.historySize);
-    out += ",\"observations\":" + std::to_string(answer.observations);
-    out += ",\"version\":" + std::to_string(answer.version);
-    out += "}";
-    return out;
-}
-
-std::string
-statsToJson(const ServeStats &stats)
-{
-    std::string out = "{\"entries\":" + std::to_string(stats.entries);
-    out += ",\"shards\":[";
-    for (size_t i = 0; i < stats.processedPerShard.size(); ++i) {
-        if (i != 0)
-            out += ",";
-        out += std::to_string(stats.processedPerShard[i]);
-    }
-    out += "]}";
-    return out;
 }
 
 } // namespace serve

@@ -1,10 +1,11 @@
 /**
  * @file
- * Wire types and codec for the online bound service.
+ * Wire types and binary codec for the online bound service.
  *
- * Everything the daemon speaks is defined here so the server, the
- * client tooling, the durability layer, and the tests share one
- * schema:
+ * Every value the daemon exchanges, and its binary encoding, is
+ * defined here so the server, the client tooling, the durability
+ * layer, and the tests share one schema (the HTTP API renders the same
+ * types as JSON in routes.hh; this file holds no JSON):
  *
  *  - JobEvent / BoundQuery / BoundAnswer value types, with field
  *    semantics lifted from SWF: times are seconds (SWF field 2 for
@@ -38,7 +39,6 @@
 
 #include "trace/job_record.hh"
 #include "util/expected.hh"
-#include "util/json.hh"
 
 namespace qdel {
 namespace serve {
@@ -244,6 +244,15 @@ void appendShedFrame(std::string &out, std::string_view reason,
  *  query path's encoder; no intermediate strings are built. */
 void appendAnswerFrame(std::string &out, const BoundAnswer &answer);
 
+/** Append the Ok reply to an Event frame: u8 applied | str reject
+ *  reason ("" unless rejected; @p rejectReason is read only then) |
+ *  u8 deduped. */
+void appendEventAckFrame(std::string &out, bool applied, bool deduped,
+                         const char *rejectReason);
+
+/** Append the Ok reply to a Ping frame: u32 kWireVersion. */
+void appendPingFrame(std::string &out);
+
 // --- SWF bridging --------------------------------------------------
 
 /**
@@ -254,14 +263,6 @@ void appendAnswerFrame(std::string &out, const BoundAnswer &answer);
  */
 std::vector<JobEvent> eventsFromJobs(const std::vector<trace::JobRecord> &jobs,
                                      const std::string &machine);
-
-// --- JSON rendering (HTTP fallback; helpers in util/json.hh) -------
-
-/** Render a BoundAnswer as a JSON object (inf/nan become null). */
-std::string answerToJson(const BoundAnswer &answer);
-
-/** Render ServeStats as a JSON object. */
-std::string statsToJson(const ServeStats &stats);
 
 } // namespace serve
 } // namespace qdel

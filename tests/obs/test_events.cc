@@ -8,6 +8,7 @@
 #include <atomic>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,6 +215,21 @@ TEST_F(EventsTest, ChromeTraceFormat)
     EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(text.find("\"dur\":1500.000"), std::string::npos);
     EXPECT_NE(text.find("\"ts\":2000.000"), std::string::npos);
+}
+
+TEST_F(EventsTest, NonFinitePayloadsRenderAsNull)
+{
+    // An infinite bound (too little history) is a legitimate payload;
+    // JSON has no inf/nan literal, so both exports must say null.
+    EventRing ring(64);
+    ring.emit(EventType::PredictionIssued,
+              std::numeric_limits<double>::infinity(),
+              std::numeric_limits<double>::quiet_NaN(), "bmbp");
+    const auto drained = ring.drain();
+    EXPECT_NE(renderJsonLines(drained).find("\"a\":null,\"b\":null"),
+              std::string::npos);
+    EXPECT_NE(renderChromeTrace(drained).find("\"a\":null,\"b\":null"),
+              std::string::npos);
 }
 
 TEST_F(EventsTest, ScopedTimerObservesHistogramAndEmitsSpan)

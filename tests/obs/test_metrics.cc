@@ -357,6 +357,30 @@ TEST_F(MetricsTest, JsonRenderingContainsAllMetrics)
     EXPECT_NE(json.find("\"test_json_gauge\""), std::string::npos);
 }
 
+TEST_F(MetricsTest, JsonRenderingGolden)
+{
+    MetricsSnapshot snapshot;
+    snapshot.counters.push_back({"req_total", "", 42});
+    snapshot.gauges.push_back({"depth", "", 2.5});
+    snapshot.gauges.push_back({"ratio", "", 1.0 / 3.0});
+    HistogramSnapshot h;
+    h.name = "lat_seconds";
+    h.bounds = {0.001, 1.0};
+    h.counts = {1, 2, 0};
+    h.sum = 1.25;
+    h.count = 3;
+    snapshot.histograms.push_back(h);
+    EXPECT_EQ(renderJson(snapshot),
+              R"({"counters":{"req_total":42},)"
+              R"("gauges":{"depth":2.5,"ratio":0.333333333333},)"
+              R"("histograms":{"lat_seconds":{"bounds":[0.001,1],)"
+              R"("counts":[1,2,0],"sum":1.25,"count":3}}})"
+              "\n");
+    EXPECT_EQ(renderJson(MetricsSnapshot{}),
+              R"({"counters":{},"gauges":{},"histograms":{}})"
+              "\n");
+}
+
 TEST_F(MetricsTest, EnabledToggle)
 {
     setEnabled(false);

@@ -2,8 +2,8 @@
  * @file
  * Wire-schema contract tests: bit-exact body codecs (including NaN
  * payloads in event times), the length-prefixed framing and its
- * resynchronization rules, the paper proc buckets, the SWF job ->
- * event expansion, and the JSON fallback rendering.
+ * resynchronization rules, the paper proc buckets, and the SWF job ->
+ * event expansion.
  */
 
 #include <cmath>
@@ -251,28 +251,6 @@ TEST(WireEvents, EventsFromJobsExpandsAndOrders)
     EXPECT_EQ(events[4].kind, EventKind::Start);  // a @150
     EXPECT_EQ(events[4].jobId, 1u);
     EXPECT_EQ(events[4].time, 150.0);
-}
-
-TEST(WireJson, EscapeAndNonFiniteRendering)
-{
-    EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(jsonEscape(std::string(1, '\x02')), "\\u0002");
-
-    BoundAnswer answer;
-    answer.known = true;
-    answer.upper = std::numeric_limits<double>::infinity();
-    answer.lower = 0.0;
-    const std::string json = answerToJson(answer);
-    EXPECT_NE(json.find("\"known\":true"), std::string::npos);
-    EXPECT_NE(json.find("\"upper\":null"), std::string::npos)
-        << "infinity must render as null, not break JSON parsers";
-
-    ServeStats stats;
-    stats.processedPerShard = {1, 2};
-    stats.entries = 3;
-    const std::string stats_json = statsToJson(stats);
-    EXPECT_NE(stats_json.find("[1,2]"), std::string::npos);
-    EXPECT_NE(stats_json.find("\"entries\":3"), std::string::npos);
 }
 
 TEST(WireTrace, EventTraceTailIsWireOnlyAndOptional)
