@@ -44,7 +44,7 @@ enum class EventType : uint8_t {
     RareEventFired,    //!< exceedance run hit the detector threshold.
     HistoryTrimmed,    //!< predictor history discarded after a firing.
     CheckpointWritten, //!< snapshot published to disk.
-    WalAppend,         //!< record appended to the write-ahead log.
+    WalAppend,         //!< WAL record appended (a = payload bytes).
     RecoveryRung,      //!< recovery ladder rung taken at startup.
     CacheHit,          //!< .qtc trace cache hit.
     CacheStale,        //!< .qtc present but out of date.

@@ -213,37 +213,22 @@ CheckpointManager::checkpoint(const std::string &payload)
 }
 
 Expected<Unit>
-CheckpointManager::appendRecord(const WalRecord &record)
+CheckpointManager::appendRecord(std::string_view payload)
 {
     if (!wal_)
         panic("CheckpointManager::appendRecord without an open WAL "
               "segment (call startWal() or checkpoint() first)");
-    if (auto ok = wal_->append(record); !ok.ok())
+    if (auto ok = wal_->append(payload); !ok.ok())
         return ok.error();
     QDEL_OBS({
         obs::persistMetrics().walAppends.inc();
         obs::persistMetrics().walSegmentBytes.set(
             static_cast<double>(wal_->bytesWritten()));
         obs::events().emit(obs::EventType::WalAppend,
-                           static_cast<double>(record.type),
-                           record.value);
+                           static_cast<double>(payload.size()));
     });
     ++recordsSinceSync_;
-    if (config_.syncEveryRecords > 0 &&
-        recordsSinceSync_ >= config_.syncEveryRecords) {
-        recordsSinceSync_ = 0;
-        return wal_->sync();
-    }
     return Unit{};
-}
-
-Expected<Unit>
-CheckpointManager::sync()
-{
-    if (!wal_)
-        return Unit{};
-    recordsSinceSync_ = 0;
-    return wal_->sync();
 }
 
 Expected<Unit>
@@ -253,7 +238,8 @@ CheckpointManager::syncPending()
         return Unit{};
     QDEL_OBS(obs::persistMetrics().groupCommitEvents.observe(
         static_cast<double>(recordsSinceSync_)));
-    return sync();
+    recordsSinceSync_ = 0;
+    return wal_->sync();
 }
 
 const char *
@@ -311,7 +297,7 @@ noteRecovery(const RecoveryReport &report)
 void
 applyWalChain(
     const CheckpointConfig &config, uint64_t seq,
-    const std::function<Expected<Unit>(const WalRecord &record)> &apply,
+    const std::function<Expected<Unit>(std::string_view payload)> &apply,
     RecoveryReport *report)
 {
     for (uint64_t w = seq;; ++w) {
@@ -340,8 +326,8 @@ applyWalChain(
                 "; chain stops");
             return;
         }
-        for (const WalRecord &record : contents.value().records) {
-            if (auto ok = apply(record); !ok.ok()) {
+        for (const std::string &payload : contents.value().records) {
+            if (auto ok = apply(payload); !ok.ok()) {
                 report->notes.push_back(
                     "wal segment " + std::to_string(w) +
                     " replay stopped: " + ok.error().str());
@@ -368,7 +354,7 @@ recoverState(
     const CheckpointConfig &config,
     const std::function<Expected<Unit>(const std::string &payload)>
         &applySnapshot,
-    const std::function<Expected<Unit>(const WalRecord &record)>
+    const std::function<Expected<Unit>(std::string_view payload)>
         &applyWalRecord)
 {
     if (auto valid = config.validate(); !valid.ok())

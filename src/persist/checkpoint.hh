@@ -2,7 +2,7 @@
  * @file
  * Checkpoint directory management and the crash-recovery ladder.
  *
- * Directory layout (one predictor / one replay run per directory):
+ * Directory layout (one serve shard / one replay run per directory):
  *
  *   snapshot-0000000001.qds   versioned checksummed full-state snapshot
  *   wal-0000000001.qdw        events *after* snapshot 1
@@ -10,7 +10,9 @@
  *   *.tmp                     in-flight atomic writes (ignored, cleaned)
  *
  * Invariants: snapshot N is published atomically before wal-N exists;
- * wal-N contains every event applied after snapshot N (in order); the
+ * wal-N contains every event applied after snapshot N (in order; a
+ * replay, whose trace is its log, applies none, so its segments stay
+ * header-only); the
  * newest keepSnapshots snapshots and every WAL segment needed to roll
  * any of them forward are retained, older files are pruned.
  *
@@ -33,6 +35,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "persist/wal.hh"
@@ -41,17 +44,11 @@
 namespace qdel {
 namespace persist {
 
-/** Where and how aggressively to persist. */
+/** Where to persist. */
 struct CheckpointConfig
 {
     std::string dir;           //!< Checkpoint directory (created).
     size_t keepSnapshots = 2;  //!< Retained snapshot generations (>= 1).
-    /**
-     * fsync the WAL every this many records; 0 defers syncing to
-     * checkpoint()/sync() (faster, risks losing the unsynced tail —
-     * still a consistent prefix).
-     */
-    size_t syncEveryRecords = 1;
 
     /** Check dir is set and keepSnapshots >= 1. */
     Expected<Unit> validate() const;
@@ -97,11 +94,11 @@ class CheckpointManager
      */
     Expected<Unit> checkpoint(const std::string &payload);
 
-    /** Append one record to the open WAL segment (see syncEveryRecords). */
-    Expected<Unit> appendRecord(const WalRecord &record);
-
-    /** Force an fsync of the open WAL segment. */
-    Expected<Unit> sync();
+    /** Append one record carrying @p payload to the open WAL segment.
+     *  Never fsyncs: syncPending() and checkpoint() are the only sync
+     *  points, and a crash before them loses only an unsynced tail
+     *  (still a consistent prefix). */
+    Expected<Unit> appendRecord(std::string_view payload);
 
     /** Records appended since the last sync (a checkpoint's rotation
      *  syncs, so it resets this too). */
@@ -157,10 +154,11 @@ struct RecoveryReport
  *        must be exactly what it was before the call (parse into
  *        locals, commit last), because the ladder will try the next
  *        rung on the same target.
- * @param applyWalRecord Apply one WAL record; pass nullptr when the
- *        caller's snapshots are self-contained (the replay simulator,
- *        whose driver position cannot be advanced by WAL records).
- *        With nullptr the WAL-only rung is skipped too.
+ * @param applyWalRecord Apply one WAL record's payload (a serve
+ *        shard decodes and applies the event it carries); pass nullptr
+ *        when the caller's snapshots are self-contained (the replay
+ *        simulator, whose trace is its input log). With nullptr the
+ *        WAL-only rung is skipped too.
  *
  * Returns a report describing the rung that succeeded — ColdStart
  * with notes when nothing was salvageable. A hard error is returned
@@ -170,7 +168,7 @@ Expected<RecoveryReport> recoverState(
     const CheckpointConfig &config,
     const std::function<Expected<Unit>(const std::string &payload)>
         &applySnapshot,
-    const std::function<Expected<Unit>(const WalRecord &record)>
+    const std::function<Expected<Unit>(std::string_view payload)>
         &applyWalRecord);
 
 } // namespace persist

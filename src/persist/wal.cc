@@ -18,60 +18,10 @@ constexpr char kMagic[8] = {'Q', 'D', 'W', 'A', 'L', '0', '0', '1'};
 constexpr size_t kHeaderSize = 24;  // magic + version + seq + crc
 constexpr size_t kRecordFrame = 8;  // u32 len + u32 crc
 
-/**
- * Largest payload a well-formed record can carry: a Blob record is
- * u8 type + up to kMaxWalBlobBytes of opaque bytes. Fixed-layout
- * record types are still validated exactly by decodeRecordPayload().
- */
-constexpr uint32_t kMaxRecordPayload = 1 + kMaxWalBlobBytes;
-
-std::string
-encodeRecordPayload(const WalRecord &record)
-{
-    StateWriter writer;
-    writer.u8(static_cast<uint8_t>(record.type));
-    if (record.type == WalRecordType::Observation)
-        writer.f64(record.value);
-    std::string payload = writer.take();
-    if (record.type == WalRecordType::Blob) {
-        if (record.blob.size() > kMaxWalBlobBytes)
-            panic("WAL blob record exceeds kMaxWalBlobBytes");
-        payload += record.blob;
-    }
-    return payload;
-}
-
-bool
-decodeRecordPayload(std::string_view payload, WalRecord *out)
-{
-    StateReader reader(payload);
-    auto type = reader.u8();
-    if (!type.ok())
-        return false;
-    switch (static_cast<WalRecordType>(type.value())) {
-    case WalRecordType::Observation: {
-        auto value = reader.f64();
-        if (!value.ok())
-            return false;
-        out->type = WalRecordType::Observation;
-        out->value = value.value();
-        break;
-    }
-    case WalRecordType::Refit:
-        out->type = WalRecordType::Refit;
-        break;
-    case WalRecordType::FinalizeTraining:
-        out->type = WalRecordType::FinalizeTraining;
-        break;
-    case WalRecordType::Blob:
-        out->type = WalRecordType::Blob;
-        out->blob.assign(payload.substr(1));
-        return true;
-    default:
-        return false;
-    }
-    return reader.remaining() == 0;
-}
+/** The leading byte of every record payload, kept so segments that
+ *  earlier builds wrote read unchanged; a reader ends the segment at
+ *  any record that does not carry it. */
+constexpr uint8_t kBlobType = 4;
 
 } // namespace
 
@@ -106,17 +56,20 @@ WalWriter::create(const std::string &path, uint64_t snapshot_seq)
 }
 
 Expected<Unit>
-WalWriter::append(const WalRecord &record)
+WalWriter::append(std::string_view payload)
 {
     if (!file_.isOpen())
         panic("WalWriter::append on a closed segment");
-    const std::string payload = encodeRecordPayload(record);
-    const uint32_t chained = crc32(payload.data(), payload.size(), chain_);
+    if (payload.size() > kMaxWalBlobBytes)
+        panic("WAL record exceeds kMaxWalBlobBytes");
+    std::string record(1, static_cast<char>(kBlobType));
+    record += payload;
+    const uint32_t chained = crc32(record.data(), record.size(), chain_);
     StateWriter frame;
-    frame.u32(static_cast<uint32_t>(payload.size()));
+    frame.u32(static_cast<uint32_t>(record.size()));
     frame.u32(chained);
     std::string bytes = frame.take();
-    bytes += payload;
+    bytes += record;
     auto ok = file_.writeAll(bytes.data(), bytes.size());
     if (ok.ok()) {
         chain_ = chained;
@@ -185,7 +138,7 @@ readWalFile(const std::string &path)
             std::string_view(data).substr(offset, kRecordFrame), path);
         const uint32_t length = frame.u32().value();
         const uint32_t chain_crc = frame.u32().value();
-        if (length > kMaxRecordPayload) {
+        if (length > 1 + kMaxWalBlobBytes) {
             truncate("implausible record length " +
                      std::to_string(length));
             break;
@@ -200,12 +153,12 @@ readWalFile(const std::string &path)
             truncate("record checksum chain mismatch");
             break;
         }
-        WalRecord record;
-        if (!decodeRecordPayload(payload, &record)) {
+        if (payload.empty() ||
+            static_cast<uint8_t>(payload[0]) != kBlobType) {
             truncate("unparsable record payload");
             break;
         }
-        contents.records.push_back(record);
+        contents.records.emplace_back(payload.substr(1));
         chain = chain_crc;
         offset += kRecordFrame + length;
     }

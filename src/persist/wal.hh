@@ -1,21 +1,21 @@
 /**
  * @file
- * Append-only write-ahead log of predictor lifecycle events.
+ * Append-only write-ahead log of opaque event records.
  *
- * A WAL segment records everything that mutated a predictor after the
- * snapshot it follows: each observation, each refit epoch, and the
- * finalize-training transition. Replaying the records against the
- * snapshot state reproduces the predictor bit-for-bit, because the
- * predictor's own (deterministic) code re-executes the mutations —
- * including change-point trims that the snapshot/WAL boundary may
- * split in half.
+ * A WAL segment records, in order, every event applied after the
+ * snapshot it follows. Each record is an opaque payload whose schema
+ * belongs to the subsystem that owns the checkpoint directory (a serve
+ * shard writes its wire-encoded events); the WAL layer only frames and
+ * checksums it. Replaying the records against the snapshot state
+ * reproduces the state bit-for-bit when applying an event is
+ * deterministic.
  *
  * On-disk layout (little-endian):
  *
  *   header: magic "QDWAL001" | u32 version | u64 snapshotSeq |
  *           u32 crc32(header so far)
  *   record: u32 payloadLen | u32 chainCrc | payload
- *   record payload: u8 type [| f64 value]
+ *   record payload: u8 type (= 4) | event bytes
  *
  * chainCrc is crc32(payload) seeded with the previous record's
  * chainCrc (the header CRC for the first record). Chaining is what
@@ -27,10 +27,11 @@
  * verify and ends the segment there.
  *
  * Reads are lenient about the tail: the first record whose length or
- * chain checksum does not verify ends the segment, and everything
- * before it is returned as the valid prefix (with the dropped byte
- * count, so recovery can log what a torn write cost). A bad *header*
- * fails the whole segment — there is no prefix to salvage.
+ * chain checksum does not verify, or whose type byte is not 4, ends
+ * the segment, and everything before it is returned as the valid
+ * prefix (with the dropped byte count, so recovery can log what a
+ * torn write cost). A bad *header* fails the whole segment — there is
+ * no prefix to salvage.
  */
 
 #ifndef QDEL_PERSIST_WAL_HH
@@ -38,6 +39,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "persist/io.hh"
@@ -49,34 +51,12 @@ namespace persist {
 /** Bumped whenever the record layout changes incompatibly. */
 constexpr uint32_t kWalFormatVersion = 1;
 
-/** What happened to the predictor, in execution order. */
-enum class WalRecordType : uint8_t {
-    Observation = 1,       //!< observe(value)
-    Refit = 2,             //!< refit()
-    FinalizeTraining = 3,  //!< finalizeTraining()
-    Blob = 4,              //!< opaque caller-encoded payload (see blob)
-};
-
 /**
- * Largest blob payload a Blob record may carry. Frame lengths above
- * this are treated as corruption by the reader, so a torn length field
- * cannot make it wait on gigabytes of phantom payload.
+ * Largest payload one record may carry. Frame lengths above this are
+ * treated as corruption by the reader, so a torn length field cannot
+ * make it wait on gigabytes of phantom payload.
  */
 constexpr uint32_t kMaxWalBlobBytes = 1u << 20;
-
-/**
- * One WAL entry. @p value is meaningful for Observation only; @p blob
- * is meaningful for Blob only. Blob records carry an opaque payload
- * whose schema belongs to the subsystem that owns the checkpoint
- * directory (e.g. serve event frames) — the WAL layer only frames and
- * checksums them.
- */
-struct WalRecord
-{
-    WalRecordType type = WalRecordType::Observation;
-    double value = 0.0;
-    std::string blob;
-};
 
 /** Appends records to one WAL segment; created truncating. */
 class WalWriter
@@ -90,8 +70,8 @@ class WalWriter
     static Expected<WalWriter> create(const std::string &path,
                                       uint64_t snapshot_seq);
 
-    /** Append one record (no implicit sync). */
-    Expected<Unit> append(const WalRecord &record);
+    /** Append one record carrying @p payload (no implicit sync). */
+    Expected<Unit> append(std::string_view payload);
 
     /** fsync the segment. */
     Expected<Unit> sync();
@@ -114,7 +94,7 @@ class WalWriter
 struct WalContents
 {
     uint64_t snapshotSeq = 0;
-    std::vector<WalRecord> records;
+    std::vector<std::string> records;  //!< Payloads, in order.
     size_t droppedTailBytes = 0;  //!< Bytes after the valid prefix.
     std::string note;             //!< Why the tail was dropped, if it was.
 };

@@ -80,8 +80,6 @@ BoundService::open(const ServiceConfig &config)
         persist::CheckpointConfig shard_config;
         shard_config.dir = shardDir(config.stateDir, s);
         shard_config.keepSnapshots = config.keepSnapshots;
-        // commit() applies the sync rule, so appends never sync.
-        shard_config.syncEveryRecords = 0;
 
         auto lock = service->registry_->lockShard(s);
         auto recovered = persist::recoverState(
@@ -94,13 +92,8 @@ BoundService::open(const ServiceConfig &config)
                     return ok.error();
                 return reader.expectEnd();
             },
-            [&](const persist::WalRecord &record) -> Expected<Unit> {
-                if (record.type != persist::WalRecordType::Blob) {
-                    return ParseError{shard_config.dir, 0, "wal",
-                                      "unexpected non-blob WAL record in"
-                                      " a serve shard"};
-                }
-                auto event = decodeEvent(record.blob);
+            [&](std::string_view payload) -> Expected<Unit> {
+                auto event = decodeEvent(payload);
                 if (!event.ok())
                     return event.error();
                 // Rejections are deterministic and counted; replay
@@ -172,10 +165,8 @@ BoundService::stage(const JobEvent &event, size_t *shard)
         return outcome;
     }
     if (durable()) {
-        persist::WalRecord record;
-        record.type = persist::WalRecordType::Blob;
-        record.blob = encodeEvent(event);
-        if (auto ok = stores_[s]->appendRecord(record); !ok.ok())
+        if (auto ok = stores_[s]->appendRecord(encodeEvent(event));
+            !ok.ok())
             return failShardLocked(s, ok.error());
     }
     const ApplyOutcome outcome = registry_->applyLocked(s, event);
@@ -293,7 +284,7 @@ BoundService::syncAll()
         auto lock = registry_->lockShard(s);
         if (!failures_[s].empty())
             return failedErrorLocked(s);
-        if (auto ok = stores_[s]->sync(); !ok.ok())
+        if (auto ok = stores_[s]->syncPending(); !ok.ok())
             return failShardLocked(s, ok.error());
     }
     return Unit{};

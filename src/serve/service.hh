@@ -11,11 +11,10 @@
  * group commit:
  *
  *  - stage() takes the shard's writer lock, writes the event (encoded
- *    with the wire codec) to the shard's WAL as a
- *    persist::WalRecordType::Blob record, *then* applies it to the
- *    registry — the same write-before-mutate discipline as
- *    PredictorStore, under one lock so log order is apply order — and
- *    maybe checkpoints. It does not fsync.
+ *    with the wire codec) to the shard's WAL as one record, *then*
+ *    applies it to the registry — write before mutate, under one lock
+ *    so log order is apply order — and maybe checkpoints. It does not
+ *    fsync.
  *  - commit(shard) takes the lock again and fsyncs the shard's WAL
  *    once syncEveryRecords records are unsynced (1: any; 0: never,
  *    only checkpoints sync). One fsync covers every record staged
@@ -176,7 +175,8 @@ class BoundService
     /** Snapshot every shard under its lock (no-op when ephemeral). */
     Expected<Unit> checkpointAll();
 
-    /** fsync every open WAL segment (no-op when ephemeral). */
+    /** fsync every WAL segment with unsynced records (no-op when
+     *  ephemeral). */
     Expected<Unit> syncAll();
 
     const BoundRegistry &registry() const { return *registry_; }

@@ -20,9 +20,9 @@
  *    same bit-exact codec the snapshots use — so a decoded double is
  *    the double that was sent, NaN payloads and all;
  *
- *  - the same event body encoding doubles as the WAL blob payload for
- *    durability (persist::WalRecordType::Blob), so replaying a WAL is
- *    literally re-ingesting the original frames.
+ *  - the same event body encoding doubles as the WAL record payload
+ *    for durability (persist/wal.hh), so replaying a WAL is literally
+ *    re-ingesting the original frames.
  *
  * Start/Done events repeat the routing key (machine/queue/procs): the
  * registry shards by key, and a self-routing event is what keeps every

@@ -11,7 +11,6 @@
 
 #include "obs/domain_metrics.hh"
 #include "obs/obs.hh"
-#include "persist/checkpoint.hh"
 #include "persist/state_codec.hh"
 #include "sim/replay/evaluation.hh"
 
@@ -72,28 +71,10 @@ QueueCore::QueueCore(core::Predictor &predictor, Rules rules,
 {
 }
 
-bool
-QueueCore::logged(persist::WalRecordType type, double value)
-{
-    if (wal_ == nullptr)
-        return true;
-    if (walError_)
-        return false;
-    persist::WalRecord record;
-    record.type = type;
-    record.value = value;
-    if (auto ok = wal_->appendRecord(record); !ok.ok()) {
-        walError_ = ok.error();
-        return false;
-    }
-    return true;
-}
-
 void
 QueueCore::refit()
 {
-    if (logged(persist::WalRecordType::Refit, 0.0))
-        predictor_.refit();
+    predictor_.refit();
     dirty_ = false;
     moved_ = true;
 }
@@ -166,12 +147,8 @@ QueueCore::advanceTo(double horizon)
                               std::greater<PendingRelease>{});
                 pending_.pop_back();
             }
-            size_t applied = 0;
-            while (applied < waitScratch_.size() &&
-                   logged(persist::WalRecordType::Observation,
-                          waitScratch_[applied]))
-                ++applied;
-            predictor_.observeBatch(waitScratch_.data(), applied);
+            predictor_.observeBatch(waitScratch_.data(),
+                                    waitScratch_.size());
             dirty_ = true;
         } else if (nextRefit_ <= nextSnapshot_) {
             fireEpoch(now);
@@ -193,8 +170,7 @@ QueueCore::submit(double time)
     if (!finalized_ && submits_ >= training_) {
         // Re-arm with the post-training state so the first scored job
         // sees a trained model even under epoch-based refits.
-        if (logged(persist::WalRecordType::FinalizeTraining, 0.0))
-            predictor_.finalizeTraining();
+        predictor_.finalizeTraining();
         refit();
         finalized_ = true;
     }
@@ -211,8 +187,7 @@ void
 QueueCore::observe(double wait)
 {
     const size_t trims = predictorTrimCount(predictor_);
-    if (logged(persist::WalRecordType::Observation, wait))
-        predictor_.observe(wait);
+    predictor_.observe(wait);
     // A trim refits on the spot, over the history that includes wait.
     dirty_ = predictorTrimCount(predictor_) == trims;
     moved_ = moved_ || !dirty_;

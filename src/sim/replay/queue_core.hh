@@ -34,20 +34,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/predictor.hh"
-#include "persist/wal.hh"
 #include "stats/spill_doubles.hh"
 #include "util/expected.hh"
 
 namespace qdel {
 
 namespace persist {
-class CheckpointManager;
 class StateWriter;
 class StateReader;
 } // namespace persist
@@ -110,12 +107,6 @@ class QueueCore
               const ReplayProbe *probe = nullptr,
               std::string spill_path = {},
               size_t spill_threshold = std::numeric_limits<size_t>::max());
-
-    /** WAL-log each predictor mutation before applying it (for
-     *  persist::PredictorStore). After the first failed append,
-     *  walError() holds it and the predictor is left alone. */
-    void logMutationsTo(persist::CheckpointManager *wal) { wal_ = wal; }
-    const std::optional<ParseError> &walError() const { return walError_; }
 
     /** Feed the next @p n jobs of this queue, in submission order. */
     void processRows(const double *submit, const double *wait, size_t n);
@@ -185,7 +176,6 @@ class QueueCore
         }
     };
 
-    bool logged(persist::WalRecordType type, double value);
     void refit();
     void fireEpoch(double now);
     /** Move the clock over the idle epochs before @p limit. */
@@ -198,8 +188,6 @@ class QueueCore
     const bool epochPerJob_;
     const uint64_t training_;
     const ReplayProbe *probe_;
-    persist::CheckpointManager *wal_ = nullptr;
-    std::optional<ParseError> walError_;
 
     uint64_t submits_ = 0;
     bool finalized_ = false;

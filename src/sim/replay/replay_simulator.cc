@@ -195,12 +195,10 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
         fingerprint = traceFingerprint(t);
         cc.dir = ckpt.dir;
         cc.keepSnapshots = ckpt.keepSnapshots;
-        cc.syncEveryRecords = ckpt.walSyncEveryRecords;
         auto opened = persist::CheckpointManager::open(cc);
         if (!opened.ok())
             return opened.error();
         manager.emplace(std::move(opened).value());
-        queue.logMutationsTo(&*manager);
     }
     const std::vector<double> echo = replayEcho(config_, probe);
 
@@ -229,10 +227,8 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
                 }
                 return decoded;
             },
-            // The trace is the replay's input log: driver position
-            // cannot be advanced by WAL records, so resume is
-            // snapshot-only (the WAL serves predictor-only
-            // rehydration, see persist::PredictorStore).
+            // The trace is the replay's input log: resume is
+            // snapshot-only, and the WAL segments are empty.
             nullptr);
         if (!report.ok())
             return report.error();
@@ -295,8 +291,6 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             wait[i - begin] = t[i].waitSeconds;
         }
         queue.processRows(submit.data(), wait.data(), end - begin);
-        if (queue.walError())
-            return *queue.walError();
         if (progress_every > 0 && end % progress_every == 0)
             report_progress();
         if (checkpoint_every > 0 && end % checkpoint_every == 0 &&
@@ -310,11 +304,8 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
     // releases feed the history so snapshots after the final arrival
     // stay live. Idempotent on resume: a re-drained run finds every
     // event at or before the window end already consumed.
-    if (probe.captureSeries || !probe.snapshotQuantiles.empty()) {
+    if (probe.captureSeries || !probe.snapshotQuantiles.empty())
         queue.advanceTo(probe.seriesEnd);
-        if (queue.walError())
-            return *queue.walError();
-    }
 
     // Closing checkpoint: a resume of a finished run replays nothing.
     if (manager) {

@@ -72,13 +72,11 @@ struct ReplayConfig
  * Crash-safety options for a replay run. When a directory is set, the
  * simulator snapshots its full state (driver position, counters,
  * pending releases, probe captures, and the predictor via saveState())
- * every intervalJobs jobs, WAL-logs every predictor mutation in
- * between, and — with resume = true — restarts from the newest
- * recoverable snapshot, producing byte-identical results to an
+ * every intervalJobs jobs and — with resume = true — restarts from the
+ * newest recoverable snapshot, producing byte-identical results to an
  * uninterrupted run. The trace itself is the replay's input log, so
- * resume recovers from snapshots only; the WAL exists so the predictor
- * alone can also be rehydrated from the directory (see
- * persist::PredictorStore).
+ * checkpoints are snapshot-only: nothing is WAL-logged between them,
+ * and each checkpoint leaves a header-only WAL segment behind.
  */
 struct ReplayCheckpointOptions
 {
@@ -88,8 +86,6 @@ struct ReplayCheckpointOptions
     bool resume = false;        //!< Resume from existing state; without
                                 //!< this, existing state is an error.
     size_t keepSnapshots = 2;   //!< Snapshot generations to retain.
-    size_t walSyncEveryRecords = 256;  //!< WAL fsync cadence; 0 = only
-                                       //!< at snapshots.
 
     bool enabled() const { return !dir.empty(); }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * End-to-end instrumentation tests: the domain metrics that the
- * predictors, replay, persistence, and trace-ingestion pipelines feed
- * must agree with the ground truth those pipelines report themselves
- * (ReplayResult counters, trimCount(), cache status lines).
+ * predictors, replay, persistence, serve ingest and trace-ingestion
+ * pipelines feed must agree with the ground truth those pipelines
+ * report themselves (ReplayResult counters, trimCount(), cache status
+ * lines).
  */
 
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include "obs/domain_metrics.hh"
 #include "obs/events.hh"
 #include "obs/metrics.hh"
+#include "serve/service.hh"
 #include "sim/replay/replay_simulator.hh"
 #include "trace/native_format.hh"
 #include "trace/trace.hh"
@@ -147,7 +149,8 @@ TEST_F(InstrumentationTest, CheckpointRecoveryAndWalMetrics)
         ASSERT_TRUE(run.ok()) << run.error().str();
     }
     EXPECT_GE(persistMetrics().checkpointsWritten.value(), 2u);
-    EXPECT_GE(persistMetrics().walAppends.value(), 1u);
+    // Replay checkpoints are snapshot-only: the trace is the log.
+    EXPECT_EQ(persistMetrics().walAppends.value(), 0u);
     EXPECT_GE(persistMetrics().fsyncSeconds.count(), 1u);
     EXPECT_GE(persistMetrics().checkpointSeconds.count(), 1u);
     const uint64_t recoveries_before =
@@ -169,6 +172,21 @@ TEST_F(InstrumentationTest, CheckpointRecoveryAndWalMetrics)
     const double rung = persistMetrics().recoveryRung.value();
     EXPECT_GE(rung, 1.0);
     EXPECT_LE(rung, 4.0);
+
+    // WAL appends happen where events are logged: a durable service's
+    // ingest.
+    const std::string state_dir =
+        ::testing::TempDir() + "qdel_obs_wal_metrics";
+    std::filesystem::remove_all(state_dir);
+    serve::ServiceConfig config_serve;
+    config_serve.stateDir = state_dir;
+    auto service = serve::BoundService::open(config_serve);
+    ASSERT_TRUE(service.ok()) << service.error().str();
+    serve::JobEvent submit;
+    submit.jobId = 1;
+    submit.machine = "m";
+    ASSERT_TRUE(service.value()->ingest(submit).ok());
+    EXPECT_GE(persistMetrics().walAppends.value(), 1u);
 }
 
 TEST_F(InstrumentationTest, IngestAndCacheMetrics)

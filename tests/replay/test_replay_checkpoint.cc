@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bmbp_predictor.hh"
+#include "core/lognormal_predictor.hh"
 #include "persist/fault_injection.hh"
 #include "persist/io.hh"
 #include "persist/snapshot.hh"
@@ -54,9 +55,18 @@ makeTrace(size_t count = 600, double wait_offset = 0.0)
     return t;
 }
 
-std::unique_ptr<core::BmbpPredictor>
-makePredictor()
+/** A trimming predictor: "bmbp" or "lognormal-trim". */
+std::unique_ptr<core::Predictor>
+makePredictor(const std::string &method = "bmbp")
 {
+    if (method == "lognormal-trim") {
+        core::LogNormalConfig config;
+        config.quantile = 0.5;
+        config.confidence = 0.8;
+        config.trimmingEnabled = true;
+        config.runThresholdOverride = 2;
+        return std::make_unique<core::LogNormalPredictor>(config);
+    }
     core::BmbpConfig config;
     config.quantile = 0.5;
     config.confidence = 0.8;
@@ -112,9 +122,10 @@ expectSameResult(const ReplayResult &a, const ReplayResult &b)
 
 /** The plain, un-checkpointed reference run. */
 ReplayResult
-referenceRun(const trace::Trace &t, size_t *trims = nullptr)
+referenceRun(const trace::Trace &t, size_t *trims = nullptr,
+             const std::string &method = "bmbp")
 {
-    auto predictor = makePredictor();
+    auto predictor = makePredictor(method);
     ReplaySimulator simulator({300.0, 0.10});
     auto result = simulator.run(t, *predictor, makeProbe());
     EXPECT_TRUE(result.ok());
@@ -141,31 +152,36 @@ TEST(ReplayCheckpoint, CheckpointedRunMatchesPlainRun)
     EXPECT_EQ(predictorTrimCount(*predictor), plain_trims);
 }
 
-TEST(ReplayCheckpoint, CrashMidRunThenResumeIsByteIdentical)
+/** Kill a checkpointed @p method run halfway through its persistence
+ *  ops, resume it, and expect the uninterrupted run's results. */
+void
+crashMidRunThenResume(const std::string &method)
 {
+    SCOPED_TRACE(method);
     fault::reset();
     const trace::Trace t = makeTrace();
     size_t plain_trims = 0;
-    const ReplayResult plain = referenceRun(t, &plain_trims);
+    const ReplayResult plain = referenceRun(t, &plain_trims, method);
+    ASSERT_GT(plain_trims, 0u);  // the scenario must exercise trims
 
     // Profile a fault-free checkpointed run to learn the total
     // persistence-op count, then kill a second run halfway through it.
     {
-        auto predictor = makePredictor();
+        auto predictor = makePredictor(method);
         ReplaySimulator simulator({300.0, 0.10});
         ASSERT_TRUE(simulator
                         .run(t, *predictor, makeProbe(),
-                             makeCkpt(freshDir("profile")))
+                             makeCkpt(freshDir("profile_" + method)))
                         .ok());
     }
     const uint64_t total_ops = fault::opCount();
     ASSERT_GT(total_ops, 4u);
 
-    const std::string dir = freshDir("crash");
+    const std::string dir = freshDir("crash_" + method);
     fault::configure(
         {fault::Kind::ShortWrite, total_ops / 2, 77});
     {
-        auto victim = makePredictor();
+        auto victim = makePredictor(method);
         ReplaySimulator simulator({300.0, 0.10});
         auto doomed =
             simulator.run(t, *victim, makeProbe(), makeCkpt(dir));
@@ -174,7 +190,7 @@ TEST(ReplayCheckpoint, CrashMidRunThenResumeIsByteIdentical)
     fault::reset();
 
     // Restart with a fresh predictor instance and resume.
-    auto predictor = makePredictor();
+    auto predictor = makePredictor(method);
     ReplaySimulator simulator({300.0, 0.10});
     auto resumed = simulator.run(t, *predictor, makeProbe(),
                                  makeCkpt(dir, true));
@@ -186,6 +202,13 @@ TEST(ReplayCheckpoint, CrashMidRunThenResumeIsByteIdentical)
               std::string::npos);
     expectSameResult(plain, resumed.value());
     EXPECT_EQ(predictorTrimCount(*predictor), plain_trims);
+}
+
+TEST(ReplayCheckpoint, CrashMidRunThenResumeIsByteIdentical)
+{
+    crashMidRunThenResume("bmbp");
+    // Round-trips the lognormal running sums and trims through a crash.
+    crashMidRunThenResume("lognormal-trim");
 }
 
 TEST(ReplayCheckpoint, ResumeAfterCompletionIsIdempotent)

@@ -9,7 +9,9 @@
  * crashed.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -88,6 +90,23 @@ boundsFingerprint(const BoundRegistry &registry)
     return out;
 }
 
+/**
+ * Op distance between swept fault windows: every 13th op, or
+ * total_ops / QDEL_FAULT_ITERATIONS when that is set (windows per
+ * fault kind; CI's dense soak raises it).
+ */
+uint64_t
+windowStride(uint64_t total_ops)
+{
+    if (const char *env = std::getenv("QDEL_FAULT_ITERATIONS")) {
+        char *end = nullptr;
+        const unsigned long long parsed = std::strtoull(env, &end, 10);
+        if (end != env && *end == '\0' && parsed > 0)
+            return std::max<uint64_t>(1, total_ops / parsed);
+    }
+    return 13;
+}
+
 class ServeRecoverySweep : public ::testing::Test
 {
   protected:
@@ -131,8 +150,9 @@ TEST_F(ServeRecoverySweep, EveryFaultWindowRecoversByteIdentically)
     // Sample op windows across the run (every window would be O(ops^2)
     // service opens; the stride still covers open/append/sync/rename
     // ops in every phase of the stream).
+    const uint64_t stride = windowStride(total_ops);
     std::vector<uint64_t> windows;
-    for (uint64_t op = 0; op < total_ops; op += 13)
+    for (uint64_t op = 0; op < total_ops; op += stride)
         windows.push_back(op);
 
     int swept = 0;

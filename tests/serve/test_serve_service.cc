@@ -2,11 +2,14 @@
  * @file
  * BoundService durability contract: WAL-before-mutate ingest, the
  * per-shard checkpoint tree, count-triggered checkpoints, recovery to
- * a byte-identical registry (digest equality), the ephemeral mode the
- * throughput bench runs in, and the group commit: stage() writes,
- * commit() fsyncs by the sync rule, and a failed fsync fails the shard.
+ * a byte-identical registry (digest equality) on every rung of the
+ * recovery ladder, the ephemeral mode the throughput bench runs in, and
+ * the group commit: stage() writes, commit() fsyncs by the sync rule,
+ * and a failed fsync fails the shard.
  */
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -282,6 +285,150 @@ TEST(BoundService, RecoveredServiceContinuesIdenticallyToUnkilledOne)
         ASSERT_TRUE(service.ingest(event).ok());
     }
     EXPECT_EQ(service.digest(), want);
+}
+
+/** Two shards that snapshot every 16 events: several generations
+ *  each, plus a WAL tail, from one eventStream(100, ...). */
+ServiceConfig
+rungConfig(const std::string &state_dir)
+{
+    ServiceConfig config = smallConfig(state_dir);
+    config.registry.shards = 2;
+    config.checkpointEveryEvents = 16;
+    return config;
+}
+
+/** Ingest @p events, then drop the service without a final
+ *  checkpoint (a SIGKILL stand-in). @return the uninterrupted digest. */
+std::string
+driveAndKill(const ServiceConfig &config,
+             const std::vector<JobEvent> &events)
+{
+    auto opened = BoundService::open(config);
+    EXPECT_TRUE(opened.ok());
+    if (!opened.ok())
+        return {};
+    for (const auto &event : events)
+        EXPECT_TRUE(opened.value()->ingest(event).ok());
+    return opened.value()->digest();
+}
+
+/** Paths of shard @p s's files named @p prefix*, oldest first. */
+std::vector<std::string>
+shardFiles(const std::string &state_dir, size_t s, const std::string &prefix)
+{
+    char name[32];
+    std::snprintf(name, sizeof(name), "/shard-%04zu", s);
+    std::vector<std::string> paths;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(state_dir + name)) {
+        if (entry.path().filename().string().rfind(prefix, 0) == 0)
+            paths.push_back(entry.path().string());
+    }
+    std::sort(paths.begin(), paths.end());
+    return paths;
+}
+
+/** Flip the bits of byte @p offset (from the end when negative). */
+void
+flipByte(const std::string &path, long offset, char mask)
+{
+    auto bytes = persist::readFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    std::string corrupt = bytes.value();
+    const size_t at = offset >= 0 ? size_t(offset)
+                                  : corrupt.size() - size_t(-offset);
+    ASSERT_LT(at, corrupt.size());
+    corrupt[at] = static_cast<char>(corrupt[at] ^ mask);
+    ASSERT_TRUE(persist::atomicWriteFile(path, corrupt).ok());
+}
+
+TEST(BoundService, RecoveryRungLatestSnapshotRollsItsWalForward)
+{
+    const std::string dir = freshDir("rung_latest");
+    const std::string want =
+        driveAndKill(rungConfig(dir), eventStream(100, 7));
+    auto reopened = BoundService::open(rungConfig(dir));
+    ASSERT_TRUE(reopened.ok());
+    auto &service = *reopened.value();
+    ASSERT_EQ(service.recoveries().size(), 2u);
+    for (const auto &report : service.recoveries()) {
+        EXPECT_EQ(report.source, persist::RecoverySource::LatestSnapshot);
+        EXPECT_GT(report.walRecordsApplied, 0u);
+    }
+    EXPECT_EQ(service.digest(), want);
+}
+
+TEST(BoundService, RecoveryRungPreviousSnapshotAfterSnapshotCorruption)
+{
+    const std::string dir = freshDir("rung_previous");
+    const std::string want =
+        driveAndKill(rungConfig(dir), eventStream(100, 7));
+    // Silently corrupt each shard's newest snapshot on disk.
+    for (size_t s = 0; s < 2; ++s) {
+        const auto snapshots = shardFiles(dir, s, "snapshot-");
+        ASSERT_GE(snapshots.size(), 2u);
+        flipByte(snapshots.back(), 40, 0x01);
+    }
+    // The longer WAL chain rolls the previous snapshot forward to the
+    // same state: nothing is lost, only the rung changes.
+    auto reopened = BoundService::open(rungConfig(dir));
+    ASSERT_TRUE(reopened.ok());
+    auto &service = *reopened.value();
+    ASSERT_EQ(service.recoveries().size(), 2u);
+    for (const auto &report : service.recoveries()) {
+        EXPECT_EQ(report.source,
+                  persist::RecoverySource::PreviousSnapshot);
+        EXPECT_FALSE(report.notes.empty());
+    }
+    EXPECT_EQ(service.digest(), want);
+}
+
+TEST(BoundService, RecoveryRungWalOnlyWithoutAnySnapshot)
+{
+    const std::string dir = freshDir("rung_walonly");
+    auto config = rungConfig(dir);
+    config.checkpointEveryEvents = 0;  // never checkpoint
+    const auto events = eventStream(100, 7);
+    const std::string want = driveAndKill(config, events);
+    auto reopened = BoundService::open(config);
+    ASSERT_TRUE(reopened.ok());
+    auto &service = *reopened.value();
+    ASSERT_EQ(service.recoveries().size(), 2u);
+    uint64_t replayed = 0;
+    for (const auto &report : service.recoveries()) {
+        EXPECT_EQ(report.source, persist::RecoverySource::WalOnly);
+        replayed += report.walRecordsApplied;
+    }
+    EXPECT_EQ(replayed, events.size());
+    EXPECT_EQ(service.digest(), want);
+}
+
+TEST(BoundService, RecoveryRungColdStartWhenNothingIsSalvageable)
+{
+    const std::string dir = freshDir("rung_cold");
+    driveAndKill(rungConfig(dir), eventStream(100, 7));
+    // Corrupt every snapshot; pruning has already removed wal-0, so
+    // no rung can salvage anything.
+    for (size_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(shardFiles(dir, s, "wal-0000000000").size(), 0u)
+            << "pruning should have removed wal-0 by now";
+        const auto snapshots = shardFiles(dir, s, "snapshot-");
+        ASSERT_FALSE(snapshots.empty());
+        for (const std::string &path : snapshots)
+            flipByte(path, -1, '\xFF');
+    }
+    auto reopened = BoundService::open(rungConfig(dir));
+    ASSERT_TRUE(reopened.ok());
+    auto &service = *reopened.value();
+    ASSERT_EQ(service.recoveries().size(), 2u);
+    for (const auto &report : service.recoveries()) {
+        EXPECT_EQ(report.source, persist::RecoverySource::ColdStart);
+        EXPECT_FALSE(report.notes.empty());
+    }
+    auto fresh = BoundService::open(rungConfig(freshDir("rung_fresh")));
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(service.digest(), fresh.value()->digest());
 }
 
 TEST(BoundService, CommitFsyncsByTheSyncRule)

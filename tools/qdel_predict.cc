@@ -255,8 +255,9 @@ main(int argc, char **argv)
                      "--checkpoint-dir\n";
         return 1;
     }
-    // 0 would silently disable snapshots while still WAL-logging every
-    // mutation — never what a user asking for checkpoints wants.
+    // 0 would leave only the opening and closing snapshots, so a crash
+    // would lose the whole run — never what a user asking for
+    // checkpoints wants.
     if (checkpoint_every_raw <= 0) {
         std::cerr << "error: --checkpoint-every: must be >= 1, got "
                   << checkpoint_every_raw << "\n";
