@@ -218,48 +218,37 @@ BmbpPredictor::saveState(persist::StateWriter &writer) const
 Expected<Unit>
 BmbpPredictor::loadState(persist::StateReader &reader)
 {
-    if (auto ok = persist::readStateHeader(reader, name(),
-                                           kBmbpStateVersion);
-        !ok.ok())
-        return ok.error();
-
-    auto quantile = reader.f64();
-    auto confidence = reader.f64();
-    auto trimming = reader.u8();
-    auto run_override = reader.i64();
-    auto max_history = reader.u64();
-    auto history = reader.doubles();
-    auto bound = reader.f64();
-    auto miss_run = reader.i64();
-    auto run_threshold = reader.i64();
-    auto trim_count = reader.u64();
-    for (const ParseError *error :
-         {quantile.errorIf(), confidence.errorIf(), trimming.errorIf(),
-          run_override.errorIf(), max_history.errorIf(),
-          history.errorIf(), bound.errorIf(), miss_run.errorIf(),
-          run_threshold.errorIf(), trim_count.errorIf()}) {
-        if (error)
-            return *error;
+    persist::readStateHeader(reader, name(), kBmbpStateVersion);
+    const double quantile = reader.f64();
+    const double confidence = reader.f64();
+    const bool trimming = reader.u8() != 0;
+    const int64_t run_override = reader.i64();
+    const uint64_t max_history = reader.u64();
+    std::vector<double> history = reader.doubles();
+    const double bound = reader.f64();
+    const int64_t miss_run = reader.i64();
+    const int64_t run_threshold = reader.i64();
+    const uint64_t trim_count = reader.u64();
+    if (quantile != config_.quantile || confidence != config_.confidence ||
+        trimming != config_.trimmingEnabled ||
+        run_override != config_.runThresholdOverride ||
+        static_cast<size_t>(max_history) != config_.maxHistory) {
+        reader.fail(ParseError{"", 0, "config",
+                               "state was saved by a differently-configured "
+                               "bmbp instance"});
     }
-    if (quantile.value() != config_.quantile ||
-        confidence.value() != config_.confidence ||
-        (trimming.value() != 0) != config_.trimmingEnabled ||
-        run_override.value() != config_.runThresholdOverride ||
-        static_cast<size_t>(max_history.value()) != config_.maxHistory) {
-        return ParseError{"", 0, "config",
-                          "state was saved by a differently-configured "
-                          "bmbp instance"};
-    }
+    if (!reader.ok())
+        return reader.error();
 
     // Everything parsed; commit (transactional contract of loadState).
-    chronological_.assign(history.value().begin(), history.value().end());
-    sorted_.assign(std::move(history).value());
+    chronological_.assign(history.begin(), history.end());
+    sorted_.assign(std::move(history));
     boundIndex_ =
         stats::BoundIndexCache(config_.quantile, config_.confidence);
-    cachedBound_.value = bound.value();
-    missRun_ = static_cast<int>(miss_run.value());
-    runThreshold_ = static_cast<int>(run_threshold.value());
-    trimCount_ = static_cast<size_t>(trim_count.value());
+    cachedBound_.value = bound;
+    missRun_ = static_cast<int>(miss_run);
+    runThreshold_ = static_cast<int>(run_threshold);
+    trimCount_ = static_cast<size_t>(trim_count);
     return Unit{};
 }
 

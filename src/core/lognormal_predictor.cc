@@ -197,49 +197,37 @@ LogNormalPredictor::saveState(persist::StateWriter &writer) const
 Expected<Unit>
 LogNormalPredictor::loadState(persist::StateReader &reader)
 {
-    if (auto ok = persist::readStateHeader(reader, name(),
-                                           kLogNormalStateVersion);
-        !ok.ok())
-        return ok.error();
-
-    auto quantile = reader.f64();
-    auto confidence = reader.f64();
-    auto trimming = reader.u8();
-    auto epsilon = reader.f64();
-    auto run_override = reader.i64();
-    auto logs = reader.doubles();
-    auto sum = reader.f64();
-    auto sum_sq = reader.f64();
-    auto bound = reader.f64();
-    auto miss_run = reader.i64();
-    auto run_threshold = reader.i64();
-    auto trim_count = reader.u64();
-    for (const ParseError *error :
-         {quantile.errorIf(), confidence.errorIf(), trimming.errorIf(),
-          epsilon.errorIf(), run_override.errorIf(), logs.errorIf(),
-          sum.errorIf(), sum_sq.errorIf(), bound.errorIf(),
-          miss_run.errorIf(), run_threshold.errorIf(),
-          trim_count.errorIf()}) {
-        if (error)
-            return *error;
+    persist::readStateHeader(reader, name(), kLogNormalStateVersion);
+    const double quantile = reader.f64();
+    const double confidence = reader.f64();
+    const bool trimming = reader.u8() != 0;
+    const double epsilon = reader.f64();
+    const int64_t run_override = reader.i64();
+    const std::vector<double> logs = reader.doubles();
+    const double sum = reader.f64();
+    const double sum_sq = reader.f64();
+    const double bound = reader.f64();
+    const int64_t miss_run = reader.i64();
+    const int64_t run_threshold = reader.i64();
+    const uint64_t trim_count = reader.u64();
+    if (quantile != config_.quantile || confidence != config_.confidence ||
+        trimming != config_.trimmingEnabled ||
+        epsilon != config_.epsilonSeconds ||
+        run_override != config_.runThresholdOverride) {
+        reader.fail(ParseError{"", 0, "config",
+                               "state was saved by a differently-configured " +
+                                   name() + " instance"});
     }
-    if (quantile.value() != config_.quantile ||
-        confidence.value() != config_.confidence ||
-        (trimming.value() != 0) != config_.trimmingEnabled ||
-        epsilon.value() != config_.epsilonSeconds ||
-        run_override.value() != config_.runThresholdOverride) {
-        return ParseError{"", 0, "config",
-                          "state was saved by a differently-configured " +
-                              name() + " instance"};
-    }
+    if (!reader.ok())
+        return reader.error();
 
-    logs_.assign(logs.value().begin(), logs.value().end());
-    sum_ = sum.value();
-    sumSq_ = sum_sq.value();
-    cachedBound_.value = bound.value();
-    missRun_ = static_cast<int>(miss_run.value());
-    runThreshold_ = static_cast<int>(run_threshold.value());
-    trimCount_ = static_cast<size_t>(trim_count.value());
+    logs_.assign(logs.begin(), logs.end());
+    sum_ = sum;
+    sumSq_ = sum_sq;
+    cachedBound_.value = bound;
+    missRun_ = static_cast<int>(miss_run);
+    runThreshold_ = static_cast<int>(run_threshold);
+    trimCount_ = static_cast<size_t>(trim_count);
     return Unit{};
 }
 

@@ -95,35 +95,26 @@ LogUniformPredictor::saveState(persist::StateWriter &writer) const
 Expected<Unit>
 LogUniformPredictor::loadState(persist::StateReader &reader)
 {
-    if (auto ok = persist::readStateHeader(reader, name(),
-                                           kLogUniformStateVersion);
-        !ok.ok())
-        return ok.error();
-
-    auto quantile = reader.f64();
-    auto robust = reader.f64();
-    auto epsilon = reader.f64();
-    auto max_history = reader.u64();
-    auto history = reader.doubles();
-    auto bound = reader.f64();
-    for (const ParseError *error :
-         {quantile.errorIf(), robust.errorIf(), epsilon.errorIf(),
-          max_history.errorIf(), history.errorIf(), bound.errorIf()}) {
-        if (error)
-            return *error;
+    persist::readStateHeader(reader, name(), kLogUniformStateVersion);
+    const double quantile = reader.f64();
+    const double robust = reader.f64();
+    const double epsilon = reader.f64();
+    const uint64_t max_history = reader.u64();
+    std::vector<double> history = reader.doubles();
+    const double bound = reader.f64();
+    if (quantile != config_.quantile || robust != config_.robustFraction ||
+        epsilon != config_.epsilonSeconds ||
+        static_cast<size_t>(max_history) != config_.maxHistory) {
+        reader.fail(ParseError{"", 0, "config",
+                               "state was saved by a differently-configured "
+                               "loguniform instance"});
     }
-    if (quantile.value() != config_.quantile ||
-        robust.value() != config_.robustFraction ||
-        epsilon.value() != config_.epsilonSeconds ||
-        static_cast<size_t>(max_history.value()) != config_.maxHistory) {
-        return ParseError{"", 0, "config",
-                          "state was saved by a differently-configured "
-                          "loguniform instance"};
-    }
+    if (!reader.ok())
+        return reader.error();
 
-    chronological_.assign(history.value().begin(), history.value().end());
-    sorted_.assign(std::move(history).value());
-    cachedBound_.value = bound.value();
+    chronological_.assign(history.begin(), history.end());
+    sorted_.assign(std::move(history));
+    cachedBound_.value = bound;
     return Unit{};
 }
 

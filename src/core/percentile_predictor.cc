@@ -92,31 +92,23 @@ PercentilePredictor::saveState(persist::StateWriter &writer) const
 Expected<Unit>
 PercentilePredictor::loadState(persist::StateReader &reader)
 {
-    if (auto ok = persist::readStateHeader(reader, name(),
-                                           kPercentileStateVersion);
-        !ok.ok())
-        return ok.error();
-
-    auto quantile = reader.f64();
-    auto max_history = reader.u64();
-    auto history = reader.doubles();
-    auto bound = reader.f64();
-    for (const ParseError *error :
-         {quantile.errorIf(), max_history.errorIf(), history.errorIf(),
-          bound.errorIf()}) {
-        if (error)
-            return *error;
+    persist::readStateHeader(reader, name(), kPercentileStateVersion);
+    const double quantile = reader.f64();
+    const uint64_t max_history = reader.u64();
+    std::vector<double> history = reader.doubles();
+    const double bound = reader.f64();
+    if (quantile != quantile_ ||
+        static_cast<size_t>(max_history) != maxHistory_) {
+        reader.fail(ParseError{"", 0, "config",
+                               "state was saved by a differently-configured "
+                               "percentile instance"});
     }
-    if (quantile.value() != quantile_ ||
-        static_cast<size_t>(max_history.value()) != maxHistory_) {
-        return ParseError{"", 0, "config",
-                          "state was saved by a differently-configured "
-                          "percentile instance"};
-    }
+    if (!reader.ok())
+        return reader.error();
 
-    chronological_.assign(history.value().begin(), history.value().end());
-    sorted_.assign(std::move(history).value());
-    cachedBound_.value = bound.value();
+    chronological_.assign(history.begin(), history.end());
+    sorted_.assign(std::move(history));
+    cachedBound_.value = bound;
     return Unit{};
 }
 

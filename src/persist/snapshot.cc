@@ -55,10 +55,10 @@ readSnapshotFile(const std::string &path)
         std::string_view(data).substr(sizeof(kMagic),
                                       kHeaderSize - sizeof(kMagic)),
         path);
-    const uint32_t version = reader.u32().value();
-    const uint64_t payload_size = reader.u64().value();
-    const uint32_t payload_crc = reader.u32().value();
-    const uint32_t header_crc = reader.u32().value();
+    const uint32_t version = reader.u32();
+    const uint64_t payload_size = reader.u64();
+    const uint32_t payload_crc = reader.u32();
+    const uint32_t header_crc = reader.u32();
 
     if (version != kSnapshotFormatVersion) {
         return ParseError{path, 0, "version",

@@ -15,8 +15,10 @@ namespace {
 void
 appendLe(std::string &out, uint64_t value, size_t bytes)
 {
+    char le[8];
     for (size_t i = 0; i < bytes; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
+        le[i] = static_cast<char>((value >> (8 * i)) & 0xFFu);
+    out.append(le, bytes);
 }
 
 uint64_t
@@ -36,25 +38,25 @@ readLe(std::string_view bytes, size_t offset, size_t count)
 void
 StateWriter::u8(uint8_t value)
 {
-    appendLe(bytes_, value, 1);
+    appendLe(*out_, value, 1);
 }
 
 void
 StateWriter::u32(uint32_t value)
 {
-    appendLe(bytes_, value, 4);
+    appendLe(*out_, value, 4);
 }
 
 void
 StateWriter::u64(uint64_t value)
 {
-    appendLe(bytes_, value, 8);
+    appendLe(*out_, value, 8);
 }
 
 void
 StateWriter::i64(int64_t value)
 {
-    appendLe(bytes_, static_cast<uint64_t>(value), 8);
+    appendLe(*out_, static_cast<uint64_t>(value), 8);
 }
 
 void
@@ -63,14 +65,14 @@ StateWriter::f64(double value)
     uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(value));
     std::memcpy(&bits, &value, sizeof(bits));
-    appendLe(bytes_, bits, 8);
+    appendLe(*out_, bits, 8);
 }
 
 void
-StateWriter::str(const std::string &value)
+StateWriter::str(std::string_view value)
 {
     u64(value.size());
-    bytes_.append(value);
+    out_->append(value.data(), value.size());
 }
 
 StateReader::StateReader(std::string_view bytes, std::string label)
@@ -78,129 +80,120 @@ StateReader::StateReader(std::string_view bytes, std::string label)
 {
 }
 
-Expected<Unit>
+bool
 StateReader::need(size_t count, const char *what)
 {
-    if (bytes_.size() - offset_ < count) {
-        return ParseError{label_, 0, what,
-                          "truncated state: need " +
-                              std::to_string(count) + " bytes at offset " +
-                              std::to_string(offset_) + ", have " +
-                              std::to_string(bytes_.size() - offset_)};
-    }
-    return Unit{};
+    if (error_)
+        return false;
+    if (remaining() >= count)
+        return true;
+    error_ = ParseError{label_, 0, what,
+                        "truncated state: need " + std::to_string(count) +
+                            " bytes at offset " + std::to_string(offset_) +
+                            ", have " + std::to_string(remaining())};
+    return false;
 }
 
-Expected<uint8_t>
+uint64_t
+StateReader::fixed(size_t count, const char *what)
+{
+    if (!need(count, what))
+        return 0;
+    const uint64_t value = readLe(bytes_, offset_, count);
+    offset_ += count;
+    return value;
+}
+
+uint8_t
 StateReader::u8()
 {
-    if (auto ok = need(1, "u8"); !ok.ok())
-        return ok.error();
-    const auto value =
-        static_cast<uint8_t>(readLe(bytes_, offset_, 1));
-    offset_ += 1;
-    return value;
+    return static_cast<uint8_t>(fixed(1, "u8"));
 }
 
-Expected<uint32_t>
+uint32_t
 StateReader::u32()
 {
-    if (auto ok = need(4, "u32"); !ok.ok())
-        return ok.error();
-    const auto value =
-        static_cast<uint32_t>(readLe(bytes_, offset_, 4));
-    offset_ += 4;
-    return value;
+    return static_cast<uint32_t>(fixed(4, "u32"));
 }
 
-Expected<uint64_t>
+uint64_t
 StateReader::u64()
 {
-    if (auto ok = need(8, "u64"); !ok.ok())
-        return ok.error();
-    const uint64_t value = readLe(bytes_, offset_, 8);
-    offset_ += 8;
-    return value;
+    return fixed(8, "u64");
 }
 
-Expected<int64_t>
+int64_t
 StateReader::i64()
 {
-    auto value = u64();
-    if (!value.ok())
-        return value.error();
-    return static_cast<int64_t>(value.value());
+    return static_cast<int64_t>(fixed(8, "u64"));
 }
 
-Expected<double>
+double
 StateReader::f64()
 {
-    auto bits = u64();
-    if (!bits.ok())
-        return bits.error();
+    const uint64_t bits = fixed(8, "u64");
     double value = 0.0;
-    const uint64_t raw = bits.value();
-    std::memcpy(&value, &raw, sizeof(value));
+    std::memcpy(&value, &bits, sizeof(value));
     return value;
 }
 
-Expected<std::string>
+std::string
 StateReader::str()
 {
-    auto length = u64();
-    if (!length.ok())
-        return length.error();
-    if (auto ok = need(length.value(), "str"); !ok.ok())
-        return ok.error();
-    std::string value(bytes_.substr(offset_, length.value()));
-    offset_ += length.value();
-    return value;
+    return std::string(strView());
 }
 
-Expected<std::string_view>
+std::string_view
 StateReader::strView()
 {
-    auto length = u64();
-    if (!length.ok())
-        return length.error();
-    if (auto ok = need(length.value(), "str"); !ok.ok())
-        return ok.error();
-    std::string_view value = bytes_.substr(offset_, length.value());
-    offset_ += length.value();
+    const uint64_t length = u64();
+    if (!need(length, "str"))
+        return {};
+    const std::string_view value = bytes_.substr(offset_, length);
+    offset_ += length;
     return value;
 }
 
-Expected<std::vector<double>>
+std::vector<double>
 StateReader::doubles()
 {
-    auto count = u64();
-    if (!count.ok())
-        return count.error();
+    const uint64_t count = u64();
     // Divide instead of multiplying so a corrupt huge count cannot
     // overflow the size arithmetic.
-    if (count.value() > remaining() / 8) {
-        return ParseError{label_, 0, "doubles",
-                          "truncated state: " +
-                              std::to_string(count.value()) +
-                              " doubles declared, " +
-                              std::to_string(remaining()) +
-                              " bytes remain"};
+    if (count > remaining() / 8) {
+        fail(ParseError{label_, 0, "doubles",
+                        "truncated state: " + std::to_string(count) +
+                            " doubles declared, " +
+                            std::to_string(remaining()) + " bytes remain"});
     }
-    std::vector<double> values;
-    values.reserve(count.value());
-    for (uint64_t i = 0; i < count.value(); ++i) {
-        double value = 0.0;
-        const uint64_t raw = readLe(bytes_, offset_, 8);
-        std::memcpy(&value, &raw, sizeof(value));
-        values.push_back(value);
-        offset_ += 8;
-    }
+    if (!ok())
+        return {};
+    std::vector<double> values(count);
+    for (double &value : values)
+        value = f64();
     return values;
+}
+
+void
+StateReader::fail(ParseError error)
+{
+    if (!error_)
+        error_ = std::move(error);
+}
+
+const ParseError &
+StateReader::error() const
+{
+    if (!error_)
+        panic("StateReader::error() called with nothing latched");
+    return *error_;
 }
 
 Expected<Unit>
 StateReader::expectEnd() const
 {
+    if (error_)
+        return *error_;
     if (offset_ != bytes_.size()) {
         return ParseError{label_, 0, "end",
                           std::to_string(bytes_.size() - offset_) +
@@ -210,36 +203,33 @@ StateReader::expectEnd() const
 }
 
 void
-writeStateHeader(StateWriter &writer, const std::string &tag,
+writeStateHeader(StateWriter &writer, std::string_view tag,
                  uint32_t version)
 {
     writer.str(tag);
     writer.u32(version);
 }
 
-Expected<Unit>
-readStateHeader(StateReader &reader, const std::string &tag,
+void
+readStateHeader(StateReader &reader, std::string_view tag,
                 uint32_t version)
 {
-    auto found_tag = reader.str();
-    if (!found_tag.ok())
-        return found_tag.error();
-    if (found_tag.value() != tag) {
-        return ParseError{"", 0, "tag",
-                          "state payload is for '" + found_tag.value() +
-                              "', this instance is '" + tag + "'"};
+    const std::string_view found_tag = reader.strView();
+    if (found_tag != tag) {
+        reader.fail(ParseError{"", 0, "tag",
+                               "state payload is for '" +
+                                   std::string(found_tag) +
+                                   "', this instance is '" +
+                                   std::string(tag) + "'"});
     }
-    auto found_version = reader.u32();
-    if (!found_version.ok())
-        return found_version.error();
-    if (found_version.value() != version) {
-        return ParseError{"", 0, "version",
-                          "state version " +
-                              std::to_string(found_version.value()) +
-                              " unsupported (expected " +
-                              std::to_string(version) + ")"};
+    const uint32_t found_version = reader.u32();
+    if (found_version != version) {
+        reader.fail(ParseError{"", 0, "version",
+                               "state version " +
+                                   std::to_string(found_version) +
+                                   " unsupported (expected " +
+                                   std::to_string(version) + ")"});
     }
-    return Unit{};
 }
 
 } // namespace persist

@@ -109,9 +109,9 @@ readWalFile(const std::string &path)
         std::string_view(data).substr(sizeof(kMagic),
                                       kHeaderSize - sizeof(kMagic)),
         path);
-    const uint32_t version = header.u32().value();
-    const uint64_t snapshot_seq = header.u64().value();
-    const uint32_t header_crc = header.u32().value();
+    const uint32_t version = header.u32();
+    const uint64_t snapshot_seq = header.u64();
+    const uint32_t header_crc = header.u32();
     if (version != kWalFormatVersion) {
         return ParseError{path, 0, "version",
                           "WAL format version " + std::to_string(version) +
@@ -136,8 +136,8 @@ readWalFile(const std::string &path)
         }
         StateReader frame(
             std::string_view(data).substr(offset, kRecordFrame), path);
-        const uint32_t length = frame.u32().value();
-        const uint32_t chain_crc = frame.u32().value();
+        const uint32_t length = frame.u32();
+        const uint32_t chain_crc = frame.u32();
         if (length > 1 + kMaxWalBlobBytes) {
             truncate("implausible record length " +
                      std::to_string(length));

@@ -643,150 +643,74 @@ BoundRegistry::saveShard(size_t s, persist::StateWriter &writer) const
 Expected<Unit>
 BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
 {
-    if (auto header = persist::readStateHeader(reader, kShardStateTag,
-                                               kShardStateVersion);
-        !header.ok())
-        return header.error();
-
+    persist::readStateHeader(reader, kShardStateTag, kShardStateVersion);
     // Config echo: a shard saved under different serving parameters
     // would replay to a different state, so refuse it outright.
-    auto method = reader.str();
-    if (!method.ok())
-        return method.error();
-    auto quantile = reader.f64();
-    if (!quantile.ok())
-        return quantile.error();
-    auto confidence = reader.f64();
-    if (!confidence.ok())
-        return confidence.error();
-    auto epoch_seconds = reader.f64();
-    if (!epoch_seconds.ok())
-        return epoch_seconds.error();
-    auto train_jobs = reader.u64();
-    if (!train_jobs.ok())
-        return train_jobs.error();
-    auto shard_count = reader.u64();
-    if (!shard_count.ok())
-        return shard_count.error();
-    auto grid_count = reader.u64();
-    if (!grid_count.ok())
-        return grid_count.error();
-    if (method.value() != options_.method ||
-        quantile.value() != options_.quantile ||
-        confidence.value() != options_.confidence ||
-        epoch_seconds.value() != options_.epochSeconds ||
-        train_jobs.value() != options_.trainJobs ||
-        shard_count.value() != shards_.size() ||
-        grid_count.value() != kGridCount) {
-        return ParseError{"", 0, "serveConfig",
-                          "shard state was saved under a different serve"
-                          " configuration"};
+    const std::string method = reader.str();
+    const double quantile = reader.f64();
+    const double confidence = reader.f64();
+    const double epoch_seconds = reader.f64();
+    const uint64_t train_jobs = reader.u64();
+    const uint64_t shard_count = reader.u64();
+    const uint64_t grid_count = reader.u64();
+    if (method != options_.method || quantile != options_.quantile ||
+        confidence != options_.confidence ||
+        epoch_seconds != options_.epochSeconds ||
+        train_jobs != options_.trainJobs || shard_count != shards_.size() ||
+        grid_count != kGridCount) {
+        reader.fail(ParseError{"", 0, "serveConfig",
+                               "shard state was saved under a different "
+                               "serve configuration"});
     }
 
-    auto applied = reader.u64();
-    if (!applied.ok())
-        return applied.error();
-    auto rejected = reader.u64();
-    if (!rejected.ok())
-        return rejected.error();
-    auto client_count = reader.u64();
-    if (!client_count.ok())
-        return client_count.error();
+    const uint64_t applied = reader.u64();
+    const uint64_t rejected = reader.u64();
+    const uint64_t client_count = reader.u64();
     std::map<std::string, uint64_t> next_client_seq;
-    for (uint64_t c = 0; c < client_count.value(); ++c) {
-        auto client = reader.str();
-        if (!client.ok())
-            return client.error();
-        auto seq = reader.u64();
-        if (!seq.ok())
-            return seq.error();
-        next_client_seq[std::move(client).value()] = seq.value();
+    for (uint64_t c = 0; c < client_count && reader.ok(); ++c) {
+        std::string client = reader.str();
+        next_client_seq[std::move(client)] = reader.u64();
     }
-    auto entry_count = reader.u64();
-    if (!entry_count.ok())
-        return entry_count.error();
 
     // Parse into locals, commit last: recovery retries older rungs on
     // the same registry after a parse error.
+    const uint64_t entry_count = reader.u64();
     auto next_keys = std::make_shared<KeyMap>();
     double pending_delta = 0.0;
-    for (uint64_t i = 0; i < entry_count.value(); ++i) {
+    for (uint64_t i = 0; i < entry_count && reader.ok(); ++i) {
         auto entry = std::make_shared<Entry>(makePredictor(), options_);
-        auto machine = reader.str();
-        if (!machine.ok())
-            return machine.error();
-        entry->machine = std::move(machine).value();
-        auto queue = reader.str();
-        if (!queue.ok())
-            return queue.error();
-        entry->queue = std::move(queue).value();
-        auto bucket = reader.i64();
-        if (!bucket.ok())
-            return bucket.error();
-        entry->bucket = static_cast<int>(bucket.value());
-        auto observations = reader.u64();
-        if (!observations.ok())
-            return observations.error();
-        entry->observations = observations.value();
-        auto running = reader.u64();
-        if (!running.ok())
-            return running.error();
-        entry->running = running.value();
-        auto version = reader.u64();
-        if (!version.ok())
-            return version.error();
-        entry->version = version.value();
+        entry->machine = reader.str();
+        entry->queue = reader.str();
+        entry->bucket = static_cast<int>(reader.i64());
+        entry->observations = reader.u64();
+        entry->running = reader.u64();
+        entry->version = reader.u64();
         auto snapshot = std::make_shared<BoundSnapshot>();
         for (size_t g = 0; g < kGridCount; ++g) {
-            auto upper = reader.f64();
-            if (!upper.ok())
-                return upper.error();
-            snapshot->upper[g] = upper.value();
-            auto lower = reader.f64();
-            if (!lower.ok())
-                return lower.error();
-            snapshot->lower[g] = lower.value();
+            snapshot->upper[g] = reader.f64();
+            snapshot->lower[g] = reader.f64();
         }
-        auto history_size = reader.u64();
-        if (!history_size.ok())
-            return history_size.error();
-        snapshot->historySize = history_size.value();
-        auto snapshot_observations = reader.u64();
-        if (!snapshot_observations.ok())
-            return snapshot_observations.error();
-        snapshot->observations = snapshot_observations.value();
+        snapshot->historySize = reader.u64();
+        snapshot->observations = reader.u64();
         snapshot->version = entry->version;
-        auto pending_count = reader.u64();
-        if (!pending_count.ok())
-            return pending_count.error();
-        for (uint64_t p = 0; p < pending_count.value(); ++p) {
-            auto job_id = reader.u64();
-            if (!job_id.ok())
-                return job_id.error();
-            auto submit_time = reader.f64();
-            if (!submit_time.ok())
-                return submit_time.error();
-            auto bound_at_submit = reader.f64();
-            if (!bound_at_submit.ok())
-                return bound_at_submit.error();
-            auto scoreable = reader.u8();
-            if (!scoreable.ok())
-                return scoreable.error();
+        const uint64_t pending_count = reader.u64();
+        for (uint64_t p = 0; p < pending_count && reader.ok(); ++p) {
+            const uint64_t job_id = reader.u64();
             Entry::PendingJob pending_job;
-            pending_job.submitTime = submit_time.value();
-            pending_job.boundAtSubmit = bound_at_submit.value();
-            pending_job.scoreable = scoreable.value() != 0;
-            entry->pending.emplace(job_id.value(), pending_job);
+            pending_job.submitTime = reader.f64();
+            pending_job.boundAtSubmit = reader.f64();
+            pending_job.scoreable = reader.u8() != 0;
+            entry->pending.emplace(job_id, pending_job);
         }
-        auto window = reader.str();
-        if (!window.ok())
-            return window.error();
-        if (window.value().size() > obs::CalibrationWindow::kCapacity) {
-            return ParseError{"", 0, "calibWindow",
-                              "calibration window longer than capacity"};
+        const std::string_view window = reader.strView();
+        if (window.size() > obs::CalibrationWindow::kCapacity) {
+            reader.fail(ParseError{"", 0, "calibWindow",
+                                   "calibration window longer than "
+                                   "capacity"});
+            break;
         }
-        entry->calibWindow.restore(std::vector<uint8_t>(
-            window.value().begin(), window.value().end()));
+        entry->calibWindow.restore(
+            std::vector<uint8_t>(window.begin(), window.end()));
         if (auto loaded = entry->replay.loadState(reader); !loaded.ok())
             return loaded.error();
         // Restore the published grid exactly as saved — recomputing it
@@ -797,6 +721,8 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
         (*next_keys)[keyString(entry->machine, entry->queue,
                                entry->bucket)] = entry;
     }
+    if (!reader.ok())
+        return reader.error();
 
     Shard &shard = *shards_[s];
     const auto old_keys = shard.keys.load();
@@ -809,8 +735,8 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
             static_cast<double>(old_keys->size()));
         obs::serveMetrics().pendingJobs.add(pending_delta - old_pending);
     });
-    shard.applied = applied.value();
-    shard.rejected = rejected.value();
+    shard.applied = applied;
+    shard.rejected = rejected;
     shard.clientSeq = std::move(next_client_seq);
     shard.pendingTotal = static_cast<uint64_t>(pending_delta);
     shard.keys.store(std::move(next_keys));

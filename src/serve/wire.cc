@@ -6,7 +6,7 @@
 #include "serve/wire.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
 
 #include "persist/state_codec.hh"
 
@@ -18,62 +18,35 @@ namespace {
 using persist::StateReader;
 using persist::StateWriter;
 
-Expected<EventKind>
-kindFromByte(uint8_t byte, const char *field)
+bool
+isEventKind(uint8_t byte)
 {
     switch (static_cast<EventKind>(byte)) {
     case EventKind::Submit:
     case EventKind::Start:
     case EventKind::Done:
-        return static_cast<EventKind>(byte);
+        return true;
     }
-    return ParseError{"", 0, field,
-                      "unknown event kind " + std::to_string(byte)};
+    return false;
+}
+
+/** An i64 procs field, refused outside int range rather than wrapped
+ *  into some other proc bucket (as HttpParams::integer refuses it). */
+int
+readProcs(StateReader &reader, const char *field)
+{
+    const int64_t procs = reader.i64();
+    if (procs < std::numeric_limits<int>::min() ||
+        procs > std::numeric_limits<int>::max()) {
+        reader.fail(ParseError{"", 0, field,
+                               "procs " + std::to_string(procs) +
+                                   " out of int range"});
+        return 0;
+    }
+    return static_cast<int>(procs);
 }
 
 } // namespace
-
-void
-putU8(std::string &out, uint8_t value)
-{
-    out.push_back(static_cast<char>(value));
-}
-
-void
-putU32(std::string &out, uint32_t value)
-{
-    for (size_t i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
-}
-
-void
-putU64(std::string &out, uint64_t value)
-{
-    for (size_t i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xFFu));
-}
-
-void
-putI64(std::string &out, int64_t value)
-{
-    putU64(out, static_cast<uint64_t>(value));
-}
-
-void
-putF64(std::string &out, double value)
-{
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    putU64(out, bits);
-}
-
-void
-putStr(std::string &out, std::string_view value)
-{
-    putU64(out, value.size());
-    out.append(value.data(), value.size());
-}
 
 size_t
 beginFrame(std::string &out)
@@ -95,7 +68,7 @@ void
 appendOkFrame(std::string &out, std::string_view body)
 {
     const size_t mark = beginFrame(out);
-    putU8(out, static_cast<uint8_t>(Status::Ok));
+    StateWriter(out).u8(static_cast<uint8_t>(Status::Ok));
     out.append(body.data(), body.size());
     endFrame(out, mark);
 }
@@ -104,8 +77,9 @@ void
 appendErrorFrame(std::string &out, std::string_view message)
 {
     const size_t mark = beginFrame(out);
-    putU8(out, static_cast<uint8_t>(Status::Error));
-    putStr(out, message);
+    StateWriter writer(out);
+    writer.u8(static_cast<uint8_t>(Status::Error));
+    writer.str(message);
     endFrame(out, mark);
 }
 
@@ -114,9 +88,10 @@ appendShedFrame(std::string &out, std::string_view reason,
                 uint32_t retryAfterSeconds)
 {
     const size_t mark = beginFrame(out);
-    putU8(out, static_cast<uint8_t>(Status::Shed));
-    putStr(out, reason);
-    putU32(out, retryAfterSeconds);
+    StateWriter writer(out);
+    writer.u8(static_cast<uint8_t>(Status::Shed));
+    writer.str(reason);
+    writer.u32(retryAfterSeconds);
     endFrame(out, mark);
 }
 
@@ -124,15 +99,16 @@ void
 appendAnswerFrame(std::string &out, const BoundAnswer &answer)
 {
     const size_t mark = beginFrame(out);
-    putU8(out, static_cast<uint8_t>(Status::Ok));
-    putU8(out, answer.known ? 1 : 0);
-    putF64(out, answer.upper);
-    putF64(out, answer.lower);
-    putF64(out, answer.quantile);
-    putF64(out, answer.confidence);
-    putU64(out, answer.historySize);
-    putU64(out, answer.observations);
-    putU64(out, answer.version);
+    StateWriter writer(out);
+    writer.u8(static_cast<uint8_t>(Status::Ok));
+    writer.u8(answer.known ? 1 : 0);
+    writer.f64(answer.upper);
+    writer.f64(answer.lower);
+    writer.f64(answer.quantile);
+    writer.f64(answer.confidence);
+    writer.u64(answer.historySize);
+    writer.u64(answer.observations);
+    writer.u64(answer.version);
     endFrame(out, mark);
 }
 
@@ -141,11 +117,12 @@ appendEventAckFrame(std::string &out, bool applied, bool deduped,
                     const char *rejectReason)
 {
     const size_t mark = beginFrame(out);
-    putU8(out, static_cast<uint8_t>(Status::Ok));
-    putU8(out, applied ? 1 : 0);
-    putStr(out, applied || deduped ? std::string_view()
-                                   : std::string_view(rejectReason));
-    putU8(out, deduped ? 1 : 0);
+    StateWriter writer(out);
+    writer.u8(static_cast<uint8_t>(Status::Ok));
+    writer.u8(applied ? 1 : 0);
+    writer.str(applied || deduped ? std::string_view()
+                                  : std::string_view(rejectReason));
+    writer.u8(deduped ? 1 : 0);
     endFrame(out, mark);
 }
 
@@ -153,8 +130,9 @@ void
 appendPingFrame(std::string &out)
 {
     const size_t mark = beginFrame(out);
-    putU8(out, static_cast<uint8_t>(Status::Ok));
-    putU32(out, kWireVersion);
+    StateWriter writer(out);
+    writer.u8(static_cast<uint8_t>(Status::Ok));
+    writer.u32(kWireVersion);
     endFrame(out, mark);
 }
 
@@ -200,7 +178,7 @@ encodeEventWire(const JobEvent &event)
 {
     std::string bytes = encodeEvent(event);
     if (event.traceId != 0)
-        putU64(bytes, event.traceId);
+        StateWriter(bytes).u64(event.traceId);
     return bytes;
 }
 
@@ -209,52 +187,27 @@ decodeEvent(std::string_view body)
 {
     StateReader reader(body, "event");
     JobEvent event;
-    auto kind_byte = reader.u8();
-    if (!kind_byte.ok())
-        return kind_byte.error();
-    auto kind = kindFromByte(kind_byte.value(), "event.kind");
-    if (!kind.ok())
-        return kind.error();
-    event.kind = kind.value();
-    auto job_id = reader.u64();
-    if (!job_id.ok())
-        return job_id.error();
-    event.jobId = job_id.value();
-    auto time = reader.f64();
-    if (!time.ok())
-        return time.error();
-    event.time = time.value();
-    auto procs = reader.i64();
-    if (!procs.ok())
-        return procs.error();
-    event.procs = static_cast<int>(procs.value());
-    auto machine = reader.str();
-    if (!machine.ok())
-        return machine.error();
-    event.machine = std::move(machine).value();
-    auto queue = reader.str();
-    if (!queue.ok())
-        return queue.error();
-    event.queue = std::move(queue).value();
+    const uint8_t kind = reader.u8();
+    if (!isEventKind(kind)) {
+        reader.fail(ParseError{"", 0, "event.kind",
+                               "unknown event kind " +
+                                   std::to_string(kind)});
+    }
+    event.kind = static_cast<EventKind>(kind);
+    event.jobId = reader.u64();
+    event.time = reader.f64();
+    event.procs = readProcs(reader, "event.procs");
+    event.machine = reader.str();
+    event.queue = reader.str();
     // v1 events (WAL blobs written before the idempotency fields
     // existed) end here; v2 carries clientId + seq, and v3 may append
     // a trace id after them.
     if (reader.remaining() > 0) {
-        auto client_id = reader.str();
-        if (!client_id.ok())
-            return client_id.error();
-        event.clientId = std::move(client_id).value();
-        auto seq = reader.u64();
-        if (!seq.ok())
-            return seq.error();
-        event.seq = seq.value();
+        event.clientId = reader.str();
+        event.seq = reader.u64();
     }
-    if (reader.remaining() > 0) {
-        auto trace = reader.u64();
-        if (!trace.ok())
-            return trace.error();
-        event.traceId = trace.value();
-    }
+    if (reader.remaining() > 0)
+        event.traceId = reader.u64();
     if (auto end = reader.expectEnd(); !end.ok())
         return end.error();
     return event;
@@ -289,53 +242,15 @@ Expected<Unit>
 decodeQueryInto(std::string_view body, BoundQuery *query)
 {
     StateReader reader(body, "query");
-    auto machine = reader.strView();
-    if (!machine.ok())
-        return machine.error();
-    query->machine.assign(machine.value());
-    auto queue = reader.strView();
-    if (!queue.ok())
-        return queue.error();
-    query->queue.assign(queue.value());
-    auto procs = reader.i64();
-    if (!procs.ok())
-        return procs.error();
-    query->procs = static_cast<int>(procs.value());
-    auto quantile = reader.f64();
-    if (!quantile.ok())
-        return quantile.error();
-    query->quantile = quantile.value();
-    auto upper = reader.u8();
-    if (!upper.ok())
-        return upper.error();
-    query->upper = upper.value() != 0;
+    query->machine.assign(reader.strView());
+    query->queue.assign(reader.strView());
+    query->procs = readProcs(reader, "query.procs");
+    query->quantile = reader.f64();
+    query->upper = reader.u8() != 0;
     // Assign unconditionally: @p query is reused scratch, and a stale
     // trace id from a previous batch slot must not leak forward.
-    query->traceId = 0;
-    if (reader.remaining() > 0) {
-        auto trace = reader.u64();
-        if (!trace.ok())
-            return trace.error();
-        query->traceId = trace.value();
-    }
-    if (auto end = reader.expectEnd(); !end.ok())
-        return end.error();
-    return Unit{};
-}
-
-std::string
-encodeAnswer(const BoundAnswer &answer)
-{
-    StateWriter writer;
-    writer.u8(answer.known ? 1 : 0);
-    writer.f64(answer.upper);
-    writer.f64(answer.lower);
-    writer.f64(answer.quantile);
-    writer.f64(answer.confidence);
-    writer.u64(answer.historySize);
-    writer.u64(answer.observations);
-    writer.u64(answer.version);
-    return writer.take();
+    query->traceId = reader.remaining() > 0 ? reader.u64() : 0;
+    return reader.expectEnd();
 }
 
 Expected<BoundAnswer>
@@ -343,38 +258,14 @@ decodeAnswer(std::string_view body)
 {
     StateReader reader(body, "answer");
     BoundAnswer answer;
-    auto known = reader.u8();
-    if (!known.ok())
-        return known.error();
-    answer.known = known.value() != 0;
-    auto upper = reader.f64();
-    if (!upper.ok())
-        return upper.error();
-    answer.upper = upper.value();
-    auto lower = reader.f64();
-    if (!lower.ok())
-        return lower.error();
-    answer.lower = lower.value();
-    auto quantile = reader.f64();
-    if (!quantile.ok())
-        return quantile.error();
-    answer.quantile = quantile.value();
-    auto confidence = reader.f64();
-    if (!confidence.ok())
-        return confidence.error();
-    answer.confidence = confidence.value();
-    auto history = reader.u64();
-    if (!history.ok())
-        return history.error();
-    answer.historySize = history.value();
-    auto observations = reader.u64();
-    if (!observations.ok())
-        return observations.error();
-    answer.observations = observations.value();
-    auto version = reader.u64();
-    if (!version.ok())
-        return version.error();
-    answer.version = version.value();
+    answer.known = reader.u8() != 0;
+    answer.upper = reader.f64();
+    answer.lower = reader.f64();
+    answer.quantile = reader.f64();
+    answer.confidence = reader.f64();
+    answer.historySize = reader.u64();
+    answer.observations = reader.u64();
+    answer.version = reader.u64();
     if (auto end = reader.expectEnd(); !end.ok())
         return end.error();
     return answer;
@@ -396,25 +287,15 @@ decodeStats(std::string_view body)
 {
     StateReader reader(body, "stats");
     ServeStats stats;
-    auto entries = reader.u64();
-    if (!entries.ok())
-        return entries.error();
-    stats.entries = entries.value();
-    auto shard_count = reader.u64();
-    if (!shard_count.ok())
-        return shard_count.error();
-    if (shard_count.value() > kMaxFrameBytes / 8) {
-        return ParseError{"", 0, "stats.shards",
-                          "implausible shard count " +
-                              std::to_string(shard_count.value())};
+    stats.entries = reader.u64();
+    const uint64_t shard_count = reader.u64();
+    if (shard_count > kMaxFrameBytes / 8) {
+        reader.fail(ParseError{"", 0, "stats.shards",
+                               "implausible shard count " +
+                                   std::to_string(shard_count)});
     }
-    stats.processedPerShard.reserve(shard_count.value());
-    for (uint64_t i = 0; i < shard_count.value(); ++i) {
-        auto count = reader.u64();
-        if (!count.ok())
-            return count.error();
-        stats.processedPerShard.push_back(count.value());
-    }
+    for (uint64_t i = 0; i < shard_count && reader.ok(); ++i)
+        stats.processedPerShard.push_back(reader.u64());
     if (auto end = reader.expectEnd(); !end.ok())
         return end.error();
     return stats;
@@ -423,9 +304,8 @@ decodeStats(std::string_view body)
 std::string
 frame(std::string_view payload)
 {
-    StateWriter header;
-    header.u32(static_cast<uint32_t>(payload.size()));
-    std::string bytes = header.take();
+    std::string bytes;
+    StateWriter(bytes).u32(static_cast<uint32_t>(payload.size()));
     bytes.append(payload.data(), payload.size());
     return bytes;
 }
@@ -433,40 +313,12 @@ frame(std::string_view payload)
 std::string
 frameRequest(Opcode op, std::string_view body)
 {
-    StateWriter payload;
-    payload.u8(static_cast<uint8_t>(op));
-    std::string bytes = payload.take();
+    std::string bytes;
+    const size_t mark = beginFrame(bytes);
+    StateWriter(bytes).u8(static_cast<uint8_t>(op));
     bytes.append(body.data(), body.size());
-    return frame(bytes);
-}
-
-std::string
-frameOk(std::string_view body)
-{
-    StateWriter payload;
-    payload.u8(static_cast<uint8_t>(Status::Ok));
-    std::string bytes = payload.take();
-    bytes.append(body.data(), body.size());
-    return frame(bytes);
-}
-
-std::string
-frameError(const std::string &message)
-{
-    StateWriter payload;
-    payload.u8(static_cast<uint8_t>(Status::Error));
-    payload.str(message);
-    return frame(payload.bytes());
-}
-
-std::string
-frameShed(const std::string &reason, uint32_t retryAfterSeconds)
-{
-    StateWriter payload;
-    payload.u8(static_cast<uint8_t>(Status::Shed));
-    payload.str(reason);
-    payload.u32(retryAfterSeconds);
-    return frame(payload.bytes());
+    endFrame(bytes, mark);
+    return bytes;
 }
 
 Expected<bool>
@@ -474,8 +326,7 @@ unframe(std::string_view buffer, std::string_view *payload, size_t *consumed)
 {
     if (buffer.size() < 4)
         return false;
-    StateReader header(buffer.substr(0, 4), "frame");
-    const uint32_t length = header.u32().value();
+    const uint32_t length = StateReader(buffer.substr(0, 4), "frame").u32();
     if (length > kMaxFrameBytes) {
         return ParseError{"", 0, "frame.length",
                           "frame length " + std::to_string(length) +

@@ -160,6 +160,8 @@ std::string encodeEvent(const JobEvent &event);
  *  event carries one (traceId == 0 encodes byte-identically to v2). */
 std::string encodeEventWire(const JobEvent &event);
 
+/** Decodes v1, v2 and v3 bodies. The event and query decoders refuse
+ *  an i64 procs outside int range rather than wrap it. */
 Expected<JobEvent> decodeEvent(std::string_view body);
 
 std::string encodeQuery(const BoundQuery &query);
@@ -171,7 +173,8 @@ Expected<BoundQuery> decodeQuery(std::string_view body);
  */
 Expected<Unit> decodeQueryInto(std::string_view body, BoundQuery *query);
 
-std::string encodeAnswer(const BoundAnswer &answer);
+/** The answer body has no string-returning encoder: the server only
+ *  ever sends one inside appendAnswerFrame(). */
 Expected<BoundAnswer> decodeAnswer(std::string_view body);
 
 std::string encodeStats(const ServeStats &stats);
@@ -184,17 +187,6 @@ std::string frame(std::string_view payload);
 
 /** Request frame: u32 len | u8 opcode | body. */
 std::string frameRequest(Opcode op, std::string_view body);
-
-/** Ok-response frame: u32 len | u8 Status::Ok | body. */
-std::string frameOk(std::string_view body);
-
-/** Error-response frame: u32 len | u8 Status::Error | str message. */
-std::string frameError(const std::string &message);
-
-/** Shed-response frame: u32 len | u8 Status::Shed | str reason |
- *  u32 retry-after seconds. */
-std::string frameShed(const std::string &reason,
-                      uint32_t retryAfterSeconds);
 
 /**
  * Try to strip one frame off the front of @p buffer. Returns true and
@@ -211,17 +203,9 @@ Expected<bool> unframe(std::string_view buffer, std::string_view *payload,
 // The reactor's wire hot path encodes responses by appending into a
 // caller-owned buffer that is reset (clear(), capacity retained)
 // rather than freed between batches, so a steady-state connection
-// allocates nothing per request. The primitives below emit the exact
-// persist::StateWriter byte layout (little-endian fixed-width ints,
-// raw IEEE-754 doubles, str = u64 length | bytes); the string-returning
-// codecs above are thin wrappers over them.
-
-void putU8(std::string &out, uint8_t value);
-void putU32(std::string &out, uint32_t value);
-void putU64(std::string &out, uint64_t value);
-void putI64(std::string &out, int64_t value);
-void putF64(std::string &out, double value);
-void putStr(std::string &out, std::string_view value);
+// allocates nothing per request. Each frame below is written by a
+// persist::StateWriter over that buffer — the same encoder, and so the
+// same bytes, as every body codec above.
 
 /** Append a 4-byte frame-length placeholder; pass the returned mark to
  *  endFrame() once the payload bytes have been appended after it. */

@@ -324,45 +324,33 @@ Expected<Unit>
 QueueCore::loadState(persist::StateReader &reader, bool *predictor_loaded,
                      uint64_t max_submits)
 {
-    auto submits = reader.u64();
-    auto finalized = reader.u8();
-    auto dirty = reader.u8();
-    auto next_refit = reader.f64();
-    auto next_snapshot = reader.f64();
-    auto evaluated = reader.u64();
-    auto correct = reader.u64();
-    auto infinite = reader.u64();
-    auto ratios = reader.doubles();
-    auto pending = reader.doubles();
-    auto series = reader.doubles();
-    auto n_snapshots = reader.u64();
-    for (const ParseError *error :
-         {submits.errorIf(), finalized.errorIf(), dirty.errorIf(),
-          next_refit.errorIf(), next_snapshot.errorIf(),
-          evaluated.errorIf(), correct.errorIf(), infinite.errorIf(),
-          ratios.errorIf(), pending.errorIf(), series.errorIf(),
-          n_snapshots.errorIf()}) {
-        if (error)
-            return *error;
+    const uint64_t submits = reader.u64();
+    const bool finalized = reader.u8() != 0;
+    const bool dirty = reader.u8() != 0;
+    const double next_refit = reader.f64();
+    const double next_snapshot = reader.f64();
+    const uint64_t evaluated = reader.u64();
+    const uint64_t correct = reader.u64();
+    const uint64_t infinite = reader.u64();
+    std::vector<double> ratios = reader.doubles();
+    const std::vector<double> pending = reader.doubles();
+    const std::vector<double> series = reader.doubles();
+    const uint64_t n_snapshots = reader.u64();
+    if (submits > max_submits) {
+        reader.fail(ParseError{"", 0, "nextJob",
+                               "state is ahead of its input (" +
+                                   std::to_string(submits) + " > " +
+                                   std::to_string(max_submits) + " jobs)"});
     }
-    if (submits.value() > max_submits) {
-        return ParseError{"", 0, "nextJob",
-                          "state is ahead of its input (" +
-                              std::to_string(submits.value()) + " > " +
-                              std::to_string(max_submits) + " jobs)"};
-    }
-    if (pending.value().size() % 2 != 0 || series.value().size() % 2 != 0)
-        return ParseError{"", 0, "pending/series", "odd pair array"};
+    if (pending.size() % 2 != 0 || series.size() % 2 != 0)
+        reader.fail(ParseError{"", 0, "pending/series", "odd pair array"});
     std::vector<QuantileSnapshot> snapshots;
-    for (uint64_t i = 0; i < n_snapshots.value(); ++i) {
-        auto time = reader.f64();
-        auto values = reader.doubles();
-        for (const ParseError *error : {time.errorIf(), values.errorIf()}) {
-            if (error)
-                return *error;
-        }
-        snapshots.push_back({time.value(), std::move(values).value()});
+    for (uint64_t i = 0; i < n_snapshots && reader.ok(); ++i) {
+        const double time = reader.f64();
+        snapshots.push_back({time, reader.doubles()});
     }
+    if (!reader.ok())
+        return reader.error();
 
     if (predictor_loaded != nullptr)
         *predictor_loaded = true;  // loadState commits on its own success
@@ -372,22 +360,22 @@ QueueCore::loadState(persist::StateReader &reader, bool *predictor_loaded,
         return ok.error();
     }
 
-    submits_ = submits.value();
-    finalized_ = finalized.value() != 0;
-    dirty_ = dirty.value() != 0;
+    submits_ = submits;
+    finalized_ = finalized;
+    dirty_ = dirty;
     moved_ = false;
-    nextRefit_ = next_refit.value();
-    nextSnapshot_ = next_snapshot.value();
-    evaluated_ = evaluated.value();
-    correct_ = correct.value();
-    infinite_ = infinite.value();
-    ratios_.reset(std::move(ratios).value());
+    nextRefit_ = next_refit;
+    nextSnapshot_ = next_snapshot;
+    evaluated_ = evaluated;
+    correct_ = correct;
+    infinite_ = infinite;
+    ratios_.reset(std::move(ratios));
     pending_.clear();
     series_.clear();
-    for (size_t i = 0; i < pending.value().size(); i += 2)
-        pending_.push_back({pending.value()[i], pending.value()[i + 1]});
-    for (size_t i = 0; i < series.value().size(); i += 2)
-        series_.push_back({series.value()[i], series.value()[i + 1]});
+    for (size_t i = 0; i < pending.size(); i += 2)
+        pending_.push_back({pending[i], pending[i + 1]});
+    for (size_t i = 0; i < series.size(); i += 2)
+        series_.push_back({series[i], series[i + 1]});
     snapshots_ = std::move(snapshots);
     return Unit{};
 }

@@ -87,24 +87,16 @@ decodeReplayState(const std::string &payload, uint64_t fingerprint,
                   QueueCore &queue, bool *predictor_loaded)
 {
     persist::StateReader reader(payload, "replay-snapshot");
-    if (auto ok = persist::readStateHeader(reader, kReplayStateTag,
-                                           kReplayStateVersion);
-        !ok.ok())
-        return ok.error();
-    auto fp = reader.u64();
-    if (!fp.ok())
-        return fp.error();
-    if (fp.value() != fingerprint) {
-        return ParseError{"", 0, "fingerprint",
-                          "checkpoint was written for a different trace"};
+    persist::readStateHeader(reader, kReplayStateTag, kReplayStateVersion);
+    if (reader.u64() != fingerprint) {
+        reader.fail(ParseError{"", 0, "fingerprint",
+                               "checkpoint was written for a different "
+                               "trace"});
     }
-    auto saved_echo = reader.doubles();
-    if (!saved_echo.ok())
-        return saved_echo.error();
-    if (saved_echo.value() != echo) {
-        return ParseError{"", 0, "config",
-                          "checkpoint was written under a different "
-                          "replay config or probe"};
+    if (reader.doubles() != echo) {
+        reader.fail(ParseError{"", 0, "config",
+                               "checkpoint was written under a different "
+                               "replay config or probe"});
     }
     if (auto ok = queue.loadState(reader, predictor_loaded, trace_size);
         !ok.ok())

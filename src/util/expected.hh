@@ -126,19 +126,6 @@ class [[nodiscard]] Expected
         return std::get<1>(state_);
     }
 
-    /**
-     * The held error, or nullptr on success — lets a batch of reads be
-     * performed first and checked together:
-     *
-     *   for (const ParseError *e : {a.errorIf(), b.errorIf()})
-     *       if (e) return *e;
-     */
-    const ParseError *
-    errorIf() const
-    {
-        return ok() ? nullptr : &std::get<1>(state_);
-    }
-
   private:
     void
     requireValue() const

@@ -49,7 +49,9 @@ double
 fillerValue(const std::string &blob)
 {
     StateReader reader(blob);
-    return reader.f64().value();
+    const double value = reader.f64();
+    EXPECT_TRUE(reader.expectEnd().ok());
+    return value;
 }
 
 std::string
@@ -76,14 +78,13 @@ TEST(StateCodec, RoundTripsEveryType)
     writer.doubles(std::vector<double>{1.0, -2.5, 1e300});
 
     StateReader reader(writer.bytes(), "test");
-    EXPECT_EQ(reader.u8().value(), 0xAB);
-    EXPECT_EQ(reader.u32().value(), 0xDEADBEEFu);
-    EXPECT_EQ(reader.u64().value(), 0x0123456789ABCDEFull);
-    EXPECT_EQ(reader.i64().value(), -42);
-    EXPECT_DOUBLE_EQ(reader.f64().value(), 3.141592653589793);
-    EXPECT_EQ(reader.str().value(), "queue/name with spaces");
-    EXPECT_EQ(reader.doubles().value(),
-              (std::vector<double>{1.0, -2.5, 1e300}));
+    EXPECT_EQ(reader.u8(), 0xAB);
+    EXPECT_EQ(reader.u32(), 0xDEADBEEFu);
+    EXPECT_EQ(reader.u64(), 0x0123456789ABCDEFull);
+    EXPECT_EQ(reader.i64(), -42);
+    EXPECT_DOUBLE_EQ(reader.f64(), 3.141592653589793);
+    EXPECT_EQ(reader.str(), "queue/name with spaces");
+    EXPECT_EQ(reader.doubles(), (std::vector<double>{1.0, -2.5, 1e300}));
     EXPECT_TRUE(reader.expectEnd().ok());
 }
 
@@ -103,7 +104,8 @@ TEST(StateCodec, RoundTripsNonFiniteAndSignedZero)
         writer.f64(value);
     StateReader reader(writer.bytes(), "test");
     for (double value : values) {
-        const double got = reader.f64().value();
+        const double got = reader.f64();
+        ASSERT_TRUE(reader.ok());
         uint64_t want_bits = 0, got_bits = 0;
         std::memcpy(&want_bits, &value, sizeof value);
         std::memcpy(&got_bits, &got, sizeof got);
@@ -118,9 +120,9 @@ TEST(StateCodec, TruncationIsAnErrorNotUb)
     for (size_t keep = 0; keep < writer.bytes().size(); ++keep) {
         StateReader reader(
             std::string_view(writer.bytes().data(), keep), "short");
-        auto value = reader.u64();
-        ASSERT_FALSE(value.ok());
-        EXPECT_NE(value.error().str().find("short"), std::string::npos);
+        EXPECT_EQ(reader.u64(), 0u);
+        ASSERT_FALSE(reader.ok());
+        EXPECT_NE(reader.error().str().find("short"), std::string::npos);
     }
 }
 
@@ -130,7 +132,8 @@ TEST(StateCodec, ExpectEndRejectsTrailingBytes)
     writer.u8(1);
     writer.u8(2);
     StateReader reader(writer.bytes(), "test");
-    EXPECT_TRUE(reader.u8().ok());
+    EXPECT_EQ(reader.u8(), 1);
+    EXPECT_TRUE(reader.ok());
     EXPECT_FALSE(reader.expectEnd().ok());
     EXPECT_EQ(reader.remaining(), 1u);
 }
@@ -140,7 +143,8 @@ TEST(StateCodec, StringLengthBeyondBufferIsAnError)
     StateWriter writer;
     writer.u64(1u << 20);  // claims a megabyte that is not there
     StateReader reader(writer.bytes(), "test");
-    EXPECT_FALSE(reader.str().ok());
+    EXPECT_EQ(reader.str(), "");
+    EXPECT_FALSE(reader.ok());
 }
 
 TEST(StateCodec, DoublesCountBeyondBufferIsAnError)
@@ -148,7 +152,64 @@ TEST(StateCodec, DoublesCountBeyondBufferIsAnError)
     StateWriter writer;
     writer.u64(std::numeric_limits<uint64_t>::max());  // overflow bait
     StateReader reader(writer.bytes(), "test");
-    EXPECT_FALSE(reader.doubles().ok());
+    EXPECT_TRUE(reader.doubles().empty());
+    EXPECT_FALSE(reader.ok());
+}
+
+TEST(StateCodec, FirstErrorLatchesAndLaterReadsStayPut)
+{
+    StateWriter writer;
+    writer.u32(7);
+    writer.u8(9);
+    StateReader reader(writer.bytes(), "latch");
+    EXPECT_EQ(reader.u32(), 7u);
+    EXPECT_EQ(reader.u64(), 0u);  // 1 byte left: fails and latches
+    ASSERT_FALSE(reader.ok());
+    const std::string first = reader.error().str();
+    EXPECT_EQ(first, "latch: u64: truncated state: need 8 bytes at "
+                     "offset 4, have 1");
+    // Later reads return zero or empty and never move, even the one
+    // that would have fit; later checks do not override the first.
+    EXPECT_EQ(reader.u8(), 0u);
+    EXPECT_EQ(reader.str(), "");
+    EXPECT_TRUE(reader.strView().empty());
+    EXPECT_TRUE(reader.doubles().empty());
+    EXPECT_EQ(reader.f64(), 0.0);
+    EXPECT_EQ(reader.remaining(), 1u);
+    reader.fail(ParseError{"", 0, "check", "a later check"});
+    EXPECT_EQ(reader.error().str(), first);
+    // expectEnd() reports the latched error before trailing bytes.
+    auto end = reader.expectEnd();
+    ASSERT_FALSE(end.ok());
+    EXPECT_EQ(end.error().str(), first);
+}
+
+TEST(StateCodec, FailLatchesADecodersOwnCheck)
+{
+    StateWriter writer;
+    writer.u8(5);
+    writer.u8(6);
+    StateReader reader(writer.bytes(), "test");
+    EXPECT_EQ(reader.u8(), 5u);
+    reader.fail(ParseError{"", 0, "kind", "unknown kind 5"});
+    EXPECT_EQ(reader.u8(), 0u);  // latched: even a fitting read stops
+    EXPECT_EQ(reader.remaining(), 1u);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.error().str(), "kind: unknown kind 5");
+}
+
+TEST(StateCodec, WriterAppendsToACallerBuffer)
+{
+    std::string out = "prefix";
+    {
+        StateWriter writer(out);
+        writer.u32(0x01020304u);
+        writer.str("ab");
+    }
+    StateWriter owned;
+    owned.u32(0x01020304u);
+    owned.str("ab");
+    EXPECT_EQ(out, "prefix" + owned.bytes());
 }
 
 TEST(StateHeader, RoundTripAndMismatches)
@@ -157,21 +218,22 @@ TEST(StateHeader, RoundTripAndMismatches)
     writeStateHeader(writer, "bmbp", 3);
     {
         StateReader reader(writer.bytes(), "test");
-        EXPECT_TRUE(readStateHeader(reader, "bmbp", 3).ok());
+        readStateHeader(reader, "bmbp", 3);
         EXPECT_TRUE(reader.expectEnd().ok());
     }
     {
         // A payload saved by another predictor type is not applicable.
         StateReader reader(writer.bytes(), "test");
-        auto result = readStateHeader(reader, "lognormal", 3);
-        ASSERT_FALSE(result.ok());
-        EXPECT_NE(result.error().str().find("bmbp"), std::string::npos);
-        EXPECT_NE(result.error().str().find("lognormal"),
+        readStateHeader(reader, "lognormal", 3);
+        ASSERT_FALSE(reader.ok());
+        EXPECT_NE(reader.error().str().find("bmbp"), std::string::npos);
+        EXPECT_NE(reader.error().str().find("lognormal"),
                   std::string::npos);
     }
     {
         StateReader reader(writer.bytes(), "test");
-        EXPECT_FALSE(readStateHeader(reader, "bmbp", 4).ok());
+        readStateHeader(reader, "bmbp", 4);
+        EXPECT_FALSE(reader.ok());
     }
 }
 
@@ -495,7 +557,8 @@ TEST(Wal, NonBlobTypeByteEndsTheSegmentThere)
         // Append two correctly chained records by hand: the foreign
         // one, then a well-formed blob that must not be reached.
         StateReader last(std::string_view(clean.value()).substr(24 + 4, 4));
-        uint32_t chain = last.u32().value();
+        uint32_t chain = last.u32();
+        ASSERT_TRUE(last.expectEnd().ok());
         std::string bytes = clean.value();
         for (const std::string &payload :
              {std::string(1, static_cast<char>(type)) + "abc",

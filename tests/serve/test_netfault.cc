@@ -375,6 +375,7 @@ TEST_F(NetfaultChaosSweep, ClientSeqFenceSurvivesSaveLoad)
         persist::StateReader reader(writer.bytes(), "shard");
         auto lock = restored.lockShard(s);
         ASSERT_TRUE(restored.loadShard(s, reader).ok());
+        ASSERT_TRUE(reader.expectEnd().ok());
     }
     EXPECT_EQ(restored.digest(), service->digest());
     const size_t s = restored.shardForEvent(events.front());

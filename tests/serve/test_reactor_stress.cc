@@ -175,14 +175,14 @@ parseEventReply(const std::string &payload)
         return reply;
     persist::StateReader reader(
         std::string_view(payload).substr(1));
-    auto applied = reader.u8();
-    auto reason = reader.str();
-    auto deduped = reader.u8();
-    if (!applied.ok() || !reason.ok() || !deduped.ok())
+    const bool applied = reader.u8() != 0;
+    reader.str();  // reject reason
+    const bool deduped = reader.u8() != 0;
+    if (!reader.ok())
         return reply;
     reply.ok = true;
-    reply.applied = applied.value() != 0;
-    reply.deduped = deduped.value() != 0;
+    reply.applied = applied;
+    reply.deduped = deduped;
     return reply;
 }
 

@@ -230,7 +230,8 @@ TEST_F(ServerSocketTest, EventsThenQueryOverOneBinaryConnection)
         ASSERT_EQ(payload[0], 0) << "start " << job;
         persist::StateReader reader(
             std::string_view(payload).substr(1), "event-response");
-        EXPECT_EQ(reader.u8().value(), 1) << "start must apply";
+        EXPECT_EQ(reader.u8(), 1) << "start must apply";
+        EXPECT_TRUE(reader.ok());
     }
 
     BoundQuery query;
@@ -299,8 +300,9 @@ TEST_F(ServerSocketTest, RejectedEventReportsItsReason)
     EXPECT_EQ(payload[0], 0) << "a deterministic reject is Status::Ok";
     persist::StateReader reader(std::string_view(payload).substr(1),
                                 "event-response");
-    EXPECT_EQ(reader.u8().value(), 0);
-    EXPECT_EQ(reader.str().value(), "start for unknown key");
+    EXPECT_EQ(reader.u8(), 0);
+    EXPECT_EQ(reader.str(), "start for unknown key");
+    EXPECT_TRUE(reader.ok());
 }
 
 TEST_F(ServerSocketTest, MalformedBodyAndUnknownOpcodeAnswerErrors)
@@ -430,9 +432,10 @@ TEST_F(ServerSocketTest, RetriedEventIsDedupedOverTheSocket)
     {
         persist::StateReader reader(std::string_view(payload).substr(1),
                                     "event-response");
-        EXPECT_EQ(reader.u8().value(), 1);   // applied
-        EXPECT_EQ(reader.str().value(), ""); // no reject reason
-        EXPECT_EQ(reader.u8().value(), 0);   // not a dedup
+        EXPECT_EQ(reader.u8(), 1);   // applied
+        EXPECT_EQ(reader.str(), ""); // no reject reason
+        EXPECT_EQ(reader.u8(), 0);   // not a dedup
+        EXPECT_TRUE(reader.expectEnd().ok());
     }
 
     // The retry (same clientId + seq, e.g. after a lost response) is
@@ -443,9 +446,10 @@ TEST_F(ServerSocketTest, RetriedEventIsDedupedOverTheSocket)
     {
         persist::StateReader reader(std::string_view(payload).substr(1),
                                     "event-response");
-        EXPECT_EQ(reader.u8().value(), 0);   // not applied...
-        EXPECT_EQ(reader.str().value(), "");
-        EXPECT_EQ(reader.u8().value(), 1);   // ...because deduped
+        EXPECT_EQ(reader.u8(), 0);   // not applied...
+        EXPECT_EQ(reader.str(), "");
+        EXPECT_EQ(reader.u8(), 1);   // ...because deduped
+        EXPECT_TRUE(reader.expectEnd().ok());
     }
     uint64_t processed = 0;
     for (uint64_t count : service_->stats().processedPerShard)
@@ -627,9 +631,9 @@ TEST_F(ServerSocketTest, WireV2ClientRoundTripsUnchanged)
     {
         persist::StateReader reader(std::string_view(payload).substr(1),
                                     "event-response");
-        EXPECT_EQ(reader.u8().value(), 1);   // applied
-        EXPECT_EQ(reader.str().value(), ""); // no reject reason
-        EXPECT_EQ(reader.u8().value(), 0);   // not deduped
+        EXPECT_EQ(reader.u8(), 1);   // applied
+        EXPECT_EQ(reader.str(), ""); // no reject reason
+        EXPECT_EQ(reader.u8(), 0);   // not deduped
         EXPECT_TRUE(reader.expectEnd().ok()) << "v2 response grew";
     }
 
@@ -704,8 +708,9 @@ TEST_F(OverloadTest, ExcessBinaryConnectionGetsAShedFrame)
               static_cast<uint8_t>(Status::Shed));
     persist::StateReader reader(std::string_view(payload).substr(1),
                                 "shed-response");
-    EXPECT_FALSE(reader.str().value().empty());  // reason
-    EXPECT_GE(reader.u32().value(), 1u);         // retry-after seconds
+    EXPECT_FALSE(reader.str().empty());  // reason
+    EXPECT_GE(reader.u32(), 1u);         // retry-after seconds
+    EXPECT_TRUE(reader.expectEnd().ok());
     // The shed connection is closed; the held one still works.
     EXPECT_TRUE(excess.readFrame().empty());
     ASSERT_TRUE(holder.send(frameRequest(Opcode::Ping, "")));
@@ -794,8 +799,9 @@ TEST_F(OverloadTest, PendingBoundShedsSubmitsUntilStartsDrain)
                   static_cast<uint8_t>(Status::Shed));
         persist::StateReader reader(std::string_view(payload).substr(1),
                                     "shed-response");
-        EXPECT_FALSE(reader.str().value().empty());
-        EXPECT_EQ(reader.u32().value(), 7u) << "configured Retry-After";
+        EXPECT_FALSE(reader.str().empty());
+        EXPECT_EQ(reader.u32(), 7u) << "configured Retry-After";
+        EXPECT_TRUE(reader.expectEnd().ok());
         // Shedding an event does NOT tear down the connection.
     }
     {
@@ -818,7 +824,8 @@ TEST_F(OverloadTest, PendingBoundShedsSubmitsUntilStartsDrain)
         EXPECT_EQ(payload[0], 0) << "submit after drain must be admitted";
         persist::StateReader reader(std::string_view(payload).substr(1),
                                     "event-response");
-        EXPECT_EQ(reader.u8().value(), 1);
+        EXPECT_EQ(reader.u8(), 1);
+        EXPECT_TRUE(reader.ok());
     }
     // Shed events were never logged or applied: only the three
     // processed events count.
@@ -950,8 +957,9 @@ TEST_F(OverloadTest, SilentShedClientGetsTheBinaryFrameAfterTheGrace)
         << "refused before the grace window elapsed";
     persist::StateReader reader(std::string_view(payload).substr(1),
                                 "shed-response");
-    EXPECT_EQ(reader.str().value(), "connection slots exhausted");
-    EXPECT_EQ(reader.u32().value(), 1u);
+    EXPECT_EQ(reader.str(), "connection slots exhausted");
+    EXPECT_EQ(reader.u32(), 1u);
+    EXPECT_TRUE(reader.expectEnd().ok());
     EXPECT_TRUE(excess.readFrame().empty()) << "expected EOF";
 }
 

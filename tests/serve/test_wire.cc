@@ -110,7 +110,18 @@ TEST(WireCodec, AnswerRoundTripsInfinity)
     answer.historySize = 321;
     answer.observations = 1000;
     answer.version = 7;
-    auto decoded = decodeAnswer(encodeAnswer(answer));
+    // Through the server's encoder: an Ok frame carrying the answer.
+    std::string framed;
+    appendAnswerFrame(framed, answer);
+    std::string_view payload;
+    size_t consumed = 0;
+    auto complete = unframe(framed, &payload, &consumed);
+    ASSERT_TRUE(complete.ok());
+    ASSERT_TRUE(complete.value());
+    EXPECT_EQ(consumed, framed.size());
+    ASSERT_EQ(static_cast<uint8_t>(payload[0]),
+              static_cast<uint8_t>(Status::Ok));
+    auto decoded = decodeAnswer(payload.substr(1));
     ASSERT_TRUE(decoded.ok());
     EXPECT_TRUE(decoded.value().known);
     EXPECT_TRUE(std::isinf(decoded.value().upper));
@@ -118,6 +129,63 @@ TEST(WireCodec, AnswerRoundTripsInfinity)
     EXPECT_EQ(decoded.value().historySize, 321u);
     EXPECT_EQ(decoded.value().observations, 1000u);
     EXPECT_EQ(decoded.value().version, 7u);
+}
+
+/** An event body as encodeEvent() lays it out, but with an arbitrary
+ *  i64 in the procs field. */
+std::string
+eventBodyWithProcs(int64_t procs)
+{
+    persist::StateWriter writer;
+    writer.u8(static_cast<uint8_t>(EventKind::Submit));
+    writer.u64(1);
+    writer.f64(100.0);
+    writer.i64(procs);
+    writer.str("m");
+    writer.str("q");
+    return writer.take();
+}
+
+/** The same for a query body. */
+std::string
+queryBodyWithProcs(int64_t procs)
+{
+    persist::StateWriter writer;
+    writer.str("m");
+    writer.str("q");
+    writer.i64(procs);
+    writer.f64(0.95);
+    writer.u8(1);
+    return writer.take();
+}
+
+TEST(WireCodec, ProcsOutsideIntRangeIsRefusedNotWrapped)
+{
+    // 2^32 + 64 would wrap to 64 (bucket 17-64) and -2^40 to 0; the
+    // HTTP API answers 400 for both, so the binary decoders refuse too.
+    const int64_t wraps_to_64 = (int64_t{1} << 32) + 64;
+    const int64_t wraps_to_0 = -(int64_t{1} << 40);
+    for (int64_t procs : {wraps_to_64, wraps_to_0}) {
+        SCOPED_TRACE(procs);
+        auto event = decodeEvent(eventBodyWithProcs(procs));
+        ASSERT_FALSE(event.ok());
+        EXPECT_EQ(event.error().field, "event.procs");
+        auto query = decodeQuery(queryBodyWithProcs(procs));
+        ASSERT_FALSE(query.ok());
+        EXPECT_EQ(query.error().field, "query.procs");
+    }
+    // The int range itself still decodes, ends included.
+    for (int64_t procs : {int64_t{std::numeric_limits<int>::min()},
+                          int64_t{-1}, int64_t{64},
+                          int64_t{std::numeric_limits<int>::max()}}) {
+        SCOPED_TRACE(procs);
+        auto event = decodeEvent(eventBodyWithProcs(procs));
+        ASSERT_TRUE(event.ok());
+        EXPECT_EQ(event.value().procs, procs);
+        auto query = decodeQuery(queryBodyWithProcs(procs));
+        ASSERT_TRUE(query.ok());
+        EXPECT_EQ(query.value().procs, procs);
+    }
 }
 
 TEST(WireCodec, StatsRoundTrips)
@@ -186,13 +254,29 @@ TEST(WireFraming, RequestAndResponseFramesCarryTheirTag)
     EXPECT_EQ(static_cast<uint8_t>(request[4]),
               static_cast<uint8_t>(Opcode::Ping));
 
-    const std::string ok = frameOk("body");
-    EXPECT_EQ(static_cast<uint8_t>(ok[4]),
+    // Both response frames in one buffer, as the reactor batches them.
+    std::string out;
+    appendOkFrame(out, "body");
+    appendErrorFrame(out, "boom");
+    std::string_view payload;
+    size_t consumed = 0;
+    auto ok = unframe(out, &payload, &consumed);
+    ASSERT_TRUE(ok.ok());
+    ASSERT_TRUE(ok.value());
+    EXPECT_EQ(static_cast<uint8_t>(out[4]),
               static_cast<uint8_t>(Status::Ok));
+    EXPECT_EQ(payload.substr(1), "body");
 
-    const std::string error = frameError("boom");
-    EXPECT_EQ(static_cast<uint8_t>(error[4]),
+    const std::string_view rest = std::string_view(out).substr(consumed);
+    auto error = unframe(rest, &payload, &consumed);
+    ASSERT_TRUE(error.ok());
+    ASSERT_TRUE(error.value());
+    EXPECT_EQ(consumed, rest.size());
+    EXPECT_EQ(static_cast<uint8_t>(rest[4]),
               static_cast<uint8_t>(Status::Error));
+    persist::StateReader message(payload.substr(1), "error-response");
+    EXPECT_EQ(message.str(), "boom");
+    EXPECT_TRUE(message.expectEnd().ok());
 }
 
 TEST(WireBuckets, PaperProcRangesAndClamping)
