@@ -11,11 +11,14 @@
  * the largest queue in the study (~350k jobs).
  */
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "core/bmbp_predictor.hh"
 #include "core/lognormal_predictor.hh"
 #include "core/rare_event.hh"
+#include "serve/bound_registry.hh"
 #include "stats/quantile_bounds.hh"
 #include "stats/rng.hh"
 #include "stats/tolerance.hh"
@@ -75,6 +78,38 @@ BM_LogNormalRefit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LogNormalRefit)->Arg(59)->Arg(1000)->Arg(350000);
+
+void
+BM_LogNormalColdEntry(benchmark::State &state)
+{
+    // The cold path of a new `--method=lognormal` serve entry: a fresh
+    // predictor observes 300 waits, refitting and publishing the
+    // 13-quantile upper+lower grid after each one, all on exact K'
+    // factors. One untimed entry runs first, as an earlier entry of a
+    // running daemon would have: the exact factors are memoized
+    // process-wide, so only the first entry in a process computes them.
+    stats::Rng rng(6);
+    std::vector<double> waits;
+    for (int i = 0; i < 300; ++i)
+        waits.push_back(rng.logNormal(4.0, 2.0));
+    core::QuantileEstimate upper[serve::kGridCount];
+    core::QuantileEstimate lower[serve::kGridCount];
+    const auto entry = [&] {
+        core::LogNormalPredictor predictor;
+        for (double wait : waits) {
+            predictor.observe(wait);
+            predictor.refit();
+            predictor.boundGrid(serve::kGridQuantiles, serve::kGridCount,
+                                upper, lower);
+            benchmark::DoNotOptimize(upper);
+            benchmark::DoNotOptimize(lower);
+        }
+    };
+    entry();
+    for (auto _ : state)
+        entry();
+}
+BENCHMARK(BM_LogNormalColdEntry)->Unit(benchmark::kMillisecond);
 
 void
 BM_BmbpQuantileSpectrum(benchmark::State &state)

@@ -105,25 +105,6 @@ LogNormalPredictor::boundAt(double q, bool upper) const
     return computeBound(q, upper);
 }
 
-double
-LogNormalPredictor::toleranceFactor(size_t n, double q) const
-{
-    // Exact noncentral-t factors are memoized for small samples; the
-    // closed-form approximation beyond n = 300 is cheap enough to call
-    // directly (see stats/tolerance.hh).
-    if (n > 300)
-        return stats::normalToleranceFactorApprox(n, q, config_.confidence);
-    const auto key = std::make_pair(
-        n, static_cast<long long>(std::llround(q * 1e9)));
-    auto it = factorCache_.find(key);
-    if (it != factorCache_.end())
-        return it->second;
-    const double factor =
-        stats::normalToleranceFactorExact(n, q, config_.confidence);
-    factorCache_.emplace(key, factor);
-    return factor;
-}
-
 QuantileEstimate
 LogNormalPredictor::computeBound(double q, bool upper) const
 {
@@ -140,13 +121,15 @@ LogNormalPredictor::computeBound(double q, bool upper) const
     const double sd = std::sqrt(variance);
 
     if (upper) {
-        const double k = toleranceFactor(n, q);
+        const double k =
+            stats::normalToleranceFactor(n, q, config_.confidence);
         return QuantileEstimate::of(std::exp(mean + k * sd));
     }
     // Lower tolerance bound on the q quantile: by symmetry of the
     // normal, a level-C lower bound for the q quantile is
     // mean - k'(n, 1-q) * sd.
-    const double k = toleranceFactor(n, 1.0 - q);
+    const double k =
+        stats::normalToleranceFactor(n, 1.0 - q, config_.confidence);
     return QuantileEstimate::of(std::exp(mean - k * sd));
 }
 

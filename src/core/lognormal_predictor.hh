@@ -13,7 +13,6 @@
 #define QDEL_CORE_LOGNORMAL_PREDICTOR_HH
 
 #include <deque>
-#include <map>
 #include <memory>
 
 #include "core/predictor.hh"
@@ -75,7 +74,6 @@ class LogNormalPredictor : public Predictor
     void trimHistory();
     void rebuildSums();
     QuantileEstimate computeBound(double q, bool upper) const;
-    double toleranceFactor(size_t n, double q) const;
 
     LogNormalConfig config_;
     const RareEventTable *table_;
@@ -90,9 +88,6 @@ class LogNormalPredictor : public Predictor
     int runThreshold_ = 3;
     size_t minimumHistory_;
     size_t trimCount_ = 0;
-
-    /** Memo for exact small-sample tolerance factors, keyed by (n). */
-    mutable std::map<std::pair<size_t, long long>, double> factorCache_;
 };
 
 } // namespace core

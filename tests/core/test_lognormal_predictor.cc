@@ -4,10 +4,15 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/lognormal_predictor.hh"
+#include "serve/bound_registry.hh"
 #include "stats/rng.hh"
 #include "stats/tolerance.hh"
 
@@ -148,6 +153,115 @@ TEST(LogNormalPredictor, ConstantHistoryDegenerates)
         predictor.observe(50.0);
     predictor.refit();
     EXPECT_NEAR(predictor.upperBound().value, 50.0, 1e-3);
+}
+
+/** Every bound boundGrid() gives over the served grid, both sides. */
+void
+appendGrid(const LogNormalPredictor &predictor, std::vector<double> &out)
+{
+    QuantileEstimate upper[serve::kGridCount];
+    QuantileEstimate lower[serve::kGridCount];
+    predictor.boundGrid(serve::kGridQuantiles, serve::kGridCount, upper,
+                        lower);
+    for (size_t i = 0; i < serve::kGridCount; ++i) {
+        out.push_back(upper[i].value);
+        out.push_back(lower[i].value);
+    }
+}
+
+/**
+ * A fresh predictor fed @p waits with a refit and a grid after each
+ * observation (the cold path of a served entry), interleaved with grid
+ * queries against @p shared.
+ */
+std::vector<double>
+coldEntryBounds(bool trimming, const std::vector<double> &waits,
+                const LogNormalPredictor &shared)
+{
+    LogNormalConfig config;
+    config.trimmingEnabled = trimming;
+    LogNormalPredictor predictor(config);
+    std::vector<double> out;
+    for (double wait : waits) {
+        predictor.observe(wait);
+        predictor.refit();
+        out.push_back(predictor.upperBound().value);
+        appendGrid(predictor, out);
+        appendGrid(shared, out);
+    }
+    return out;
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/**
+ * Eight threads race through the process-wide K' table from cold:
+ * fresh lognormal and lognormal-trim predictors up to n = 400 (a level
+ * shift at 250 makes the trim variant cut back into the exact range),
+ * plus boundAt() on one shared const predictor. Every bound equals the
+ * single-threaded run's bits, and every slot the race filled equals
+ * the exact factor.
+ */
+TEST(LogNormalPredictorConcurrent, ColdEntriesMatchSingleThreadedBits)
+{
+    stats::Rng rng(17);
+    std::vector<double> waits;
+    for (int i = 0; i < 400; ++i)
+        waits.push_back(rng.logNormal(i < 250 ? 2.0 : 6.0, 0.5));
+    // Observed but never refit or queried: the table stays cold.
+    LogNormalPredictor shared;
+    for (int i = 0; i < 200; ++i)
+        shared.observe(rng.logNormal(3.0, 1.0));
+
+    constexpr int kThreads = 8;
+    std::vector<std::vector<double>> plain(kThreads), trimmed(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            // Half the threads start on the other variant, so both
+            // variants race on the same empty slots.
+            if (t % 2 == 0) {
+                plain[t] = coldEntryBounds(false, waits, shared);
+                trimmed[t] = coldEntryBounds(true, waits, shared);
+            } else {
+                trimmed[t] = coldEntryBounds(true, waits, shared);
+                plain[t] = coldEntryBounds(false, waits, shared);
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    std::vector<double> quantiles;
+    for (double q : serve::kGridQuantiles) {
+        quantiles.push_back(q);
+        quantiles.push_back(1.0 - q);
+    }
+    for (double q : quantiles) {
+        for (size_t n = 2; n <= 300; ++n) {
+            const double memo = stats::normalToleranceFactor(n, q, 0.95);
+            const double exact =
+                stats::normalToleranceFactorExact(n, q, 0.95);
+            ASSERT_EQ(std::memcmp(&memo, &exact, sizeof exact), 0)
+                << "n=" << n << " q=" << q;
+        }
+    }
+
+    const auto plain_reference = coldEntryBounds(false, waits, shared);
+    const auto trimmed_reference = coldEntryBounds(true, waits, shared);
+    EXPECT_EQ(plain_reference.size(), 400u * (1 + 4 * serve::kGridCount));
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_TRUE(sameBits(plain[t], plain_reference)) << "thread " << t;
+        EXPECT_TRUE(sameBits(trimmed[t], trimmed_reference))
+            << "thread " << t;
+    }
 }
 
 } // namespace

@@ -2,16 +2,19 @@
  * @file
  * Tests for the one-sided normal tolerance factor (Guttman's K', the
  * paper's log-normal baseline machinery) against published table
- * values and a direct Monte Carlo coverage check.
+ * values and a direct Monte Carlo coverage check, and of the
+ * process-wide memo behind normalToleranceFactor().
  */
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "stats/descriptive.hh"
 #include "stats/rng.hh"
+#include "serve/bound_registry.hh"
 #include "stats/tolerance.hh"
 
 namespace qdel {
@@ -86,6 +89,43 @@ TEST(ToleranceFactor, MonteCarloCoverage)
     const double rate =
         static_cast<double>(covered) / static_cast<double>(experiments);
     EXPECT_NEAR(rate, 0.95, 0.015);
+}
+
+/**
+ * The memo returns exactly the bits of the exact factor for n <= 300
+ * and of the closed form beyond, on a miss and on the hit that
+ * follows. The quantiles are the ones callers use: the paper's .95,
+ * its complement, and the served grid with each point's 1-q (so 0.05
+ * and 1 - 0.95, which differ in the last bits, are both keys).
+ */
+TEST(ToleranceFactor, MemoMatchesExactAndApproxBitForBit)
+{
+    std::vector<double> quantiles = {0.95, 0.05};
+    for (double q : serve::kGridQuantiles) {
+        quantiles.push_back(q);
+        quantiles.push_back(1.0 - q);
+    }
+    std::vector<size_t> sizes;
+    for (size_t n = 2; n <= 300; ++n)
+        sizes.push_back(n);
+    for (size_t n : {301u, 1000u, 1000000u})
+        sizes.push_back(n);
+
+    for (double confidence : {0.90, 0.95, 0.99}) {
+        for (double q : quantiles) {
+            for (size_t n : sizes) {
+                const double expected =
+                    n <= 300 ? normalToleranceFactorExact(n, q, confidence)
+                             : normalToleranceFactorApprox(n, q, confidence);
+                const double miss = normalToleranceFactor(n, q, confidence);
+                const double hit = normalToleranceFactor(n, q, confidence);
+                ASSERT_EQ(std::memcmp(&miss, &expected, sizeof expected), 0)
+                    << "n=" << n << " q=" << q << " C=" << confidence;
+                ASSERT_EQ(std::memcmp(&hit, &expected, sizeof expected), 0)
+                    << "n=" << n << " q=" << q << " C=" << confidence;
+            }
+        }
+    }
 }
 
 } // namespace
