@@ -21,7 +21,7 @@ main(int argc, char **argv)
     auto options = bench::parseOptions(argc, argv);
     auto predictor_options = bench::predictorOptions(options);
     auto replay = bench::replayConfig(options);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
 
     const std::vector<std::string> methods = {
         "bmbp", "lognormal", "lognormal-trim", "loguniform",
@@ -41,9 +41,9 @@ main(int argc, char **argv)
     for (const auto &[site, queue] : queues)
         profiles.push_back(&workload::findProfile(site, queue));
     const auto traces =
-        bench::synthesizeSuite(evaluator, profiles, options.seed);
+        bench::synthesizeSuite(pool, profiles, options.seed);
     const auto grid = bench::evaluateMethodGrid(
-        evaluator, traces, methods, predictor_options, replay);
+        pool, traces, methods, predictor_options, replay);
 
     for (size_t r = 0; r < queues.size(); ++r) {
         std::vector<std::string> row = {queues[r].first,

@@ -20,7 +20,7 @@ main(int argc, char **argv)
     using namespace qdel;
     auto options = bench::parseOptions(argc, argv);
     auto predictor_options = bench::predictorOptions(options);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
 
     const double epochs[] = {0.0, 300.0, 3600.0, 6.0 * 3600.0};
     const std::vector<std::pair<const char *, const char *>> queues = {
@@ -40,7 +40,7 @@ main(int argc, char **argv)
     for (const auto &[site, queue] : queues)
         profiles.push_back(&workload::findProfile(site, queue));
     const auto traces =
-        bench::synthesizeSuite(evaluator, profiles, options.seed);
+        bench::synthesizeSuite(pool, profiles, options.seed);
 
     // Flat (queue x epoch) fan-out; each cell carries its own replay
     // configuration, so this is a raw EvaluationJob suite rather than
@@ -54,7 +54,7 @@ main(int argc, char **argv)
             jobs.push_back({trace, "bmbp", predictor_options, replay});
         }
     }
-    const auto cells = evaluator.evaluateSuite(jobs);
+    const auto cells = sim::evaluateSuite(pool, jobs);
 
     for (size_t r = 0; r < queues.size(); ++r) {
         std::vector<std::string> row = {queues[r].first,

@@ -120,10 +120,10 @@ main(int argc, char **argv)
     // experiment; run the four rows concurrently and collect them in
     // sweep order. Shared table first: the workers only read it.
     bench::sharedTable(options.quantile);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
     std::vector<std::future<std::vector<std::string>>> rows;
     for (double overestimate : {1.0, 2.0, 5.0, 10.0}) {
-        rows.push_back(evaluator.pool().submit([overestimate, &options] {
+        rows.push_back(pool.submit([overestimate, &options] {
             return forwardRow(overestimate, options);
         }));
     }

@@ -59,12 +59,12 @@ main(int argc, char **argv)
     // collected in policy order. Build the shared rare-event table
     // before fanning out.
     bench::sharedTable(options.quantile);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
     std::vector<std::future<std::vector<std::string>>> rows;
     for (const char *policy :
          {"fcfs", "priority-fcfs", "easy-backfill",
           "conservative-backfill"}) {
-        rows.push_back(evaluator.pool().submit([policy, &jobs,
+        rows.push_back(pool.submit([policy, &jobs,
                                                 &options] {
             sim::BatchSimConfig config;
             config.totalProcs = 96;

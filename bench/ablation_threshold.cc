@@ -69,7 +69,7 @@ main(int argc, char **argv)
     // (queue x threshold) grid on the evaluation pool. The custom
     // BmbpConfig keeps this off the factory path, so it submits raw
     // tasks; the table above already forced the shared-table build.
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
     TablePrinter comparison(
         "Ablation: adaptive (autocorrelation-indexed) vs fixed "
         "run-length thresholds (correct fraction [trims]).");
@@ -86,12 +86,12 @@ main(int argc, char **argv)
     for (const auto &[site, queue] : queues)
         profiles.push_back(&workload::findProfile(site, queue));
     const auto traces =
-        bench::synthesizeSuite(evaluator, profiles, options.seed);
+        bench::synthesizeSuite(pool, profiles, options.seed);
 
     std::vector<std::future<sim::EvaluationCell>> futures;
     for (const auto &trace : traces) {
         for (int threshold : thresholds) {
-            futures.push_back(evaluator.pool().submit(
+            futures.push_back(pool.submit(
                 [trace, threshold, &options] {
                     return runWithThreshold(*trace, threshold, options);
                 }));

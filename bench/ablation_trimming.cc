@@ -20,7 +20,7 @@ main(int argc, char **argv)
     auto options = bench::parseOptions(argc, argv);
     auto predictor_options = bench::predictorOptions(options);
     auto replay = bench::replayConfig(options);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
 
     const std::vector<std::pair<const char *, const char *>> queues = {
         {"datastar", "normal"}, {"datastar", "TGnormal"},
@@ -38,9 +38,9 @@ main(int argc, char **argv)
     for (const auto &[site, queue] : queues)
         profiles.push_back(&workload::findProfile(site, queue));
     const auto traces =
-        bench::synthesizeSuite(evaluator, profiles, options.seed);
+        bench::synthesizeSuite(pool, profiles, options.seed);
     const auto grid = bench::evaluateMethodGrid(
-        evaluator, traces, {"bmbp", "bmbp-notrim", "percentile"},
+        pool, traces, {"bmbp", "bmbp-notrim", "percentile"},
         predictor_options, replay);
 
     for (size_t r = 0; r < queues.size(); ++r) {

@@ -52,7 +52,7 @@ main(int argc, char **argv)
     // method), so they fan out on the raw pool. Build the shared
     // rare-event table up front; the workers only read it.
     bench::sharedTable(options.quantile);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
 
     TablePrinter table(
         "Ablation: adaptive trimming vs fixed sliding windows "
@@ -70,7 +70,7 @@ main(int argc, char **argv)
     for (const auto &[site, queue] : queues)
         profiles.push_back(&workload::findProfile(site, queue));
     const auto traces =
-        bench::synthesizeSuite(evaluator, profiles, options.seed);
+        bench::synthesizeSuite(pool, profiles, options.seed);
 
     // Flat (queue x window-variant) fan-out, collected in submission
     // order so the table is identical for any worker count.
@@ -79,7 +79,7 @@ main(int argc, char **argv)
     std::vector<std::future<sim::EvaluationCell>> futures;
     for (const auto &trace : traces) {
         for (const auto &[max_history, trimming] : variants) {
-            futures.push_back(evaluator.pool().submit(
+            futures.push_back(pool.submit(
                 [trace, max_history = max_history, trimming = trimming,
                  &options] {
                     return runWindow(*trace, max_history, trimming,

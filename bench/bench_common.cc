@@ -212,14 +212,14 @@ formatRatioCells(const std::vector<sim::EvaluationCell> &cells,
 }
 
 std::vector<std::shared_ptr<const trace::Trace>>
-synthesizeSuite(sim::ParallelEvaluator &evaluator,
+synthesizeSuite(ThreadPool &pool,
                 const std::vector<const workload::QueueProfile *> &profiles,
                 uint64_t seed)
 {
     std::vector<std::future<std::shared_ptr<const trace::Trace>>> futures;
     futures.reserve(profiles.size());
     for (const auto *profile : profiles) {
-        futures.push_back(evaluator.pool().submit([profile, seed] {
+        futures.push_back(pool.submit([profile, seed] {
             return std::make_shared<const trace::Trace>(
                 workload::synthesizeTrace(*profile, seed));
         }));
@@ -232,7 +232,7 @@ synthesizeSuite(sim::ParallelEvaluator &evaluator,
 }
 
 std::vector<std::vector<sim::EvaluationCell>>
-evaluateMethodGrid(sim::ParallelEvaluator &evaluator,
+evaluateMethodGrid(ThreadPool &pool,
                    const std::vector<std::shared_ptr<const trace::Trace>>
                        &traces,
                    const std::vector<std::string> &methods,
@@ -245,7 +245,7 @@ evaluateMethodGrid(sim::ParallelEvaluator &evaluator,
         for (const auto &method : methods)
             jobs.push_back({trace, method, predictor_options, replay});
     }
-    auto flat = evaluator.evaluateSuite(jobs);
+    auto flat = sim::evaluateSuite(pool, jobs);
 
     std::vector<std::vector<sim::EvaluationCell>> grid(traces.size());
     for (size_t i = 0; i < traces.size(); ++i) {
@@ -264,7 +264,7 @@ runProcTable(const std::string &method, const std::string &title,
     auto options = parseOptions(argc, argv);
     auto predictor_options = predictorOptions(options);
     auto replay = replayConfig(options);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
 
     TablePrinter table(title);
     table.setHeader({"Machine", "Queue", "1-4", "5-16", "17-64", "65+"});
@@ -273,30 +273,22 @@ runProcTable(const std::string &method, const std::string &title,
     // fan the flat (queue x processor-range) cell grid across the
     // pool. Two flat fan-outs — no task ever waits on another task.
     const auto profiles = workload::procTableProfiles();
-    const auto traces = synthesizeSuite(evaluator, profiles, options.seed);
+    const auto traces = synthesizeSuite(pool, profiles, options.seed);
 
     std::vector<std::future<std::vector<sim::EvaluationCell>>> rows;
     rows.reserve(profiles.size());
     for (const auto &trace : traces) {
-        // One task per range inside evaluateByProcRange would also
-        // work, but evaluateByProcRange blocks; submitting the
-        // per-range tasks directly keeps every queue in flight at
-        // once. Filtering happens inside the worker.
+        // One task per (queue, range) cell keeps every queue in flight
+        // at once; filtering happens inside the worker.
         const trace::ProcRange *ranges = trace::paperProcRanges();
         std::vector<std::future<sim::EvaluationCell>> cell_futures;
         for (int r = 0; r < trace::paperProcRangeCount(); ++r) {
             const trace::ProcRange range = ranges[r];
-            cell_futures.push_back(evaluator.pool().submit(
+            cell_futures.push_back(pool.submit(
                 [trace, range, &method, &predictor_options, &replay] {
-                    const trace::Trace sub =
-                        trace->filterByProcRange(range);
-                    if (sub.size() < 1000) {
-                        sim::EvaluationCell cell;
-                        cell.jobs = sub.size();
-                        return cell;
-                    }
-                    return sim::evaluateTrace(sub, method,
-                                              predictor_options, replay);
+                    return sim::evaluateProcRange(*trace, range, method,
+                                                  predictor_options,
+                                                  replay, 1000);
                 }));
         }
         // Wrap the per-row futures in a deferred collector so the loop

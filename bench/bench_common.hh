@@ -15,7 +15,6 @@
 #include "core/predictor_factory.hh"
 #include "core/rare_event.hh"
 #include "sim/replay/evaluation.hh"
-#include "sim/replay/parallel_evaluation.hh"
 #include "trace/trace_loader.hh"
 #include "util/cli.hh"
 #include "util/obs_cli.hh"
@@ -102,12 +101,12 @@ formatRatioCells(const std::vector<sim::EvaluationCell> &cells,
                  double quantile);
 
 /**
- * Synthesize one trace per profile on @p evaluator's pool (synthesis
+ * Synthesize one trace per profile on @p pool (synthesis
  * is a pure function of profile and seed, so the result is
  * thread-count independent). Result i corresponds to profiles[i].
  */
 std::vector<std::shared_ptr<const trace::Trace>>
-synthesizeSuite(sim::ParallelEvaluator &evaluator,
+synthesizeSuite(ThreadPool &pool,
                 const std::vector<const workload::QueueProfile *> &profiles,
                 uint64_t seed);
 
@@ -117,7 +116,7 @@ synthesizeSuite(sim::ParallelEvaluator &evaluator,
  * benches.
  */
 std::vector<std::vector<sim::EvaluationCell>>
-evaluateMethodGrid(sim::ParallelEvaluator &evaluator,
+evaluateMethodGrid(ThreadPool &pool,
                    const std::vector<std::shared_ptr<const trace::Trace>>
                        &traces,
                    const std::vector<std::string> &methods,

@@ -21,7 +21,7 @@ main(int argc, char **argv)
 {
     using namespace qdel;
     auto options = bench::parseOptions(argc, argv);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
 
     const double quantiles[] = {0.5, 0.75, 0.9, 0.95, 0.99};
     const double confidences[] = {0.8, 0.95};
@@ -42,7 +42,7 @@ main(int argc, char **argv)
     for (const auto &[site, queue] : queues)
         profiles.push_back(&workload::findProfile(site, queue));
     const auto traces =
-        bench::synthesizeSuite(evaluator, profiles, options.seed);
+        bench::synthesizeSuite(pool, profiles, options.seed);
 
     std::vector<sim::EvaluationJob> jobs;
     for (double quantile : quantiles) {
@@ -59,7 +59,7 @@ main(int argc, char **argv)
             }
         }
     }
-    const auto cells = evaluator.evaluateSuite(jobs);
+    const auto cells = sim::evaluateSuite(pool, jobs);
 
     size_t next = 0;
     for (double quantile : quantiles) {

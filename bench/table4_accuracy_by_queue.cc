@@ -20,7 +20,7 @@ main(int argc, char **argv)
     auto options = bench::parseOptions(argc, argv);
     auto predictor_options = bench::predictorOptions(options);
     auto replay = bench::replayConfig(options);
-    sim::ParallelEvaluator evaluator(options.threads);
+    ThreadPool pool(ThreadPool::resolveThreadCount(options.threads));
 
     TablePrinter table(
         "Table 4. Median ratio of actual over predicted wait times "
@@ -31,9 +31,9 @@ main(int argc, char **argv)
     size_t bmbp_best = 0, notrim_best = 0, trim_best = 0;
     const auto rows = workload::table3Profiles();
     const auto traces =
-        bench::synthesizeSuite(evaluator, rows, options.seed);
+        bench::synthesizeSuite(pool, rows, options.seed);
     const auto grid = bench::evaluateMethodGrid(
-        evaluator, traces, {"bmbp", "lognormal", "lognormal-trim"},
+        pool, traces, {"bmbp", "lognormal", "lognormal-trim"},
         predictor_options, replay);
     for (size_t r = 0; r < rows.size(); ++r) {
         const auto *profile = rows[r];

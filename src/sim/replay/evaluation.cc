@@ -7,6 +7,9 @@
 
 #include "core/bmbp_predictor.hh"
 #include "core/lognormal_predictor.hh"
+#include "obs/domain_metrics.hh"
+#include "obs/obs.hh"
+#include "util/logging.hh"
 
 namespace qdel {
 namespace sim {
@@ -44,6 +47,43 @@ evaluateTrace(const trace::Trace &t, const std::string &method,
 }
 
 std::vector<EvaluationCell>
+evaluateSuite(ThreadPool &pool, const std::vector<EvaluationJob> &jobs)
+{
+    std::vector<std::future<EvaluationCell>> futures;
+    futures.reserve(jobs.size());
+    for (const EvaluationJob &job : jobs) {
+        if (!job.trace)
+            panic("evaluateSuite: null trace");
+        futures.push_back(pool.submit([&job] {
+            QDEL_OBS_SPAN(span, obs::replayMetrics().evalTaskSeconds,
+                          obs::EventType::Span, "eval_trace");
+            return evaluateTrace(*job.trace, job.method, job.options,
+                                 job.config);
+        }));
+    }
+    std::vector<EvaluationCell> cells;
+    cells.reserve(jobs.size());
+    for (auto &future : futures)
+        cells.push_back(future.get());
+    return cells;
+}
+
+EvaluationCell
+evaluateProcRange(const trace::Trace &t, const trace::ProcRange &range,
+                  const std::string &method,
+                  const core::PredictorOptions &options,
+                  const ReplayConfig &config, size_t min_jobs)
+{
+    const trace::Trace sub = t.filterByProcRange(range);
+    if (sub.size() < min_jobs) {
+        EvaluationCell cell;
+        cell.jobs = sub.size();
+        return cell;
+    }
+    return evaluateTrace(sub, method, options, config);
+}
+
+std::vector<EvaluationCell>
 evaluateByProcRange(const trace::Trace &t, const std::string &method,
                     const core::PredictorOptions &options,
                     const ReplayConfig &config, size_t min_jobs)
@@ -51,14 +91,8 @@ evaluateByProcRange(const trace::Trace &t, const std::string &method,
     std::vector<EvaluationCell> cells;
     const trace::ProcRange *ranges = trace::paperProcRanges();
     for (int r = 0; r < trace::paperProcRangeCount(); ++r) {
-        const trace::Trace sub = t.filterByProcRange(ranges[r]);
-        if (sub.size() < min_jobs) {
-            EvaluationCell cell;
-            cell.jobs = sub.size();
-            cells.push_back(cell);
-            continue;
-        }
-        cells.push_back(evaluateTrace(sub, method, options, config));
+        cells.push_back(evaluateProcRange(t, ranges[r], method, options,
+                                          config, min_jobs));
     }
     return cells;
 }

@@ -4,16 +4,26 @@
  * and the examples: evaluate a prediction method over a trace (or over
  * a trace subdivided by processor-count range) and return the paper's
  * table cells (correct fraction, median actual/predicted ratio).
+ *
+ * The paper's tables are grids of independent cells: each replays one
+ * trace against one freshly built predictor, the shared RareEventTable
+ * is immutable and no predictor holds random state. evaluateSuite()
+ * fans such a grid out over a ThreadPool and collects the cells in
+ * submission order, so a table is byte-identical for any worker count.
+ * Its tasks never wait on other tasks of the pool.
  */
 
 #ifndef QDEL_SIM_REPLAY_EVALUATION_HH
 #define QDEL_SIM_REPLAY_EVALUATION_HH
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/predictor_factory.hh"
 #include "sim/replay/replay_simulator.hh"
 #include "trace/trace.hh"
+#include "util/thread_pool.hh"
 
 namespace qdel {
 namespace sim {
@@ -67,11 +77,38 @@ EvaluationCell evaluateTrace(const trace::Trace &t,
                              const ReplayConfig &config = {});
 
 /**
- * Paper Section 6.2: subdivide @p t by the four Table-5 processor
- * ranges and evaluate each subdivision independently. Subdivisions
- * with fewer than @p min_jobs jobs are returned with jobs set but
+ * One independent table cell: a trace replayed against one method
+ * under one configuration. The trace is shared (read-only) so a suite
+ * evaluating M methods over the same trace does not copy it M times.
+ */
+struct EvaluationJob
+{
+    std::shared_ptr<const trace::Trace> trace;
+    std::string method;
+    core::PredictorOptions options;
+    ReplayConfig config;
+};
+
+/** Evaluate every job on @p pool; cell i is jobs[i]'s, whatever the
+ *  completion order or worker count. */
+std::vector<EvaluationCell>
+evaluateSuite(ThreadPool &pool, const std::vector<EvaluationJob> &jobs);
+
+/**
+ * One cell of a paper Table 5-7 row: @p t's jobs in processor range
+ * @p range, evaluated as evaluateTrace() does. A subdivision with
+ * fewer than @p min_jobs jobs comes back with jobs set but
  * evaluated == 0 (the paper prints "-" for those cells).
  */
+EvaluationCell evaluateProcRange(const trace::Trace &t,
+                                 const trace::ProcRange &range,
+                                 const std::string &method,
+                                 const core::PredictorOptions &options,
+                                 const ReplayConfig &config,
+                                 size_t min_jobs);
+
+/** Paper Section 6.2: evaluateProcRange() over the four Table-5
+ *  processor ranges, in order. */
 std::vector<EvaluationCell>
 evaluateByProcRange(const trace::Trace &t, const std::string &method,
                     const core::PredictorOptions &options,

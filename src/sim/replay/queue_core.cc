@@ -137,12 +137,13 @@ QueueCore::advanceTo(double horizon)
         if (!(now <= horizon) || now == kInf)
             break;
         if (t_release <= nextRefit_ && t_release <= nextSnapshot_) {
-            // Every release due before the next tick, in heap order,
-            // through one observeBatch call.
+            // Every release due before the next tick, in (time,
+            // submit) order, through one observeBatch call.
             waitScratch_.clear();
             const double cap = std::min({horizon, nextRefit_, nextSnapshot_});
             while (!pending_.empty() && pending_.front().time <= cap) {
-                waitScratch_.push_back(pending_.front().wait);
+                waitScratch_.push_back(pending_.front().time -
+                                       pending_.front().submit);
                 std::pop_heap(pending_.begin(), pending_.end(),
                               std::greater<PendingRelease>{});
                 pending_.pop_back();
@@ -241,11 +242,19 @@ QueueCore::scoreRun(const double *waits, size_t count)
 }
 
 void
-QueueCore::processRows(const double *submits, const double *waits,
+QueueCore::processRows(const double *submits, const double *trace_waits,
                        size_t n)
 {
-    if (ratioScratch_.size() < n)
+    if (ratioScratch_.size() < n) {
         ratioScratch_.resize(n);
+        rowWaits_.resize(n);
+    }
+    // Score and observe the wait a live service recovers from the
+    // Start event, start - submit, not the trace's field: the two
+    // differ in the last bit when times are not whole seconds.
+    const double *waits = rowWaits_.data();
+    for (size_t k = 0; k < n; ++k)
+        rowWaits_[k] = (submits[k] + trace_waits[k]) - submits[k];
     size_t r = 0;
     while (r < n) {
         const uint64_t i = submits_;
@@ -260,11 +269,11 @@ QueueCore::processRows(const double *submits, const double *waits,
         if (!epochPerJob_) {
             double horizon =
                 std::min({pending_.empty() ? kInf : pending_.front().time,
-                          nextRefit_, submits[r] + waits[r]});
+                          nextRefit_, submits[r] + trace_waits[r]});
             const size_t limit =
                 finalized_ ? n : std::min<size_t>(n, r + (training_ - i));
             while (s < limit && submits[s] < horizon) {
-                horizon = std::min(horizon, submits[s] + waits[s]);
+                horizon = std::min(horizon, submits[s] + trace_waits[s]);
                 ++s;
             }
         }
@@ -272,7 +281,7 @@ QueueCore::processRows(const double *submits, const double *waits,
         if (scored)
             scoreRun(waits + r, s - r);
         for (size_t k = r; k < s; ++k) {
-            pending_.push_back({submits[k] + waits[k], waits[k]});
+            pending_.push_back({submits[k] + trace_waits[k], submits[k]});
             std::push_heap(pending_.begin(), pending_.end(),
                            std::greater<PendingRelease>{});
         }
@@ -281,10 +290,28 @@ QueueCore::processRows(const double *submits, const double *waits,
     }
 }
 
-Expected<double>
-QueueCore::medianRatio()
+Expected<ReplayResult>
+QueueCore::result()
 {
-    return ratios_.size() == 0 ? Expected<double>(0.0) : ratios_.median();
+    ReplayResult out;
+    out.totalJobs = submits_;
+    out.trainingJobs = training_;
+    out.evaluatedJobs = evaluated_;
+    out.correct = correct_;
+    out.infinitePredictions = infinite_;
+    if (evaluated_ > 0) {
+        out.correctFraction = static_cast<double>(correct_) /
+                              static_cast<double>(evaluated_);
+    }
+    if (ratios_.size() > 0) {
+        auto median = ratios_.median();
+        if (!median.ok())
+            return median.error();
+        out.medianRatio = median.value();
+    }
+    out.series = series_;
+    out.snapshots = snapshots_;
+    return out;
 }
 
 Expected<Unit>
@@ -294,11 +321,11 @@ QueueCore::saveState(persist::StateWriter &writer) const
         return ParseError{"", 0, "ratios",
                           "spilled accuracy ratios cannot be checkpointed"};
     }
-    // The heap (in its exact layout, so a restored core pops in the
-    // same order) and the series go out as flat (time, value) pairs.
+    // The heap, as (start, submit) pairs, and the series, as
+    // (time, value) pairs, go out flat.
     std::vector<double> pending, series;
     for (const PendingRelease &release : pending_)
-        pending.insert(pending.end(), {release.time, release.wait});
+        pending.insert(pending.end(), {release.time, release.submit});
     for (const SeriesPoint &point : series_)
         series.insert(series.end(), {point.time, point.value});
     writer.u64(submits_);

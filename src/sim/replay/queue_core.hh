@@ -6,8 +6,10 @@
  * offline table by construction.
  *
  *  - *Observe at release.* A wait enters the history only when its job
- *    starts (submit + wait): offline from a heap ordered by release
- *    time, live as a Start event.
+ *    starts: offline from a heap ordered by (start, submit), live as a
+ *    Start event. Either way the wait observed and scored is
+ *    start - submit, so equal keys carry equal waits and the pop order
+ *    does not depend on how the heap was built.
  *  - *Refit on epochs*, every epochSeconds of virtual time from the
  *    first submit (0 = before every submit). At one instant a release
  *    fires before an epoch tick, and both before a submit. An epoch
@@ -25,7 +27,7 @@
  * per-job calls, so chunking never changes results. The live calls
  * (the registry) take events: a Start at T fires the epochs strictly
  * before T, a Submit at T those at or before T — in eventsFromJobs'
- * order, exactly the offline order (DESIGN.md §6: contract, caveats).
+ * order, exactly the offline order (DESIGN.md §6).
  */
 
 #ifndef QDEL_SIM_REPLAY_QUEUE_CORE_HH
@@ -90,6 +92,35 @@ struct ReplayProbe
     Expected<Unit> validate() const;
 };
 
+/** Results of one replay run. */
+struct ReplayResult
+{
+    size_t totalJobs = 0;       //!< Jobs in the trace.
+    size_t trainingJobs = 0;    //!< Unscored warm-up jobs.
+    size_t evaluatedJobs = 0;   //!< Scored predictions.
+    size_t correct = 0;         //!< Predictions >= actual wait.
+    size_t infinitePredictions = 0; //!< Scored jobs given no finite bound
+                                    //!< (counted correct, ratio skipped).
+
+    /** Fraction of scored predictions that were correct. */
+    double correctFraction = 0.0;
+
+    /** Median of actual/predicted over scored finite predictions. */
+    double medianRatio = 0.0;
+
+    /** Captured bound series (when the probe asked for it). */
+    std::vector<SeriesPoint> series;
+
+    /** Captured quantile snapshots (when the probe asked for them). */
+    std::vector<QuantileSnapshot> snapshots;
+
+    /** Job index the run resumed from (0 = ran from the start). */
+    size_t resumedFromJob = 0;
+
+    /** Recovery-ladder decisions (empty when checkpointing was off). */
+    std::vector<std::string> recoveryNotes;
+};
+
 /** See file comment. */
 class QueueCore
 {
@@ -133,21 +164,16 @@ class QueueCore
      *  @return whether the bound covered the wait. */
     bool scoreRelease(double bound, double wait);
 
-    uint64_t trainingJobs() const { return training_; }
     uint64_t submits() const { return submits_; }
     bool finalized() const { return finalized_; }
     uint64_t evaluated() const { return evaluated_; }
     uint64_t correct() const { return correct_; }
     uint64_t infinite() const { return infinite_; }
-    const std::vector<SeriesPoint> &series() const { return series_; }
-    const std::vector<QuantileSnapshot> &snapshots() const
-    {
-        return snapshots_;
-    }
 
-    /** Median actual/predicted ratio over scored finite predictions;
-     *  0 when there are none. Errors only on spill-file I/O. */
-    Expected<double> medianRatio();
+    /** The result of the jobs fed so far: totalJobs is the submit
+     *  count, the scored fields, series and snapshots are the core's.
+     *  Errors only on spill-file I/O (the median ratio). */
+    Expected<ReplayResult> result();
 
     /** Serialize the core's state, then the predictor's. Fails when
      *  the ratios spilled or the predictor cannot persist. */
@@ -162,17 +188,18 @@ class QueueCore
         uint64_t max_submits = std::numeric_limits<uint64_t>::max());
 
   private:
-    /** A submitted job waiting to be released; the heap orders by time
-     *  alone (see DESIGN.md §6 on equal-time releases). */
+    /** A submitted job waiting to be released; the heap orders by
+     *  (time, submit), and the wait it releases is time - submit. */
     struct PendingRelease
     {
-        double time;  //!< Release (start) time: submit + wait.
-        double wait;  //!< The wait that becomes visible at release.
+        double time;    //!< Release (start) time: submit + wait.
+        double submit;  //!< The job's submit time.
 
         bool
         operator>(const PendingRelease &other) const
         {
-            return time > other.time;
+            return time != other.time ? time > other.time
+                                      : submit > other.submit;
         }
     };
 
@@ -209,6 +236,7 @@ class QueueCore
 
     std::vector<double> ratioScratch_;
     std::vector<double> waitScratch_;
+    std::vector<double> rowWaits_;
 };
 
 } // namespace sim

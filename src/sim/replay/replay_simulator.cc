@@ -20,8 +20,9 @@ namespace sim {
 namespace {
 
 /** Bumped when the replay snapshot payload changes incompatibly. v2:
- *  one echo vector and the QueueCore state layout (refit-dirty flag). */
-constexpr uint32_t kReplayStateVersion = 2;
+ *  one echo vector and the QueueCore state layout (refit-dirty flag).
+ *  v3: pending releases are (start, submit) pairs, not (start, wait). */
+constexpr uint32_t kReplayStateVersion = 3;
 constexpr char kReplayStateTag[] = "replay-driver";
 
 /** Jobs handed to the core per call; bounds the column staging. */
@@ -133,25 +134,6 @@ ReplayCheckpointOptions::validate() const
     return Unit{};
 }
 
-Expected<Unit>
-collectScores(QueueCore &queue, ReplayResult *result)
-{
-    result->trainingJobs = queue.trainingJobs();
-    result->evaluatedJobs = queue.evaluated();
-    result->correct = queue.correct();
-    result->infinitePredictions = queue.infinite();
-    if (result->evaluatedJobs > 0) {
-        result->correctFraction =
-            static_cast<double>(result->correct) /
-            static_cast<double>(result->evaluatedJobs);
-    }
-    auto median = queue.medianRatio();
-    if (!median.ok())
-        return median.error();
-    result->medianRatio = median.value();
-    return Unit{};
-}
-
 Expected<ReplayResult>
 ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
                      const ReplayProbe &probe,
@@ -169,10 +151,8 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             "ReplaySimulator: trace must be sorted by submission time"};
     }
 
-    ReplayResult result;
-    result.totalJobs = t.size();
     if (t.empty())
-        return result;
+        return ReplayResult{};
 
     const size_t training =
         static_cast<size_t>(config_.trainFraction *
@@ -194,6 +174,8 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
     }
     const std::vector<double> echo = replayEcho(config_, probe);
 
+    std::vector<std::string> notes;
+    size_t resumed_from = 0;
     if (manager && manager->hasExistingState()) {
         if (!ckpt.resume) {
             return ParseError{
@@ -226,11 +208,10 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             return report.error();
         if (incompatible)
             return *incompatible;
-        result.recoveryNotes.push_back(
-            std::string("recovery source: ") +
-            persist::recoverySourceName(report.value().source));
-        for (const std::string &note : report.value().notes)
-            result.recoveryNotes.push_back(note);
+        notes.push_back(std::string("recovery source: ") +
+                        persist::recoverySourceName(report.value().source));
+        notes.insert(notes.end(), report.value().notes.begin(),
+                     report.value().notes.end());
         if (report.value().source == persist::RecoverySource::ColdStart &&
             predictor_loaded) {
             return ParseError{
@@ -238,10 +219,10 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
                 "no snapshot fully applied but the predictor was "
                 "partially restored; use a fresh predictor instance"};
         }
-        result.resumedFromJob = queue.submits();
+        resumed_from = queue.submits();
     } else if (manager && ckpt.resume) {
-        result.recoveryNotes.push_back(
-            "resume requested but directory is pristine; cold start");
+        notes.push_back("resume requested but directory is pristine; "
+                        "cold start");
     }
 
     auto write_checkpoint = [&]() -> Expected<Unit> {
@@ -308,10 +289,11 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
     if (progress_every > 0)
         report_progress();
 
-    if (auto ok = collectScores(queue, &result); !ok.ok())
-        return ok.error();
-    result.series = queue.series();
-    result.snapshots = queue.snapshots();
+    auto result = queue.result();
+    if (result.ok()) {
+        result.value().resumedFromJob = resumed_from;
+        result.value().recoveryNotes = std::move(notes);
+    }
     return result;
 }
 

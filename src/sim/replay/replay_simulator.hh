@@ -93,39 +93,6 @@ struct ReplayCheckpointOptions
     Expected<Unit> validate() const;
 };
 
-/** Results of one replay run. */
-struct ReplayResult
-{
-    size_t totalJobs = 0;       //!< Jobs in the trace.
-    size_t trainingJobs = 0;    //!< Unscored warm-up jobs.
-    size_t evaluatedJobs = 0;   //!< Scored predictions.
-    size_t correct = 0;         //!< Predictions >= actual wait.
-    size_t infinitePredictions = 0; //!< Scored jobs given no finite bound
-                                    //!< (counted correct, ratio skipped).
-
-    /** Fraction of scored predictions that were correct. */
-    double correctFraction = 0.0;
-
-    /** Median of actual/predicted over scored finite predictions. */
-    double medianRatio = 0.0;
-
-    /** Captured bound series (when the probe asked for it). */
-    std::vector<SeriesPoint> series;
-
-    /** Captured quantile snapshots (when the probe asked for them). */
-    std::vector<QuantileSnapshot> snapshots;
-
-    /** Job index the run resumed from (0 = ran from the start). */
-    size_t resumedFromJob = 0;
-
-    /** Recovery-ladder decisions (empty when checkpointing was off). */
-    std::vector<std::string> recoveryNotes;
-};
-
-/** Fill @p result's training and scored-job fields (counts, correct
- *  fraction, median ratio) from a core that has consumed its queue. */
-Expected<Unit> collectScores(QueueCore &queue, ReplayResult *result);
-
 /** See file comment. */
 class ReplaySimulator
 {

@@ -197,13 +197,12 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
 
     result.queues.resize(n_queues);
     for (size_t q = 0; q < n_queues; ++q) {
+        auto scored = cores[q]->result();
+        if (!scored.ok())
+            return scored.error();
         QueueStreamResult &out = result.queues[q];
         out.queue = queue_names[q];
-        out.result.totalJobs = static_cast<size_t>(queue_totals[q]);
-        if (out.result.totalJobs == 0)
-            continue;
-        if (auto ok = collectScores(*cores[q], &out.result); !ok.ok())
-            return ok.error();
+        out.result = std::move(scored).value();
         out.trims = predictorTrimCount(*predictors[q]);
     }
     return result;

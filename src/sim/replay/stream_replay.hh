@@ -10,26 +10,11 @@
  * produces on the in-memory trace filtered to that queue (no probe,
  * no checkpointing) — same evaluated/correct/infinite counts, same
  * bitwise medianRatio — for any batch size, shard size, and thread
- * count. This holds by construction — both run one sim::QueueCore per
- * queue — given three properties of that core:
- *
- *  1. *Frozen bounds between events.* A predictor's upperBound() only
- *     changes at refit() — including the refit a change-point trim
- *     issues from inside observe(). Between two consecutive events
- *     (pending release or epoch tick) the bound cannot move, so a run
- *     of jobs whose submits all precede the next event is scored with
- *     one virtual call (Predictor::scoreBatch) instead of one per job.
- *
- *  2. *Order-preserving batched observes.* Releases that fire between
- *     two epoch ticks are popped from the pending heap in exactly the
- *     scalar order and handed to Predictor::observeBatch, which is
- *     contractually equivalent to element-wise observe() — trims and
- *     all.
- *
- *  3. *Pre-computed training splits.* The .qtcs manifest carries
- *     per-queue job totals, so each queue's training prefix
- *     (trainFraction * queue total) is known before the first batch
- *     arrives, exactly as if the whole queue sub-trace were in memory.
+ * count. This holds by construction: both run one sim::QueueCore per
+ * queue, whose processRows() gives the same result however the rows
+ * are chunked, and the .qtcs manifest carries per-queue job totals, so
+ * each queue's training prefix (trainFraction * queue total) is known
+ * before its first batch arrives.
  *
  * Parallelism: each queue owns an independent replay core; every
  * reader batch is scattered into per-queue (submit, wait) runs and the

@@ -1,15 +1,14 @@
 /**
  * @file
- * Tests for the parallel evaluation engine: the parallel suite must be
- * bit-identical to the sequential helpers for every worker count (the
- * determinism contract the bench tables print under), and per-range
- * subdivision must match the sequential reference cell for cell.
+ * Tests for sim::evaluateSuite: a suite fanned out over a ThreadPool
+ * must be bit-identical to the sequential helpers for every worker
+ * count (the determinism contract the bench tables print under).
  */
 
 #include <gtest/gtest.h>
 
 #include "core/rare_event.hh"
-#include "sim/replay/parallel_evaluation.hh"
+#include "sim/replay/evaluation.hh"
 #include "stats/rng.hh"
 
 namespace qdel {
@@ -74,9 +73,9 @@ TEST(ParallelEvaluation, SuiteMatchesSequentialAcrossThreadCounts)
                                            job.options, job.config));
     }
 
-    for (long long threads : {1, 2, 8}) {
-        ParallelEvaluator evaluator(threads);
-        const auto parallel = evaluator.evaluateSuite(jobs);
+    for (size_t threads : {1, 2, 8}) {
+        ThreadPool pool(threads);
+        const auto parallel = evaluateSuite(pool, jobs);
         ASSERT_EQ(parallel.size(), sequential.size());
         for (size_t i = 0; i < parallel.size(); ++i) {
             EXPECT_TRUE(identicalCells(parallel[i], sequential[i]))
@@ -95,54 +94,12 @@ TEST(ParallelEvaluation, RepeatedRunsAreStable)
     core::PredictorOptions options;
     const auto jobs = makeSuite(trace, options);
 
-    ParallelEvaluator evaluator(4);
-    const auto first = evaluator.evaluateSuite(jobs);
-    const auto second = evaluator.evaluateSuite(jobs);
+    ThreadPool pool(4);
+    const auto first = evaluateSuite(pool, jobs);
+    const auto second = evaluateSuite(pool, jobs);
     ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i)
         EXPECT_TRUE(identicalCells(first[i], second[i]));
-}
-
-TEST(ParallelEvaluation, ByProcRangeMatchesSequential)
-{
-    const auto trace = syntheticTrace(8000, 13);
-    core::PredictorOptions options;
-    const auto sequential = evaluateByProcRange(trace, "bmbp", options);
-
-    for (long long threads : {1, 2, 8}) {
-        ParallelEvaluator evaluator(threads);
-        const auto parallel =
-            evaluator.evaluateByProcRange(trace, "bmbp", options);
-        ASSERT_EQ(parallel.size(), sequential.size());
-        for (size_t i = 0; i < parallel.size(); ++i) {
-            EXPECT_TRUE(identicalCells(parallel[i], sequential[i]))
-                << "threads=" << threads << " range=" << i;
-        }
-    }
-}
-
-TEST(ParallelEvaluation, ByProcRangeHonorsMinJobs)
-{
-    const auto trace = syntheticTrace(1500, 14);
-    core::PredictorOptions options;
-    ParallelEvaluator evaluator(2);
-    const auto strict = evaluator.evaluateByProcRange(trace, "bmbp",
-                                                      options, {}, 1000);
-    EXPECT_EQ(strict[1].evaluated, 0u);
-    EXPECT_GT(strict[1].jobs, 0u);
-    const auto loose = evaluator.evaluateByProcRange(trace, "bmbp",
-                                                     options, {}, 100);
-    EXPECT_GT(loose[1].evaluated, 0u);
-}
-
-TEST(ParallelEvaluation, ThreadCountResolution)
-{
-    ParallelEvaluator one(1);
-    EXPECT_EQ(one.threadCount(), 1u);
-    ParallelEvaluator many(7);
-    EXPECT_EQ(many.threadCount(), 7u);
-    ParallelEvaluator defaulted(0);
-    EXPECT_GE(defaulted.threadCount(), 1u);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
  * the wrong state.
  */
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -37,10 +38,14 @@ freshDir(const std::string &name)
 
 /**
  * 600 jobs, one a minute, waits cycling through 5..45 s with a jump to
- * 500+ s at job 400 so the change-point machinery trims mid-run.
+ * 500+ s at job 400 so the change-point machinery trims mid-run. A
+ * positive @p release_grid delays every even job's start to the next
+ * multiple of it, so several releases share an instant and are pending
+ * together at each checkpoint.
  */
 trace::Trace
-makeTrace(size_t count = 600, double wait_offset = 0.0)
+makeTrace(size_t count = 600, double wait_offset = 0.0,
+          double release_grid = 0.0)
 {
     trace::Trace t;
     for (size_t i = 0; i < count; ++i) {
@@ -50,6 +55,11 @@ makeTrace(size_t count = 600, double wait_offset = 0.0)
                           40.0 * static_cast<double>((i * 37) % 97) /
                               97.0 +
                           (i >= 400 ? 500.0 : 0.0) + wait_offset;
+        if (release_grid > 0.0 && i % 2 == 0) {
+            const double start = job.submitTime + job.waitSeconds;
+            job.waitSeconds = release_grid * std::ceil(start / release_grid) -
+                              job.submitTime;
+        }
         t.add(job);
     }
     return t;
@@ -152,14 +162,15 @@ TEST(ReplayCheckpoint, CheckpointedRunMatchesPlainRun)
     EXPECT_EQ(predictorTrimCount(*predictor), plain_trims);
 }
 
-/** Kill a checkpointed @p method run halfway through its persistence
- *  ops, resume it, and expect the uninterrupted run's results. */
+/** Kill a checkpointed @p method run over @p t halfway through its
+ *  persistence ops, resume it, and expect the uninterrupted run's
+ *  results. @p name keeps the runs' directories apart. */
 void
-crashMidRunThenResume(const std::string &method)
+crashMidRunThenResume(const std::string &method, const trace::Trace &t,
+                      const std::string &name)
 {
-    SCOPED_TRACE(method);
+    SCOPED_TRACE(method + " " + name);
     fault::reset();
-    const trace::Trace t = makeTrace();
     size_t plain_trims = 0;
     const ReplayResult plain = referenceRun(t, &plain_trims, method);
     ASSERT_GT(plain_trims, 0u);  // the scenario must exercise trims
@@ -171,13 +182,13 @@ crashMidRunThenResume(const std::string &method)
         ReplaySimulator simulator({300.0, 0.10});
         ASSERT_TRUE(simulator
                         .run(t, *predictor, makeProbe(),
-                             makeCkpt(freshDir("profile_" + method)))
+                             makeCkpt(freshDir("profile_" + name)))
                         .ok());
     }
     const uint64_t total_ops = fault::opCount();
     ASSERT_GT(total_ops, 4u);
 
-    const std::string dir = freshDir("crash_" + method);
+    const std::string dir = freshDir("crash_" + name);
     fault::configure(
         {fault::Kind::ShortWrite, total_ops / 2, 77});
     {
@@ -206,9 +217,11 @@ crashMidRunThenResume(const std::string &method)
 
 TEST(ReplayCheckpoint, CrashMidRunThenResumeIsByteIdentical)
 {
-    crashMidRunThenResume("bmbp");
+    crashMidRunThenResume("bmbp", makeTrace(), "bmbp");
     // Round-trips the lognormal running sums and trims through a crash.
-    crashMidRunThenResume("lognormal-trim");
+    crashMidRunThenResume("lognormal-trim", makeTrace(), "lognormal");
+    // Equal-time releases pending at the checkpoint.
+    crashMidRunThenResume("bmbp", makeTrace(600, 0.0, 900.0), "grid");
 }
 
 TEST(ReplayCheckpoint, ResumeAfterCompletionIsIdempotent)
@@ -328,6 +341,58 @@ TEST(ReplayCheckpoint, SnapshotAheadOfTheTraceIsRefused)
                   "previous-snapshot"),
               std::string::npos);
     EXPECT_LT(resumed.value().resumedFromJob, t.size());
+    expectSameResult(plain, resumed.value());
+}
+
+TEST(ReplayCheckpoint, VersionTwoSnapshotIsRefused)
+{
+    // v3 pending releases are (start, submit) pairs; v2 wrote
+    // (start, wait). A v2 snapshot must be refused by the header check,
+    // not decoded with its waits read as submit times.
+    fault::reset();
+    const trace::Trace t = makeTrace();
+    const ReplayResult plain = referenceRun(t);
+    const std::string dir = freshDir("v2");
+    {
+        auto predictor = makePredictor();
+        ReplaySimulator simulator({300.0, 0.10});
+        ASSERT_TRUE(
+            simulator.run(t, *predictor, makeProbe(), makeCkpt(dir))
+                .ok());
+    }
+    persist::StateWriter v2_header;
+    persist::writeStateHeader(v2_header, "replay-driver", 2);
+    persist::StateWriter v3_header;
+    persist::writeStateHeader(v3_header, "replay-driver", 3);
+    auto entries = persist::listDirectory(dir);
+    ASSERT_TRUE(entries.ok());
+    size_t retagged = 0;
+    for (const std::string &name : entries.value()) {
+        if (name.rfind("snapshot-", 0) != 0)
+            continue;
+        auto payload = persist::readSnapshotFile(dir + "/" + name);
+        ASSERT_TRUE(payload.ok());
+        std::string v2 = payload.value();
+        ASSERT_EQ(v2.compare(0, v3_header.bytes().size(), v3_header.bytes()),
+                  0);
+        v2.replace(0, v3_header.bytes().size(), v2_header.bytes());
+        ASSERT_TRUE(persist::writeSnapshotFile(dir + "/" + name, v2).ok());
+        ++retagged;
+    }
+    ASSERT_GT(retagged, 0u);
+
+    auto predictor = makePredictor();
+    ReplaySimulator simulator({300.0, 0.10});
+    auto resumed = simulator.run(t, *predictor, makeProbe(),
+                                 makeCkpt(dir, true));
+    ASSERT_TRUE(resumed.ok()) << resumed.error().str();
+    size_t refused = 0;
+    for (const std::string &note : resumed.value().recoveryNotes) {
+        refused += note.find("state version 2 unsupported") !=
+                   std::string::npos;
+    }
+    EXPECT_EQ(refused, retagged);
+    EXPECT_EQ(resumed.value().resumedFromJob, 0u);
     expectSameResult(plain, resumed.value());
 }
 

@@ -5,13 +5,18 @@
  * identities, and the figure/table probes.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/bmbp_predictor.hh"
+#include "core/predictor_factory.hh"
+#include "sim/replay/evaluation.hh"
 #include "sim/replay/replay_simulator.hh"
 #include "stats/rng.hh"
 
@@ -323,6 +328,72 @@ TEST(Replay, EmptyTrace)
     auto result = simulator.run(t, predictor).value();
     EXPECT_EQ(result.totalJobs, 0u);
     EXPECT_EQ(result.evaluatedJobs, 0u);
+}
+
+/**
+ * Groups of one to five jobs share a submit instant and differ in
+ * wait; a regime shift halfway provokes change-point trims, and most
+ * jobs start on a 1800 s grid, so dozens release at one instant. Each
+ * group's jobs are listed in the order @p seed shuffles them to (0
+ * keeps the generated order).
+ */
+trace::Trace
+sharedSubmitTrace(uint32_t seed)
+{
+    stats::Rng rng(42);
+    std::mt19937 shuffle(seed);
+    trace::Trace t;
+    double submit = 5'000.0;
+    const size_t groups = 1'200;
+    for (size_t g = 0; g < groups; ++g) {
+        submit += 30.0 * static_cast<double>(rng.uniformInt(1, 6));
+        std::vector<trace::JobRecord> group;
+        const int size = static_cast<int>(rng.uniformInt(1, 5));
+        for (int k = 0; k < size; ++k) {
+            trace::JobRecord job;
+            job.submitTime = submit;
+            job.waitSeconds = std::ceil(
+                rng.logNormal(g < groups / 2 ? 5.0 : 8.0, 1.0));
+            if (rng.bernoulli(0.7)) {
+                job.waitSeconds =
+                    1800.0 * std::ceil((submit + job.waitSeconds) /
+                                       1800.0) -
+                    submit;
+            }
+            group.push_back(job);
+        }
+        if (seed != 0)
+            std::shuffle(group.begin(), group.end(), shuffle);
+        for (const trace::JobRecord &job : group)
+            t.add(job);
+    }
+    return t;
+}
+
+TEST(Replay, ResultIgnoresTheOrderOfJobsSharingASubmit)
+{
+    // No training prefix: its cut could split a group, and which jobs
+    // of a group fall before it does depend on their order.
+    const ReplaySimulator simulator({300.0, 0.0});
+    for (const char *method : {"bmbp", "lognormal-trim"}) {
+        auto predictor = core::makePredictor(method, {});
+        const auto reference =
+            simulator.run(sharedSubmitTrace(0), *predictor).value();
+        EXPECT_GT(predictorTrimCount(*predictor), 0u) << method;
+        for (uint32_t seed : {1u, 2u, 3u, 4u}) {
+            auto shuffled = core::makePredictor(method, {});
+            const auto result =
+                simulator.run(sharedSubmitTrace(seed), *shuffled).value();
+            EXPECT_EQ(result.evaluatedJobs, reference.evaluatedJobs);
+            EXPECT_EQ(result.correct, reference.correct)
+                << method << " seed " << seed;
+            EXPECT_EQ(result.infinitePredictions,
+                      reference.infinitePredictions);
+            EXPECT_EQ(result.correctFraction, reference.correctFraction);
+            EXPECT_EQ(result.medianRatio, reference.medianRatio)
+                << method << " seed " << seed;
+        }
+    }
 }
 
 } // namespace

@@ -12,13 +12,17 @@
  * must trip the binomial failing flag, and so must a regime shift the
  * bound cannot follow. The offline-equals-online test feeds a trace's
  * event stream through BoundService and requires every queue's served
- * scored/hit/infinite counts to equal ReplaySimulator's on that queue.
+ * scored/hit/infinite counts to equal ReplaySimulator's on that queue,
+ * for each method and for whole-second, fractional and equal-instant
+ * traces.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -325,18 +329,29 @@ TEST(Calibration, ShardInfoCountsPendingAndApplied)
     EXPECT_EQ(info.rejected, 0u);
 }
 
+/** The trace shapes the offline/online parity test runs on. */
+enum class ParityShape
+{
+    WholeSeconds,  //!< SWF-like: every time a whole second.
+    Fractional,    //!< Fractional submits and waits.
+    EqualInstant,  //!< Batches of Starts at one instant.
+};
+
 /**
  * Three queues in the shape of the stream-parity fixture: interleaved,
  * each with its own wait regime, one shifting regime mid-trace (which
  * provokes change-point trims), zero-wait jobs (a release tied with its
  * own submit) and duplicate submit times. Every third job of a queue is
  * released exactly on one of its queue's 300 s epoch ticks, where a
- * release must be observed before the tick's refit. Times are whole
- * seconds, so a wait recovered as start - submit is the trace's wait
- * bit for bit, and each queue's jobs share one proc bucket.
+ * release must be observed before the tick's refit; each queue's jobs
+ * share one proc bucket. @p shape Fractional offsets every submit and
+ * wait by a fraction of a second, so a wait recovered as start - submit
+ * differs from the trace's in the last bit; EqualInstant also starts
+ * most jobs on a 900 s grid, so dozens of jobs of different waits
+ * release at one instant.
  */
 std::vector<trace::JobRecord>
-parityJobs(size_t per_queue)
+parityJobs(size_t per_queue, ParityShape shape)
 {
     const char *const queues[] = {"batch", "debug", "long"};
     const int procs[] = {2, 16, 128};
@@ -345,6 +360,8 @@ parityJobs(size_t per_queue)
     double submit = 10'000.0;
     for (size_t i = 0; i < 3 * per_queue; ++i) {
         submit += static_cast<double>(i % 7) * 7.0;  // dup when i%7==0
+        if (shape == ParityShape::Fractional && i % 7 != 0)
+            submit += static_cast<double>(i % 10) / 3.0;
         const size_t q = i % 3;
         if (i < 3)
             first_submit[q] = submit;
@@ -358,11 +375,16 @@ parityJobs(size_t per_queue)
         } else {
             wait = 600.0 + static_cast<double>((i * 53) % 2'999);
         }
+        if (shape == ParityShape::Fractional && q != 1)
+            wait += static_cast<double>((i * 29) % 97) / 7.0;
         if (i % 9 < 3) {
             // Snap the release onto the queue's next epoch tick.
             const double ticks =
                 std::ceil((submit + wait - first_submit[q]) / 300.0);
             wait = first_submit[q] + 300.0 * ticks - submit;
+        } else if (shape == ParityShape::EqualInstant) {
+            // Start with the batch the scheduler launches next.
+            wait = 1800.0 * std::ceil((submit + wait) / 1800.0) - submit;
         }
         if (i % 17 == 0)
             wait = 0.0;  // released at its submit instant
@@ -377,13 +399,22 @@ parityJobs(size_t per_queue)
     return jobs;
 }
 
-TEST(Calibration, ServedCountsEqualOfflineReplayPerQueue)
+/** (method, trace shape) of one offline/online parity case. */
+using ParityCase = std::tuple<std::string, ParityShape>;
+
+class CalibrationParity : public ::testing::TestWithParam<ParityCase>
 {
+};
+
+TEST_P(CalibrationParity, ServedCountsEqualOfflineReplayPerQueue)
+{
+    const auto [method, shape] = GetParam();
     const size_t per_queue = 1500;
-    const auto jobs = parityJobs(per_queue);
+    const auto jobs = parityJobs(per_queue, shape);
 
     ServiceConfig config;
     config.registry.shards = 4;
+    config.registry.method = method;
     config.registry.epochSeconds = 300.0;
     // The offline training prefix, floor(0.1 x queue total).
     config.registry.trainJobs = per_queue / 10;
@@ -405,7 +436,7 @@ TEST(Calibration, ServedCountsEqualOfflineReplayPerQueue)
             if (job.queue == row.queue)
                 queue_trace.add(job);
         }
-        auto predictor = core::makePredictor("bmbp", {});
+        auto predictor = core::makePredictor(method, {});
         sim::ReplaySimulator simulator({300.0, 0.10});
         const auto offline = simulator.run(queue_trace, *predictor);
         ASSERT_TRUE(offline.ok());
@@ -418,8 +449,29 @@ TEST(Calibration, ServedCountsEqualOfflineReplayPerQueue)
         EXPECT_EQ(row.infinite, offline.value().infinitePredictions)
             << row.queue;
     }
-    EXPECT_GT(trims, 0u) << "the regime shift must exercise trims";
+    if (method != "lognormal") {
+        EXPECT_GT(trims, 0u) << "the regime shift must exercise trims";
+    }
 }
+
+std::string
+parityCaseName(const ::testing::TestParamInfo<ParityCase> &info)
+{
+    const char *const shapes[] = {"whole_seconds", "fractional",
+                                  "equal_instant"};
+    std::string name = std::get<0>(info.param);
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name + "_" + shapes[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MethodsByShapes, CalibrationParity,
+    ::testing::Combine(::testing::Values("bmbp", "lognormal",
+                                         "lognormal-trim"),
+                       ::testing::Values(ParityShape::WholeSeconds,
+                                         ParityShape::Fractional,
+                                         ParityShape::EqualInstant)),
+    parityCaseName);
 
 TEST(Calibration, RegimeShiftTripsTheFailingFlagThroughTheService)
 {
