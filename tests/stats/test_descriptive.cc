@@ -3,7 +3,10 @@
  * Unit tests for the descriptive statistics.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +46,60 @@ TEST(Quantile, Type7Interpolation)
     EXPECT_DOUBLE_EQ(quantile(sample, 0.5), 30.0);
     EXPECT_DOUBLE_EQ(quantile(sample, 0.25), 20.0);
     EXPECT_DOUBLE_EQ(quantile(sample, 0.1), 14.0);  // interpolated
+}
+
+/** The sort-based type-7 quantile, kept as the bit-for-bit reference. */
+double
+sortedQuantile(std::vector<double> sample, double q)
+{
+    std::sort(sample.begin(), sample.end());
+    const double position = q * static_cast<double>(sample.size() - 1);
+    const size_t lower = static_cast<size_t>(position);
+    const double frac = position - static_cast<double>(lower);
+    if (lower + 1 >= sample.size())
+        return sample.back();
+    return sample[lower] * (1.0 - frac) + sample[lower + 1] * frac;
+}
+
+TEST(Quantile, SelectionMatchesSortedReference)
+{
+    // Values come from small sets so that ties are heavy: ties are where
+    // a selection and a sort leave equal values in different places.
+    //
+    // Signed zeros compare equal, so neither a sort nor a selection fixes
+    // which zero lands at a rank. The mixed families below therefore keep
+    // every type-7 answer independent of that placement: either all
+    // zeros share one sign, or one lone -0.0 sits among +0.0s and
+    // positives, where a * (1 - frac) + b * frac rounds it to +0.0 and
+    // q = 1 picks a positive maximum.
+    const double qs[] = {0.0, 0.25, 0.5, 0.95, 1.0};
+    const double ties[] = {-1.0, 0.0, 0.5, 2.0, 7.25};
+    const double lone_neg_zero[] = {0.0, 1.0, 2.0};
+    const double neg_zero_only[] = {-3.0, -0.0, 1.0};
+    Rng rng(21);
+    auto pick = [&rng](const double *set, size_t size) {
+        return set[rng.uniformInt(0, static_cast<long long>(size) - 1)];
+    };
+    for (size_t n = 1; n <= 300; ++n) {
+        std::vector<std::vector<double>> samples(3, std::vector<double>(n));
+        for (size_t i = 0; i < n; ++i) {
+            samples[0][i] = pick(ties, std::size(ties));
+            samples[1][i] = pick(lone_neg_zero, std::size(lone_neg_zero));
+            samples[2][i] = pick(neg_zero_only, std::size(neg_zero_only));
+        }
+        if (n > 1)
+            samples[1][0] = 3.0;
+        samples[1][n / 2] = -0.0;
+        for (const std::vector<double> &sample : samples) {
+            for (double q : qs) {
+                const double want = sortedQuantile(sample, q);
+                const double got = quantile(sample, q);
+                ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                    << "n=" << n << " q=" << q << " got " << got
+                    << " want " << want;
+            }
+        }
+    }
 }
 
 TEST(QuantileDeath, RejectsBadInput)
