@@ -19,6 +19,7 @@
 #include "core/lognormal_predictor.hh"
 #include "core/rare_event.hh"
 #include "serve/bound_registry.hh"
+#include "stats/descriptive.hh"
 #include "stats/quantile_bounds.hh"
 #include "stats/rng.hh"
 #include "stats/tolerance.hh"
@@ -231,6 +232,22 @@ BM_RunLengthThresholdLegacy(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RunLengthThresholdLegacy)->Unit(benchmark::kMillisecond);
+
+void
+BM_QuantileMedian(benchmark::State &state)
+{
+    // The exact median QueueCore::result() reports for a replay: the
+    // actual/predicted ratios are copied once per call, as
+    // SpillDoubles::median() copies its resident values, then the two
+    // central order statistics are selected.
+    stats::Rng rng(13);
+    std::vector<double> ratios(static_cast<size_t>(state.range(0)));
+    for (double &ratio : ratios)
+        ratio = rng.logNormal(0.0, 1.5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(stats::median(ratios));
+}
+BENCHMARK(BM_QuantileMedian)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

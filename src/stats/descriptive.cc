@@ -58,13 +58,17 @@ quantile(std::vector<double> sample, double q)
         panic("quantile: empty sample");
     if (q < 0.0 || q > 1.0)
         panic("quantile: q out of [0,1]: ", q);
-    std::sort(sample.begin(), sample.end());
     const double position = q * static_cast<double>(sample.size() - 1);
     const size_t lower = static_cast<size_t>(position);
     const double frac = position - static_cast<double>(lower);
+    // nth_element leaves every value past `lower` >= the one at it, so
+    // the next order statistic is the minimum of that tail.
+    const auto at_lower = sample.begin() + static_cast<ptrdiff_t>(lower);
+    std::nth_element(sample.begin(), at_lower, sample.end());
     if (lower + 1 >= sample.size())
-        return sample.back();
-    return sample[lower] * (1.0 - frac) + sample[lower + 1] * frac;
+        return *at_lower;
+    const double upper = *std::min_element(at_lower + 1, sample.end());
+    return *at_lower * (1.0 - frac) + upper * frac;
 }
 
 double

@@ -40,6 +40,8 @@ double median(std::vector<double> sample);
 /**
  * Empirical quantile with linear interpolation between order statistics
  * (the common "type 7" definition). @p q must lie in [0, 1].
+ * O(n): the two order statistics are found by selection (nth_element,
+ * then the minimum of the tail past it), not by sorting @p sample.
  */
 double quantile(std::vector<double> sample, double q);
 
@@ -50,7 +52,7 @@ double quantile(std::vector<double> sample, double q);
  */
 double autocorrelation(const std::vector<double> &series, size_t lag);
 
-/** Compute all SummaryStats fields in one pass (plus a sort for median). */
+/** Compute all SummaryStats fields in O(n) (a selection for median). */
 SummaryStats summarize(const std::vector<double> &sample);
 
 /**

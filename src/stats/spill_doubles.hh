@@ -16,9 +16,10 @@
  * buffer + histogram) no matter how many values were added.
  *
  * The total-order key refines operator< only up to signed zeros and
- * NaNs (-0.0 sorts below +0.0 here; std::sort leaves their relative
- * order unspecified, and NaN comparisons are UB there). Replay ratios
- * are finite and non-negative, so neither case changes the result.
+ * NaNs (-0.0 ranks below +0.0 here; the selection in stats::quantile()
+ * leaves their relative order unspecified, and NaN comparisons are UB
+ * there). Replay ratios are finite and non-negative, so neither case
+ * changes the result.
  */
 
 #ifndef QDEL_STATS_SPILL_DOUBLES_HH

@@ -129,9 +129,9 @@ NativeChunkResult
 parseNativeChunk(std::string_view chunk, const NativeParseOptions &options)
 {
     NativeChunkResult out;
-    // ~25-byte lines are typical; a rough reserve avoids most of the
-    // record vector's growth reallocations on large chunks.
-    out.records.reserve(chunk.size() / 25 + 1);
+    // Each line yields at most one record, so this reserve is never
+    // outgrown and the vector never reallocates.
+    out.records.reserve(detail::LineCursor::maxLines(chunk));
     detail::LineCursor cursor(chunk);
     std::string_view line;
     std::string_view fields[kMaxNativeFields];

@@ -20,6 +20,7 @@
 #ifndef QDEL_TRACE_PARSE_BUFFER_HH
 #define QDEL_TRACE_PARSE_BUFFER_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <future>
 #include <optional>
@@ -61,6 +62,15 @@ class LineCursor
 {
   public:
     explicit LineCursor(std::string_view data) : data_(data) {}
+
+    /** Upper bound on the lines next() yields over @p data. */
+    static size_t
+    maxLines(std::string_view data)
+    {
+        return static_cast<size_t>(
+                   std::count(data.begin(), data.end(), '\n')) +
+               1;
+    }
 
     /** Advance to the next line; false when the buffer is exhausted. */
     bool
