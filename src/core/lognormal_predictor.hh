@@ -57,6 +57,7 @@ class LogNormalPredictor : public Predictor
     void observeBatch(const double *waits, size_t count) override;
     void refit() override;
     QuantileEstimate upperBound() const override;
+    double confidence() const override { return config_.confidence; }
     QuantileEstimate boundAt(double q, bool upper) const override;
     void finalizeTraining() override;
     size_t historySize() const override { return logs_.size(); }

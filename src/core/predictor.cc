@@ -23,6 +23,7 @@ Predictor::scoreBatch(const double *waits, size_t count,
 {
     BatchScore score;
     const QuantileEstimate bound = upperBound();
+    score.bound = bound.value;
     if (!bound.finite()) {
         score.correct = count;
         score.infinite = count;
@@ -47,6 +48,12 @@ Predictor::boundGrid(const double *qs, size_t count, QuantileEstimate *upper,
         if (lower != nullptr)
             lower[i] = boundAt(qs[i], /*upper=*/false);
     }
+}
+
+double
+Predictor::confidence() const
+{
+    return 0.95;
 }
 
 QuantileEstimate

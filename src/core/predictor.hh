@@ -90,6 +90,10 @@ class Predictor
         size_t correct = 0;   //!< Jobs whose wait met the bound.
         size_t infinite = 0;  //!< Jobs scored under an infinite bound
                               //!< (all count as correct, no ratio).
+        /** The frozen bound the run was scored against (+inf when
+         *  none), so a caller can judge each job without another
+         *  upperBound() call. */
+        double bound = std::numeric_limits<double>::infinity();
     };
 
     /**
@@ -130,6 +134,13 @@ class Predictor
      * Stable between refit() calls.
      */
     virtual QuantileEstimate upperBound() const = 0;
+
+    /**
+     * The confidence level C the bounds claim: what a replay's
+     * calibration window is judged against. Default 0.95, the paper's
+     * C, for methods whose bound carries no confidence of its own.
+     */
+    virtual double confidence() const;
 
     /**
      * On-demand bound for an arbitrary quantile from the current

@@ -28,8 +28,9 @@ namespace {
 // the bound captured at submit on each pending job plus the per-entry
 // calibration counters and rolling window; v4 replaced the refit-every-K
 // policy with the replay core (epoch clock, submit count, scored counts)
-// and echoes epochSeconds/trainJobs.
-constexpr uint32_t kShardStateVersion = 4;
+// and echoes epochSeconds/trainJobs; v5 moved the rolling window into
+// the core's state.
+constexpr uint32_t kShardStateVersion = 5;
 const char *const kShardStateTag = "qdel-serve-shard";
 
 std::string
@@ -102,12 +103,6 @@ struct BoundRegistry::Entry
         bool scoreable = false;
     };
     std::map<uint64_t, PendingJob> pending;  //!< by jobId.
-
-    // The rolling calibration window: mutated only under the shard
-    // writer lock, so it is a deterministic function of the event
-    // sequence and WAL replay reconstructs it exactly (it is part of
-    // the digest). The lifetime counts live in the core.
-    obs::CalibrationWindow calibWindow;
 
     AtomicSharedPtr<const BoundSnapshot> snapshot;
 };
@@ -435,7 +430,6 @@ BoundRegistry::scoreLocked(Entry &entry, bool scoreable, double bound,
     // counts as covering (the service answered "no useful bound", not
     // a wrong one) and is tallied.
     const bool hit = entry.replay.scoreRelease(bound, wait);
-    entry.calibWindow.record(hit);
     QDEL_OBS({
         obs::calibrationMetrics().scored.inc();
         if (!std::isfinite(bound))
@@ -630,10 +624,8 @@ BoundRegistry::saveShard(size_t s, persist::StateWriter &writer) const
             writer.f64(pending_job.boundAtSubmit);
             writer.u8(pending_job.scoreable ? 1 : 0);
         }
-        const std::vector<uint8_t> window = entry->calibWindow.serialize();
-        writer.str(std::string(window.begin(), window.end()));
-        // The core's state (epoch clock, submit count, scored counts)
-        // followed by the predictor's.
+        // The core's state (epoch clock, submit count, scored counts,
+        // calibration window) followed by the predictor's.
         if (auto saved = entry->replay.saveState(writer); !saved.ok())
             return saved.error();
     }
@@ -702,15 +694,6 @@ BoundRegistry::loadShard(size_t s, persist::StateReader &reader)
             pending_job.scoreable = reader.u8() != 0;
             entry->pending.emplace(job_id, pending_job);
         }
-        const std::string_view window = reader.strView();
-        if (window.size() > obs::CalibrationWindow::kCapacity) {
-            reader.fail(ParseError{"", 0, "calibWindow",
-                                   "calibration window longer than "
-                                   "capacity"});
-            break;
-        }
-        entry->calibWindow.restore(
-            std::vector<uint8_t>(window.begin(), window.end()));
         if (auto loaded = entry->replay.loadState(reader); !loaded.ok())
             return loaded.error();
         // Restore the published grid exactly as saved — recomputing it
@@ -749,7 +732,7 @@ BoundRegistry::calibrationReport() const
     CalibrationReport report;
     report.confidence = options_.confidence;
     report.quantile = kGridQuantiles[primaryGridIndex_];
-    report.windowCapacity = obs::CalibrationWindow::kCapacity;
+    report.windowCapacity = sim::QueueCore::kWindowCapacity;
     for (size_t s = 0; s < shards_.size(); ++s) {
         // The calibration fields are writer-owned, so reading them
         // takes the shard lock — cold path, same as stats().
@@ -766,17 +749,17 @@ BoundRegistry::calibrationReport() const
             row.scored = entry->replay.evaluated();
             row.hits = entry->replay.correct();
             row.infinite = entry->replay.infinite();
-            row.windowCount = entry->calibWindow.count();
-            row.windowHits = entry->calibWindow.hits();
+            row.windowCount = entry->replay.windowCount();
+            row.windowHits = entry->replay.windowHits();
             if (row.scored > 0) {
                 row.lifetimeCoverage =
                     static_cast<double>(row.hits) /
                     static_cast<double>(row.scored);
             }
-            row.windowCoverage = entry->calibWindow.coverage();
             const obs::CalibrationVerdict verdict =
                 obs::assessCalibration(row.windowHits, row.windowCount,
                                        options_.confidence);
+            row.windowCoverage = verdict.coverage;
             row.drift = verdict.drift;
             row.pValue = verdict.pValue;
             row.failing = verdict.failing;

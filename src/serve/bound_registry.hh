@@ -202,10 +202,12 @@ class BoundRegistry
     std::vector<EntryView> enumerate() const;
 
     /**
-     * One entry's calibration state: the live analogue of an offline
-     * correct-fraction table row. Lifetime counters never forget; the
-     * window fields cover only the most recent outcomes, so they are
-     * what the failing verdict is judged on.
+     * One entry's calibration state, read from its sim::QueueCore:
+     * the live analogue of an offline correct-fraction table row, and
+     * equal to the offline ReplayResult's row on the same jobs.
+     * Lifetime counters never forget; the window fields cover only the
+     * most recent outcomes, so they are what the failing verdict is
+     * judged on.
      */
     struct CalibrationRow
     {

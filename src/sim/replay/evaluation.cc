@@ -43,6 +43,8 @@ evaluateTrace(const trace::Trace &t, const std::string &method,
     cell.correctFraction = outcome.correctFraction;
     cell.medianRatio = outcome.medianRatio;
     cell.trims = predictorTrimCount(*predictor);
+    cell.windowCoverage = outcome.windowCoverage;
+    cell.failing = outcome.failing;
     return cell;
 }
 

@@ -36,6 +36,10 @@ struct EvaluationCell
     double correctFraction = 0.0; //!< Paper Tables 3 and 5-7.
     double medianRatio = 0.0;     //!< Paper Table 4.
     size_t trims = 0;             //!< Change points detected (if any).
+    /** The replay's calibration window: coverage (-1 when empty) and
+     *  whether its binomial verdict fails. */
+    double windowCoverage = -1.0;
+    bool failing = false;
 
     /** @return true when the method met its advertised quantile. */
     bool

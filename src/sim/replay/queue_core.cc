@@ -9,10 +9,12 @@
 #include <cmath>
 #include <functional>
 
+#include "obs/calibration.hh"
 #include "obs/domain_metrics.hh"
 #include "obs/obs.hh"
 #include "persist/state_codec.hh"
 #include "sim/replay/evaluation.hh"
+#include "stats/special_functions.hh"
 
 namespace qdel {
 namespace sim {
@@ -31,6 +33,33 @@ stepClock(double t, double step)
 }
 
 } // namespace
+
+size_t
+QueueCore::Window::count() const
+{
+    return static_cast<size_t>(
+        std::min<uint64_t>(recorded, kWindowCapacity));
+}
+
+void
+QueueCore::Window::record(bool hit)
+{
+    uint8_t &slot = slots[recorded % kWindowCapacity];
+    if (recorded >= kWindowCapacity)
+        hits -= slot;
+    slot = hit ? 1 : 0;
+    hits += slot;
+    ++recorded;
+}
+
+std::string
+QueueCore::Window::oldestFirst() const
+{
+    std::string out;
+    for (uint64_t i = recorded - count(); i < recorded; ++i)
+        out.push_back(static_cast<char>(slots[i % kWindowCapacity]));
+    return out;
+}
 
 Expected<Unit>
 ReplayProbe::validate() const
@@ -142,8 +171,10 @@ QueueCore::advanceTo(double horizon)
             waitScratch_.clear();
             const double cap = std::min({horizon, nextRefit_, nextSnapshot_});
             while (!pending_.empty() && pending_.front().time <= cap) {
-                waitScratch_.push_back(pending_.front().time -
-                                       pending_.front().submit);
+                const PendingRelease &next = pending_.front();
+                waitScratch_.push_back(next.time - next.submit);
+                if (next.outcome != Outcome::Unscored)
+                    window_.record(next.outcome == Outcome::Hit);
                 std::pop_heap(pending_.begin(), pending_.end(),
                               std::greater<PendingRelease>{});
                 pending_.pop_back();
@@ -203,10 +234,11 @@ QueueCore::scoreRelease(double bound, double wait)
     ++evaluated_;
     correct_ += hit;
     infinite_ += infinite;
+    window_.record(hit);
     return hit;
 }
 
-void
+double
 QueueCore::scoreRun(const double *waits, size_t count)
 {
     const auto score =
@@ -227,18 +259,18 @@ QueueCore::scoreRun(const double *waits, size_t count)
         }
         // The bound is frozen across the run: one lookup serves every
         // job's ring events.
-        const auto bound = predictor_.upperBound();
         for (size_t k = 0; k < count; ++k) {
             obs::events().emit(obs::EventType::PredictionIssued,
-                               bound.value, waits[k]);
-            if (bound.finite()) {
-                obs::events().emit(bound.value >= waits[k]
+                               score.bound, waits[k]);
+            if (score.bound < kInf) {
+                obs::events().emit(score.bound >= waits[k]
                                        ? obs::EventType::BoundHit
                                        : obs::EventType::BoundMiss,
-                                   bound.value, waits[k]);
+                                   score.bound, waits[k]);
             }
         }
     });
+    return score.bound;
 }
 
 void
@@ -278,10 +310,15 @@ QueueCore::processRows(const double *submits, const double *trace_waits,
             }
         }
         submits_ = i + (s - r);
-        if (scored)
-            scoreRun(waits + r, s - r);
+        const double bound = scored ? scoreRun(waits + r, s - r) : kInf;
         for (size_t k = r; k < s; ++k) {
-            pending_.push_back({submits[k] + trace_waits[k], submits[k]});
+            // Judged now by the scoreBatch rule, recorded at release.
+            const Outcome outcome =
+                !scored ? Outcome::Unscored
+                : !(bound < kInf) || bound >= waits[k] ? Outcome::Hit
+                                                       : Outcome::Miss;
+            pending_.push_back(
+                {submits[k] + trace_waits[k], submits[k], outcome});
             std::push_heap(pending_.begin(), pending_.end(),
                            std::greater<PendingRelease>{});
         }
@@ -303,6 +340,26 @@ QueueCore::result()
         out.correctFraction = static_cast<double>(correct_) /
                               static_cast<double>(evaluated_);
     }
+    // The window as if every pending job released now, in the order
+    // the heap would pop them.
+    Window window = window_;
+    std::vector<PendingRelease> pending = pending_;
+    std::sort(pending.begin(), pending.end(),
+              [](const PendingRelease &a, const PendingRelease &b) {
+                  return b > a;
+              });
+    for (const PendingRelease &release : pending) {
+        if (release.outcome != Outcome::Unscored)
+            window.record(release.outcome == Outcome::Hit);
+    }
+    const obs::CalibrationVerdict verdict = obs::assessCalibration(
+        window.hits, window.count(), predictor_.confidence());
+    out.windowCount = window.count();
+    out.windowHits = window.hits;
+    out.windowCoverage = verdict.coverage;
+    out.drift = verdict.drift;
+    out.pValue = verdict.pValue;
+    out.failing = verdict.failing;
     if (ratios_.size() > 0) {
         auto median = ratios_.median();
         if (!median.ok())
@@ -321,11 +378,14 @@ QueueCore::saveState(persist::StateWriter &writer) const
         return ParseError{"", 0, "ratios",
                           "spilled accuracy ratios cannot be checkpointed"};
     }
-    // The heap, as (start, submit) pairs, and the series, as
-    // (time, value) pairs, go out flat.
+    // The heap, as (start, submit) pairs plus one outcome byte per
+    // release, and the series, as (time, value) pairs, go out flat.
     std::vector<double> pending, series;
-    for (const PendingRelease &release : pending_)
+    std::string outcomes;
+    for (const PendingRelease &release : pending_) {
         pending.insert(pending.end(), {release.time, release.submit});
+        outcomes.push_back(static_cast<char>(release.outcome));
+    }
     for (const SeriesPoint &point : series_)
         series.insert(series.end(), {point.time, point.value});
     writer.u64(submits_);
@@ -336,8 +396,10 @@ QueueCore::saveState(persist::StateWriter &writer) const
     writer.u64(evaluated_);
     writer.u64(correct_);
     writer.u64(infinite_);
+    writer.str(window_.oldestFirst());
     writer.doubles(ratios_.resident());
     writer.doubles(pending);
+    writer.str(outcomes);
     writer.doubles(series);
     writer.u64(snapshots_.size());
     for (const QuantileSnapshot &snap : snapshots_) {
@@ -359,8 +421,10 @@ QueueCore::loadState(persist::StateReader &reader, bool *predictor_loaded,
     const uint64_t evaluated = reader.u64();
     const uint64_t correct = reader.u64();
     const uint64_t infinite = reader.u64();
+    const std::string window = reader.str();
     std::vector<double> ratios = reader.doubles();
     const std::vector<double> pending = reader.doubles();
+    const std::string outcomes = reader.str();
     const std::vector<double> series = reader.doubles();
     const uint64_t n_snapshots = reader.u64();
     if (submits > max_submits) {
@@ -371,6 +435,20 @@ QueueCore::loadState(persist::StateReader &reader, bool *predictor_loaded,
     }
     if (pending.size() % 2 != 0 || series.size() % 2 != 0)
         reader.fail(ParseError{"", 0, "pending/series", "odd pair array"});
+    if (outcomes.size() * 2 != pending.size() ||
+        std::any_of(outcomes.begin(), outcomes.end(), [](char c) {
+            return c < 0 || c > static_cast<char>(Outcome::Unscored);
+        })) {
+        reader.fail(ParseError{"", 0, "outcomes",
+                               "one outcome per pending release"});
+    }
+    if (window.size() > kWindowCapacity ||
+        std::any_of(window.begin(), window.end(),
+                    [](char c) { return c != 0 && c != 1; })) {
+        reader.fail(ParseError{"", 0, "window",
+                               "calibration window longer than its "
+                               "capacity or not hit/miss bytes"});
+    }
     std::vector<QuantileSnapshot> snapshots;
     for (uint64_t i = 0; i < n_snapshots && reader.ok(); ++i) {
         const double time = reader.f64();
@@ -396,11 +474,16 @@ QueueCore::loadState(persist::StateReader &reader, bool *predictor_loaded,
     evaluated_ = evaluated;
     correct_ = correct;
     infinite_ = infinite;
+    window_ = Window{};
+    for (char outcome : window)
+        window_.record(outcome != 0);
     ratios_.reset(std::move(ratios));
     pending_.clear();
     series_.clear();
-    for (size_t i = 0; i < pending.size(); i += 2)
-        pending_.push_back({pending[i], pending[i + 1]});
+    for (size_t i = 0; i < pending.size(); i += 2) {
+        pending_.push_back({pending[i], pending[i + 1],
+                            static_cast<Outcome>(outcomes[i / 2])});
+    }
     for (size_t i = 0; i < series.size(); i += 2)
         series_.push_back({series[i], series[i + 1]});
     snapshots_ = std::move(snapshots);
@@ -408,4 +491,26 @@ QueueCore::loadState(persist::StateReader &reader, bool *predictor_loaded,
 }
 
 } // namespace sim
+
+namespace obs {
+
+// Declared in obs/calibration.hh; defined here because qdel_obs links
+// below qdel_stats, which owns the binomial CDF.
+CalibrationVerdict
+assessCalibration(std::size_t hits, std::size_t n, double confidence,
+                  std::size_t minSamples, double alpha)
+{
+    CalibrationVerdict verdict;
+    if (n == 0)
+        return verdict;  // binomialCdf needs n >= 1; pValue stays 1.
+    verdict.coverage = static_cast<double>(hits) / static_cast<double>(n);
+    verdict.drift = verdict.coverage - confidence;
+    verdict.pValue =
+        stats::binomialCdf(static_cast<long long>(hits),
+                           static_cast<long long>(n), confidence);
+    verdict.failing = n >= minSamples && verdict.pValue < alpha;
+    return verdict;
+}
+
+} // namespace obs
 } // namespace qdel

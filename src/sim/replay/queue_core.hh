@@ -20,6 +20,12 @@
  *  - *Score the frozen bound.* A scored job is correct when the bound
  *    in force at its submit is >= its wait; an infinite bound counts
  *    correct and contributes no accuracy ratio.
+ *  - *Keep the calibration window.* Every scored outcome also enters a
+ *    ring of the last kWindowCapacity outcomes, in release order: live
+ *    at scoreRelease(), offline when the job's release pops (its hit
+ *    was judged at submit and rides on the pending release). The
+ *    window and its obs::assessCalibration() verdict are the row
+ *    /debug/calibration serves, so offline and online judge one record.
  *
  * processRows() feeds jobs with known waits (the replays), batching a
  * run of submits that sees no event into one scoreBatch() call and the
@@ -105,6 +111,16 @@ struct ReplayResult
     /** Fraction of scored predictions that were correct. */
     double correctFraction = 0.0;
 
+    /** The calibration window over the last scored outcomes in release
+     *  order (jobs still pending join in (start, submit) order), and
+     *  its verdict at the predictor's confidence. */
+    size_t windowCount = 0;
+    size_t windowHits = 0;
+    double windowCoverage = -1.0;  //!< windowHits/windowCount; -1 if empty.
+    double drift = 0.0;            //!< windowCoverage - confidence.
+    double pValue = 1.0;  //!< P[Bin(windowCount, C) <= windowHits].
+    bool failing = false; //!< The binomial test rejects coverage >= C.
+
     /** Median of actual/predicted over scored finite predictions. */
     double medianRatio = 0.0;
 
@@ -125,6 +141,9 @@ struct ReplayResult
 class QueueCore
 {
   public:
+    /** Outcomes the calibration window holds. */
+    static constexpr size_t kWindowCapacity = 256;
+
     /** The per-queue protocol parameters. */
     struct Rules
     {
@@ -160,7 +179,8 @@ class QueueCore
      *  last call — what the registry republishes on. */
     bool takeBoundMoved() { return std::exchange(moved_, false); }
 
-    /** Score a released job against the bound captured at its submit.
+    /** Score a released job against the bound captured at its submit
+     *  and record the outcome in the window.
      *  @return whether the bound covered the wait. */
     bool scoreRelease(double bound, double wait);
 
@@ -169,9 +189,13 @@ class QueueCore
     uint64_t evaluated() const { return evaluated_; }
     uint64_t correct() const { return correct_; }
     uint64_t infinite() const { return infinite_; }
+    /** Outcomes in the calibration window, and the hits among them. */
+    size_t windowCount() const { return window_.count(); }
+    size_t windowHits() const { return window_.hits; }
 
     /** The result of the jobs fed so far: totalJobs is the submit
-     *  count, the scored fields, series and snapshots are the core's.
+     *  count, the scored fields, series and snapshots are the core's,
+     *  and the window adds the pending jobs' outcomes on a copy.
      *  Errors only on spill-file I/O (the median ratio). */
     Expected<ReplayResult> result();
 
@@ -188,12 +212,21 @@ class QueueCore
         uint64_t max_submits = std::numeric_limits<uint64_t>::max());
 
   private:
+    /** A pending job's score, judged at submit, recorded at release. */
+    enum class Outcome : uint8_t
+    {
+        Miss,
+        Hit,
+        Unscored,  //!< A training job.
+    };
+
     /** A submitted job waiting to be released; the heap orders by
      *  (time, submit), and the wait it releases is time - submit. */
     struct PendingRelease
     {
         double time;    //!< Release (start) time: submit + wait.
         double submit;  //!< The job's submit time.
+        Outcome outcome;
 
         bool
         operator>(const PendingRelease &other) const
@@ -208,7 +241,21 @@ class QueueCore
     /** Move the clock over the idle epochs before @p limit. */
     void skipIdleEpochs(double limit);
     void fireSnapshot(double now);
-    void scoreRun(const double *waits, size_t count);
+    /** Score a run of jobs; @return the frozen bound it scored. */
+    double scoreRun(const double *waits, size_t count);
+
+    /** The ring of the last kWindowCapacity outcomes. */
+    struct Window
+    {
+        uint8_t slots[kWindowCapacity] = {};
+        uint64_t recorded = 0;  //!< Outcomes ever recorded (mod ring).
+        size_t hits = 0;        //!< Hits among the held outcomes.
+
+        size_t count() const;
+        void record(bool hit);
+        /** The held outcomes, oldest first, one byte each. */
+        std::string oldestFirst() const;
+    };
 
     core::Predictor &predictor_;
     const double epochSeconds_;
@@ -230,6 +277,7 @@ class QueueCore
     uint64_t evaluated_ = 0;
     uint64_t correct_ = 0;
     uint64_t infinite_ = 0;
+    Window window_;
     stats::SpillDoubles ratios_;
     std::vector<SeriesPoint> series_;
     std::vector<QuantileSnapshot> snapshots_;

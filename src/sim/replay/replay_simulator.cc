@@ -21,8 +21,9 @@ namespace {
 
 /** Bumped when the replay snapshot payload changes incompatibly. v2:
  *  one echo vector and the QueueCore state layout (refit-dirty flag).
- *  v3: pending releases are (start, submit) pairs, not (start, wait). */
-constexpr uint32_t kReplayStateVersion = 3;
+ *  v3: pending releases are (start, submit) pairs, not (start, wait).
+ *  v4: the calibration window and each pending release's outcome. */
+constexpr uint32_t kReplayStateVersion = 4;
 constexpr char kReplayStateTag[] = "replay-driver";
 
 /** Jobs handed to the core per call; bounds the column staging. */

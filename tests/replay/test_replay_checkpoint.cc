@@ -118,6 +118,12 @@ expectSameResult(const ReplayResult &a, const ReplayResult &b)
     EXPECT_EQ(a.infinitePredictions, b.infinitePredictions);
     EXPECT_EQ(a.correctFraction, b.correctFraction);  // exact, not near
     EXPECT_EQ(a.medianRatio, b.medianRatio);
+    EXPECT_EQ(a.windowCount, b.windowCount);
+    EXPECT_EQ(a.windowHits, b.windowHits);
+    EXPECT_EQ(a.windowCoverage, b.windowCoverage);
+    EXPECT_EQ(a.drift, b.drift);
+    EXPECT_EQ(a.pValue, b.pValue);
+    EXPECT_EQ(a.failing, b.failing);
     ASSERT_EQ(a.series.size(), b.series.size());
     for (size_t i = 0; i < a.series.size(); ++i) {
         EXPECT_EQ(a.series[i].time, b.series[i].time);
@@ -344,15 +350,19 @@ TEST(ReplayCheckpoint, SnapshotAheadOfTheTraceIsRefused)
     expectSameResult(plain, resumed.value());
 }
 
-TEST(ReplayCheckpoint, VersionTwoSnapshotIsRefused)
+/**
+ * Retag every snapshot of a finished checkpointed run (state version
+ * 4) as @p old_version and resume: each must be refused by the header
+ * check, so the run cold-starts and still matches the plain run.
+ */
+void
+expectOldVersionRefused(uint32_t old_version)
 {
-    // v3 pending releases are (start, submit) pairs; v2 wrote
-    // (start, wait). A v2 snapshot must be refused by the header check,
-    // not decoded with its waits read as submit times.
     fault::reset();
     const trace::Trace t = makeTrace();
     const ReplayResult plain = referenceRun(t);
-    const std::string dir = freshDir("v2");
+    const std::string dir =
+        freshDir("v" + std::to_string(old_version));
     {
         auto predictor = makePredictor();
         ReplaySimulator simulator({300.0, 0.10});
@@ -360,10 +370,10 @@ TEST(ReplayCheckpoint, VersionTwoSnapshotIsRefused)
             simulator.run(t, *predictor, makeProbe(), makeCkpt(dir))
                 .ok());
     }
-    persist::StateWriter v2_header;
-    persist::writeStateHeader(v2_header, "replay-driver", 2);
-    persist::StateWriter v3_header;
-    persist::writeStateHeader(v3_header, "replay-driver", 3);
+    persist::StateWriter old_header;
+    persist::writeStateHeader(old_header, "replay-driver", old_version);
+    persist::StateWriter current_header;
+    persist::writeStateHeader(current_header, "replay-driver", 4);
     auto entries = persist::listDirectory(dir);
     ASSERT_TRUE(entries.ok());
     size_t retagged = 0;
@@ -372,11 +382,12 @@ TEST(ReplayCheckpoint, VersionTwoSnapshotIsRefused)
             continue;
         auto payload = persist::readSnapshotFile(dir + "/" + name);
         ASSERT_TRUE(payload.ok());
-        std::string v2 = payload.value();
-        ASSERT_EQ(v2.compare(0, v3_header.bytes().size(), v3_header.bytes()),
+        std::string old = payload.value();
+        ASSERT_EQ(old.compare(0, current_header.bytes().size(),
+                              current_header.bytes()),
                   0);
-        v2.replace(0, v3_header.bytes().size(), v2_header.bytes());
-        ASSERT_TRUE(persist::writeSnapshotFile(dir + "/" + name, v2).ok());
+        old.replace(0, current_header.bytes().size(), old_header.bytes());
+        ASSERT_TRUE(persist::writeSnapshotFile(dir + "/" + name, old).ok());
         ++retagged;
     }
     ASSERT_GT(retagged, 0u);
@@ -386,14 +397,29 @@ TEST(ReplayCheckpoint, VersionTwoSnapshotIsRefused)
     auto resumed = simulator.run(t, *predictor, makeProbe(),
                                  makeCkpt(dir, true));
     ASSERT_TRUE(resumed.ok()) << resumed.error().str();
+    const std::string refusal =
+        "state version " + std::to_string(old_version) + " unsupported";
     size_t refused = 0;
-    for (const std::string &note : resumed.value().recoveryNotes) {
-        refused += note.find("state version 2 unsupported") !=
-                   std::string::npos;
-    }
+    for (const std::string &note : resumed.value().recoveryNotes)
+        refused += note.find(refusal) != std::string::npos;
     EXPECT_EQ(refused, retagged);
     EXPECT_EQ(resumed.value().resumedFromJob, 0u);
     expectSameResult(plain, resumed.value());
+}
+
+TEST(ReplayCheckpoint, VersionTwoSnapshotIsRefused)
+{
+    // v3 pending releases are (start, submit) pairs; v2 wrote
+    // (start, wait). A v2 snapshot must be refused by the header check,
+    // not decoded with its waits read as submit times.
+    expectOldVersionRefused(2);
+}
+
+TEST(ReplayCheckpoint, VersionThreeSnapshotIsRefused)
+{
+    // v4 added the calibration window and each pending release's
+    // outcome to the core's state; a v3 snapshot has neither.
+    expectOldVersionRefused(3);
 }
 
 TEST(ReplayCheckpoint, DirtyDirectoryWithoutResumeIsRejected)

@@ -16,6 +16,7 @@
 
 #include "core/bmbp_predictor.hh"
 #include "core/predictor_factory.hh"
+#include "persist/state_codec.hh"
 #include "sim/replay/evaluation.hh"
 #include "sim/replay/replay_simulator.hh"
 #include "stats/rng.hh"
@@ -394,6 +395,104 @@ TEST(Replay, ResultIgnoresTheOrderOfJobsSharingASubmit)
                 << method << " seed " << seed;
         }
     }
+}
+
+/** ProbePredictor whose in-force bound survives saveState/loadState. */
+class PersistedProbe : public ProbePredictor
+{
+  public:
+    Expected<Unit>
+    saveState(persist::StateWriter &writer) const override
+    {
+        writer.f64(current.value);
+        return Unit{};
+    }
+
+    Expected<Unit>
+    loadState(persist::StateReader &reader) override
+    {
+        const double bound = reader.f64();
+        if (!reader.ok())
+            return reader.error();
+        current = core::QuantileEstimate{bound};
+        return Unit{};
+    }
+};
+
+TEST(QueueCoreWindow, WrapsAtCapacityInReleaseOrderAndRoundTrips)
+{
+    constexpr size_t kCapacity = QueueCore::kWindowCapacity;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+
+    // Live scoring: the ring holds the newest kCapacity outcomes, and
+    // an infinite bound records a hit.
+    {
+        ProbePredictor predictor;
+        QueueCore core(predictor, {300.0, 0});
+        for (size_t i = 0; i < kCapacity; ++i)
+            EXPECT_FALSE(core.scoreRelease(1.0, 2.0));
+        EXPECT_EQ(core.windowCount(), kCapacity);
+        EXPECT_EQ(core.windowHits(), 0u);
+        for (size_t i = 0; i < kCapacity; ++i)
+            EXPECT_TRUE(core.scoreRelease(kInf, 2.0));
+        EXPECT_EQ(core.windowHits(), kCapacity);
+        for (int i = 0; i < 10; ++i)
+            core.scoreRelease(1.0, 2.0);
+        EXPECT_EQ(core.windowCount(), kCapacity);
+        EXPECT_EQ(core.windowHits(), kCapacity - 10);
+    }
+
+    // Offline: 300 jobs one second apart under a bound of 100. Job 0
+    // waits 5000 s (a miss) and every other job 10 s (a hit), so the
+    // miss is submitted first but released last. In release order the
+    // newest 256 outcomes are 255 hits and then the miss; in submit
+    // order the miss would have been evicted.
+    std::vector<double> submits, waits;
+    for (size_t i = 0; i < 300; ++i) {
+        submits.push_back(1000.0 + static_cast<double>(i));
+        waits.push_back(i == 0 ? 5000.0 : 10.0);
+    }
+    PersistedProbe predictor;
+    QueueCore core(predictor, {300.0, 0});
+    core.processRows(submits.data(), waits.data(), 150);
+
+    // Round trip mid-run, with the miss still pending.
+    persist::StateWriter writer;
+    ASSERT_TRUE(core.saveState(writer).ok());
+    PersistedProbe restored_predictor;
+    QueueCore restored(restored_predictor, {300.0, 0});
+    persist::StateReader reader(writer.bytes(), "core");
+    ASSERT_TRUE(restored.loadState(reader).ok());
+    ASSERT_TRUE(reader.expectEnd().ok());
+    EXPECT_EQ(restored.windowCount(), core.windowCount());
+    EXPECT_EQ(restored.windowHits(), core.windowHits());
+
+    for (QueueCore *c : {&core, &restored})
+        c->processRows(submits.data() + 150, waits.data() + 150, 150);
+    for (QueueCore *c : {&core, &restored}) {
+        // Pending jobs join the result's window, not the core's.
+        const size_t held = c->windowCount();
+        const ReplayResult result = c->result().value();
+        EXPECT_EQ(c->windowCount(), held);
+        EXPECT_EQ(result.evaluatedJobs, 300u);
+        EXPECT_EQ(result.correct, 299u);
+        EXPECT_EQ(result.windowCount, kCapacity);
+        EXPECT_EQ(result.windowHits, kCapacity - 1);
+        EXPECT_FALSE(result.failing);
+    }
+
+    // Draining past the last release (job 0's, at 6000 s) pops the
+    // same outcomes in the same order.
+    core.advanceTo(10'000.0);
+    EXPECT_EQ(core.windowCount(), kCapacity);
+    EXPECT_EQ(core.windowHits(), kCapacity - 1);
+    // The miss is the newest outcome: 255 more hits keep it, the
+    // 256th evicts it.
+    for (size_t i = 0; i + 1 < kCapacity; ++i)
+        core.scoreRelease(kInf, 1.0);
+    EXPECT_EQ(core.windowHits(), kCapacity - 1);
+    core.scoreRelease(kInf, 1.0);
+    EXPECT_EQ(core.windowHits(), kCapacity);
 }
 
 } // namespace

@@ -6,7 +6,8 @@
  * thread count, across methods with and without change-point trimming
  * (trims fire mid-batch here by construction), for epoch-based and
  * per-job refit schedules, and whether or not the accuracy-ratio
- * median spilled to disk.
+ * median spilled to disk. The calibration window and its verdict are
+ * part of the compared result.
  */
 
 #include <filesystem>
@@ -143,6 +144,17 @@ expectQueueParity(const QueueStreamResult &actual,
         << context;
     EXPECT_EQ(actual.result.medianRatio, expected.result.medianRatio)
         << context;
+    // The calibration window and its verdict, bit for bit too.
+    EXPECT_EQ(actual.result.windowCount, expected.result.windowCount)
+        << context;
+    EXPECT_EQ(actual.result.windowHits, expected.result.windowHits)
+        << context;
+    EXPECT_EQ(actual.result.windowCoverage,
+              expected.result.windowCoverage)
+        << context;
+    EXPECT_EQ(actual.result.drift, expected.result.drift) << context;
+    EXPECT_EQ(actual.result.pValue, expected.result.pValue) << context;
+    EXPECT_EQ(actual.result.failing, expected.result.failing) << context;
     EXPECT_EQ(actual.trims, expected.trims) << context;
 }
 

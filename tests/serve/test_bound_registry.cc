@@ -456,29 +456,47 @@ TEST(BoundRegistry, LoadShardRejectsForeignConfiguration)
               std::string::npos);
 }
 
-TEST(BoundRegistry, LoadShardRefusesTheV3Layout)
+/** Save a shard (state version 5), retag its header as
+ *  @p old_version, and load the result into a fresh registry. */
+Expected<Unit>
+loadShardRetaggedAs(uint32_t old_version)
 {
-    // v4 inserted the replay core's state into every entry; a v3
-    // payload must be refused, not parsed with the new layout.
     BoundRegistry registry(BoundRegistry::Options{});
     feedWait(registry, 1, 10.0);
     persist::StateWriter writer;
     {
         auto lock = registry.lockShard(0);
-        ASSERT_TRUE(registry.saveShard(0, writer).ok());
+        EXPECT_TRUE(registry.saveShard(0, writer).ok());
     }
     std::string payload = writer.take();
-    persist::StateWriter v3_header;
-    persist::writeStateHeader(v3_header, "qdel-serve-shard", 3);
-    persist::StateWriter v4_header;
-    persist::writeStateHeader(v4_header, "qdel-serve-shard", 4);
-    ASSERT_EQ(payload.compare(0, v4_header.bytes().size(), v4_header.bytes()),
+    persist::StateWriter old_header;
+    persist::writeStateHeader(old_header, "qdel-serve-shard", old_version);
+    persist::StateWriter current_header;
+    persist::writeStateHeader(current_header, "qdel-serve-shard", 5);
+    EXPECT_EQ(payload.compare(0, current_header.bytes().size(),
+                              current_header.bytes()),
               0);
-    payload.replace(0, v4_header.bytes().size(), v3_header.bytes());
+    payload.replace(0, current_header.bytes().size(), old_header.bytes());
 
     BoundRegistry other(BoundRegistry::Options{});
     persist::StateReader reader(payload, "shard");
-    auto loaded = other.loadShard(0, reader);
+    return other.loadShard(0, reader);
+}
+
+TEST(BoundRegistry, LoadShardRefusesTheV3Layout)
+{
+    // v4 inserted the replay core's state into every entry; a v3
+    // payload must be refused, not parsed with the new layout.
+    auto loaded = loadShardRetaggedAs(3);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().field, "version");
+}
+
+TEST(BoundRegistry, LoadShardRefusesTheV4Layout)
+{
+    // v5 moved the calibration window from the entry into the core's
+    // state; a v4 payload carries it in the old place.
+    auto loaded = loadShardRetaggedAs(4);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().field, "version");
 }

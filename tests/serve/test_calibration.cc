@@ -12,9 +12,9 @@
  * must trip the binomial failing flag, and so must a regime shift the
  * bound cannot follow. The offline-equals-online test feeds a trace's
  * event stream through BoundService and requires every queue's served
- * scored/hit/infinite counts to equal ReplaySimulator's on that queue,
- * for each method and for whole-second, fractional and equal-instant
- * traces.
+ * calibration row — the counts, the window and its verdict — to equal
+ * ReplaySimulator's on that queue bit for bit, for each method and for
+ * whole-second, fractional and equal-instant traces.
  */
 
 #include <algorithm>
@@ -34,7 +34,6 @@
 #include "serve/service.hh"
 #include "sim/replay/evaluation.hh"
 #include "sim/replay/replay_simulator.hh"
-#include "stats/special_functions.hh"
 
 namespace qdel {
 namespace serve {
@@ -66,62 +65,13 @@ makeEvent(EventKind kind, uint64_t job, double time)
     return event;
 }
 
-TEST(CalibrationMath, BinomialTailMatchesTheStatsOracle)
-{
-    // The obs layer reimplements the binomial CDF (it sits below
-    // qdel_stats in the dependency order); the two must agree to
-    // floating-point noise across small and large n.
-    for (const long long n : {1LL, 7LL, 50LL, 256LL, 1000LL}) {
-        for (const double p : {0.05, 0.5, 0.9, 0.95, 0.99}) {
-            for (long long k = 0; k <= n; k += std::max(1LL, n / 17)) {
-                const double ours = obs::binomialTailBelow(
-                    static_cast<uint64_t>(k), static_cast<uint64_t>(n),
-                    p);
-                const double oracle = stats::binomialCdf(k, n, p);
-                EXPECT_NEAR(ours, oracle, 1e-9)
-                    << "k=" << k << " n=" << n << " p=" << p;
-            }
-        }
-    }
-    EXPECT_EQ(obs::binomialTailBelow(0, 0, 0.5), 1.0);
-    EXPECT_EQ(obs::binomialTailBelow(5, 5, 0.5), 1.0);
-    EXPECT_EQ(obs::binomialTailBelow(0, 10, 0.0), 1.0);
-    EXPECT_EQ(obs::binomialTailBelow(9, 10, 1.0), 0.0);
-}
-
-TEST(CalibrationMath, WindowRingWrapsAndSerializes)
-{
-    obs::CalibrationWindow window;
-    EXPECT_EQ(window.coverage(), -1.0);
-
-    // Fill past capacity with a recognizable pattern: the first
-    // kCapacity outcomes are misses, everything after is a hit, so a
-    // full rotation leaves only hits resident.
-    for (size_t i = 0; i < obs::CalibrationWindow::kCapacity; ++i)
-        window.record(false);
-    EXPECT_EQ(window.hits(), 0u);
-    for (size_t i = 0; i < obs::CalibrationWindow::kCapacity; ++i)
-        window.record(true);
-    EXPECT_EQ(window.count(), obs::CalibrationWindow::kCapacity);
-    EXPECT_EQ(window.hits(), obs::CalibrationWindow::kCapacity);
-    EXPECT_EQ(window.coverage(), 1.0);
-
-    // Partial overwrite: 10 misses evict 10 hits.
-    for (int i = 0; i < 10; ++i)
-        window.record(false);
-    EXPECT_EQ(window.hits(), obs::CalibrationWindow::kCapacity - 10);
-
-    // Serialize/restore preserves contents and order.
-    const auto bytes = window.serialize();
-    EXPECT_EQ(bytes.size(), window.count());
-    obs::CalibrationWindow copy;
-    copy.restore(bytes);
-    EXPECT_EQ(copy.count(), window.count());
-    EXPECT_EQ(copy.hits(), window.hits());
-}
-
 TEST(CalibrationMath, AssessOnlyFlagsWithEvidence)
 {
+    // No outcomes: no coverage, and the p-value of no evidence.
+    const auto empty = obs::assessCalibration(0, 0, 0.95);
+    EXPECT_EQ(empty.coverage, -1.0);
+    EXPECT_EQ(empty.pValue, 1.0);
+    EXPECT_FALSE(empty.failing);
     // Below the sample floor nothing fails, however bad the coverage.
     EXPECT_FALSE(obs::assessCalibration(0, 49, 0.95).failing);
     // A perfectly calibrated window is clean.
@@ -447,6 +397,18 @@ TEST_P(CalibrationParity, ServedCountsEqualOfflineReplayPerQueue)
         EXPECT_EQ(row.scored, offline.value().evaluatedJobs) << row.queue;
         EXPECT_EQ(row.hits, offline.value().correct) << row.queue;
         EXPECT_EQ(row.infinite, offline.value().infinitePredictions)
+            << row.queue;
+        // The window and its verdict, bit for bit: one record, kept
+        // in release order on both paths.
+        EXPECT_EQ(row.windowCount, offline.value().windowCount)
+            << row.queue;
+        EXPECT_EQ(row.windowHits, offline.value().windowHits) << row.queue;
+        EXPECT_EQ(row.windowCoverage, offline.value().windowCoverage)
+            << row.queue;
+        EXPECT_EQ(row.drift, offline.value().drift) << row.queue;
+        EXPECT_EQ(row.pValue, offline.value().pValue) << row.queue;
+        EXPECT_EQ(row.failing, offline.value().failing) << row.queue;
+        EXPECT_EQ(row.windowCount, sim::QueueCore::kWindowCapacity)
             << row.queue;
     }
     if (method != "lognormal") {

@@ -165,6 +165,21 @@ isColumnarPath(const std::string &path)
     return false;
 }
 
+/** The per-queue table header: the paper's cells, then the
+ *  calibration window's coverage and failing flag. */
+const std::vector<std::string> kQueueHeader = {
+    "queue", "jobs", "evaluated", "correct", "median actual/pred",
+    "trims", "window", "failing"};
+
+/** The window's two cells; "-" for an empty window. */
+void
+addWindowCells(std::vector<std::string> &row, double coverage,
+               bool failing)
+{
+    row.push_back(coverage < 0.0 ? "-" : TablePrinter::cell(coverage, 3));
+    row.push_back(failing ? "yes" : "no");
+}
+
 /** Print the ingest accounting plus the retained per-line errors. */
 void
 printIngestReport(const trace::IngestReport &report)
@@ -330,8 +345,7 @@ main(int argc, char **argv)
 
         TablePrinter results("qdel-predict: " + method + " on " + path +
                              " (streamed)");
-        results.setHeader({"queue", "jobs", "evaluated", "correct",
-                           "median actual/pred", "trims"});
+        results.setHeader(kQueueHeader);
         const std::string only_queue = cli.getString("queue", "");
         for (const auto &qr : stream.queues) {
             if (cli.has("queue") && qr.queue != only_queue)
@@ -348,13 +362,14 @@ main(int argc, char **argv)
                 100.0;
             if (r.evaluatedJobs > 0 && rounded < options.quantile)
                 correct = TablePrinter::flagged(correct);
-            results.addRow(
-                {qr.queue.empty() ? "(all)" : qr.queue,
-                 TablePrinter::cell(static_cast<long long>(r.totalJobs)),
-                 TablePrinter::cell(
-                     static_cast<long long>(r.evaluatedJobs)),
-                 correct, TablePrinter::cellSci(r.medianRatio, 2),
-                 TablePrinter::cell(static_cast<long long>(qr.trims))});
+            std::vector<std::string> row = {
+                qr.queue.empty() ? "(all)" : qr.queue,
+                TablePrinter::cell(static_cast<long long>(r.totalJobs)),
+                TablePrinter::cell(static_cast<long long>(r.evaluatedJobs)),
+                correct, TablePrinter::cellSci(r.medianRatio, 2),
+                TablePrinter::cell(static_cast<long long>(qr.trims))};
+            addWindowCells(row, r.windowCoverage, r.failing);
+            results.addRow(std::move(row));
         }
         results.print(std::cout);
         std::cerr << "stream: " << stream.totalJobs << " jobs, "
@@ -430,16 +445,17 @@ main(int argc, char **argv)
         }
         TablePrinter table("qdel-predict: " + method + " on " + path +
                            " (checkpointed)");
-        table.setHeader({"queue", "jobs", "evaluated", "correct",
-                         "median actual/pred", "trims"});
+        table.setHeader(kQueueHeader);
         std::string correct = TablePrinter::cell(r.correctFraction, 3);
-        table.addRow(
-            {queues[0].empty() ? "(all)" : queues[0],
-             TablePrinter::cell(static_cast<long long>(r.totalJobs)),
-             TablePrinter::cell(static_cast<long long>(r.evaluatedJobs)),
-             correct, TablePrinter::cellSci(r.medianRatio, 2),
-             TablePrinter::cell(static_cast<long long>(
-                 sim::predictorTrimCount(*predictor)))});
+        std::vector<std::string> row = {
+            queues[0].empty() ? "(all)" : queues[0],
+            TablePrinter::cell(static_cast<long long>(r.totalJobs)),
+            TablePrinter::cell(static_cast<long long>(r.evaluatedJobs)),
+            correct, TablePrinter::cellSci(r.medianRatio, 2),
+            TablePrinter::cell(static_cast<long long>(
+                sim::predictorTrimCount(*predictor)))};
+        addWindowCells(row, r.windowCoverage, r.failing);
+        table.addRow(std::move(row));
         table.print(std::cout);
         writeObsOutputs(obs_flags);
         return 0;
@@ -469,8 +485,7 @@ main(int argc, char **argv)
             results.addRow(std::move(row));
         }
     } else {
-        results.setHeader({"queue", "jobs", "evaluated", "correct",
-                           "median actual/pred", "trims"});
+        results.setHeader(kQueueHeader);
         for (const auto &queue : queues) {
             auto subdivided = trace.filterByQueue(queue);
             if (subdivided.size() < 2)
@@ -481,14 +496,14 @@ main(int argc, char **argv)
                 TablePrinter::cell(cell.correctFraction, 3);
             if (!cell.correct(options.quantile))
                 correct = TablePrinter::flagged(correct);
-            results.addRow(
-                {queue.empty() ? "(all)" : queue,
-                 TablePrinter::cell(static_cast<long long>(cell.jobs)),
-                 TablePrinter::cell(
-                     static_cast<long long>(cell.evaluated)),
-                 correct, TablePrinter::cellSci(cell.medianRatio, 2),
-                 TablePrinter::cell(
-                     static_cast<long long>(cell.trims))});
+            std::vector<std::string> row = {
+                queue.empty() ? "(all)" : queue,
+                TablePrinter::cell(static_cast<long long>(cell.jobs)),
+                TablePrinter::cell(static_cast<long long>(cell.evaluated)),
+                correct, TablePrinter::cellSci(cell.medianRatio, 2),
+                TablePrinter::cell(static_cast<long long>(cell.trims))};
+            addWindowCells(row, cell.windowCoverage, cell.failing);
+            results.addRow(std::move(row));
         }
     }
     results.print(std::cout);
