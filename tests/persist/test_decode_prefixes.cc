@@ -289,7 +289,7 @@ TEST(DecodePrefixPin, RegistryShard)
             }
             return outcomeOf(loaded);
         });
-    expectPin(pin, 1895, 0, 0x09604f2c588fdc59ull);
+    expectPin(pin, 1919, 0, 0xe8b13fd649c13e65ull);
 
     persist::StateReader whole(payload, "shard");
     ASSERT_TRUE(target.loadShard(0, whole).ok());
@@ -466,7 +466,7 @@ TEST(DecodePrefixPin, MidRunReplaySnapshot)
                 notes += note + "|";
             return notes;
         });
-    expectPin(pin, 1244, 0, 0x0c576bb4977b914aull);
+    expectPin(pin, 1300, 0, 0xa11dea859b5c0a41ull);
 }
 
 } // namespace
