@@ -437,7 +437,8 @@ QueueCore::loadState(persist::StateReader &reader, bool *predictor_loaded,
         reader.fail(ParseError{"", 0, "pending/series", "odd pair array"});
     if (outcomes.size() * 2 != pending.size() ||
         std::any_of(outcomes.begin(), outcomes.end(), [](char c) {
-            return c < 0 || c > static_cast<char>(Outcome::Unscored);
+            return static_cast<uint8_t>(c) >
+                   static_cast<uint8_t>(Outcome::Unscored);
         })) {
         reader.fail(ParseError{"", 0, "outcomes",
                                "one outcome per pending release"});

@@ -171,13 +171,21 @@ const std::vector<std::string> kQueueHeader = {
     "queue", "jobs", "evaluated", "correct", "median actual/pred",
     "trims", "window", "failing"};
 
-/** The window's two cells; "-" for an empty window. */
-void
-addWindowCells(std::vector<std::string> &row, double coverage,
-               bool failing)
+/** One row of that table; an empty window's coverage prints "-". */
+std::vector<std::string>
+queueRow(const std::string &queue, size_t jobs, size_t evaluated,
+         std::string correct, double median_ratio, size_t trims,
+         double window_coverage, bool failing)
 {
-    row.push_back(coverage < 0.0 ? "-" : TablePrinter::cell(coverage, 3));
-    row.push_back(failing ? "yes" : "no");
+    return {queue.empty() ? "(all)" : queue,
+            TablePrinter::cell(static_cast<long long>(jobs)),
+            TablePrinter::cell(static_cast<long long>(evaluated)),
+            std::move(correct),
+            TablePrinter::cellSci(median_ratio, 2),
+            TablePrinter::cell(static_cast<long long>(trims)),
+            window_coverage < 0.0 ? "-"
+                                  : TablePrinter::cell(window_coverage, 3),
+            failing ? "yes" : "no"};
 }
 
 /** Print the ingest accounting plus the retained per-line errors. */
@@ -362,14 +370,9 @@ main(int argc, char **argv)
                 100.0;
             if (r.evaluatedJobs > 0 && rounded < options.quantile)
                 correct = TablePrinter::flagged(correct);
-            std::vector<std::string> row = {
-                qr.queue.empty() ? "(all)" : qr.queue,
-                TablePrinter::cell(static_cast<long long>(r.totalJobs)),
-                TablePrinter::cell(static_cast<long long>(r.evaluatedJobs)),
-                correct, TablePrinter::cellSci(r.medianRatio, 2),
-                TablePrinter::cell(static_cast<long long>(qr.trims))};
-            addWindowCells(row, r.windowCoverage, r.failing);
-            results.addRow(std::move(row));
+            results.addRow(queueRow(qr.queue, r.totalJobs, r.evaluatedJobs,
+                                    correct, r.medianRatio, qr.trims,
+                                    r.windowCoverage, r.failing));
         }
         results.print(std::cout);
         std::cerr << "stream: " << stream.totalJobs << " jobs, "
@@ -446,16 +449,11 @@ main(int argc, char **argv)
         TablePrinter table("qdel-predict: " + method + " on " + path +
                            " (checkpointed)");
         table.setHeader(kQueueHeader);
-        std::string correct = TablePrinter::cell(r.correctFraction, 3);
-        std::vector<std::string> row = {
-            queues[0].empty() ? "(all)" : queues[0],
-            TablePrinter::cell(static_cast<long long>(r.totalJobs)),
-            TablePrinter::cell(static_cast<long long>(r.evaluatedJobs)),
-            correct, TablePrinter::cellSci(r.medianRatio, 2),
-            TablePrinter::cell(static_cast<long long>(
-                sim::predictorTrimCount(*predictor)))};
-        addWindowCells(row, r.windowCoverage, r.failing);
-        table.addRow(std::move(row));
+        table.addRow(queueRow(queues[0], r.totalJobs, r.evaluatedJobs,
+                              TablePrinter::cell(r.correctFraction, 3),
+                              r.medianRatio,
+                              sim::predictorTrimCount(*predictor),
+                              r.windowCoverage, r.failing));
         table.print(std::cout);
         writeObsOutputs(obs_flags);
         return 0;
@@ -496,14 +494,9 @@ main(int argc, char **argv)
                 TablePrinter::cell(cell.correctFraction, 3);
             if (!cell.correct(options.quantile))
                 correct = TablePrinter::flagged(correct);
-            std::vector<std::string> row = {
-                queue.empty() ? "(all)" : queue,
-                TablePrinter::cell(static_cast<long long>(cell.jobs)),
-                TablePrinter::cell(static_cast<long long>(cell.evaluated)),
-                correct, TablePrinter::cellSci(cell.medianRatio, 2),
-                TablePrinter::cell(static_cast<long long>(cell.trims))};
-            addWindowCells(row, cell.windowCoverage, cell.failing);
-            results.addRow(std::move(row));
+            results.addRow(queueRow(queue, cell.jobs, cell.evaluated,
+                                    correct, cell.medianRatio, cell.trims,
+                                    cell.windowCoverage, cell.failing));
         }
     }
     results.print(std::cout);
