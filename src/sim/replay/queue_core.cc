@@ -122,7 +122,7 @@ QueueCore::fireEpoch(double now)
     nextRefit_ = stepClock(nextRefit_, epochSeconds_);
 }
 
-void
+bool
 QueueCore::skipIdleEpochs(double limit)
 {
     // An epoch over an unchanged history refits nothing, so a run of
@@ -131,14 +131,19 @@ QueueCore::skipIdleEpochs(double limit)
     // gap costs O(1) rather than one iteration per epoch. Ticks the
     // series probe records are not idle.
     if (dirty_)
-        return;
+        return true;
     if (probe_ != nullptr && probe_->captureSeries &&
         nextRefit_ < probe_->seriesEnd)
         limit = std::min(limit, probe_->seriesBegin);
+    // No release, snapshot or horizon ahead: every later epoch is idle,
+    // and no jump reaches an infinite limit.
+    if (limit == kInf)
+        return false;
     const double epochs =
         std::floor((limit - nextRefit_) / epochSeconds_) - 1.0;
     if (epochs >= 1.0 && std::isfinite(epochs))
         nextRefit_ += epochs * epochSeconds_;
+    return true;
 }
 
 void
@@ -184,7 +189,9 @@ QueueCore::advanceTo(double horizon)
             dirty_ = true;
         } else if (nextRefit_ <= nextSnapshot_) {
             fireEpoch(now);
-            skipIdleEpochs(std::min({t_release, nextSnapshot_, horizon}));
+            if (!skipIdleEpochs(
+                    std::min({t_release, nextSnapshot_, horizon})))
+                break;
         } else {
             fireSnapshot(now);
         }

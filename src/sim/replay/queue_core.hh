@@ -238,8 +238,10 @@ class QueueCore
 
     void refit();
     void fireEpoch(double now);
-    /** Move the clock over the idle epochs before @p limit. */
-    void skipIdleEpochs(double limit);
+    /** Move the clock over the idle epochs before @p limit.
+     *  @return false when every later epoch is idle and @p limit is
+     *  infinite: the caller has nothing left to fire. */
+    bool skipIdleEpochs(double limit);
     void fireSnapshot(double now);
     /** Score a run of jobs; @return the frozen bound it scored. */
     double scoreRun(const double *waits, size_t count);

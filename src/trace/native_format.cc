@@ -34,16 +34,14 @@ namespace {
 constexpr size_t kMaxNativeFields = 4;
 
 /**
- * Parse the fields of one native data line into @p job, overwriting
- * every member (so one instance can be reused across lines). On
- * failure fills @p err with field/reason only — the caller adds file
- * and line number — and returns false. Operates on unowned views so
- * both the getline path and the zero-copy path share the field
- * semantics (the *scanning* machinery stays independent; see
- * parseNativeTrace).
+ * Parse the fields of one native data line into the default-constructed
+ * @p job. On failure fills @p err with field/reason only — the caller
+ * adds file and line number — and returns false. Both the getline path
+ * and the zero-copy path share these field semantics; the scanning
+ * machinery stays independent (see parseNativeTrace).
  */
 bool
-parseNativeFields(const std::string_view *fields, size_t field_count,
+parseNativeFields(const detail::ScannedField *fields, size_t field_count,
                   JobRecord &job, ParseError &err)
 {
     if (field_count < 2) {
@@ -51,42 +49,41 @@ parseNativeFields(const std::string_view *fields, size_t field_count,
             "", 0, "", "native trace lines need at least <submit> <wait>"};
         return false;
     }
-    const auto submit = detail::parseFieldDouble(fields[0]);
+    const auto submit = fields[0].toDouble();
     if (!submit || !std::isfinite(*submit)) {
         err = ParseError{"", 0, "field 1 (submit)",
-                         "bad numeric value '" + std::string(fields[0]) +
-                             "'"};
+                         "bad numeric value '" +
+                             std::string(fields[0].text) + "'"};
         return false;
     }
-    const auto wait = detail::parseFieldDouble(fields[1]);
+    const auto wait = fields[1].toDouble();
     if (!wait || !std::isfinite(*wait)) {
         err = ParseError{"", 0, "field 2 (wait)",
-                         "bad numeric value '" + std::string(fields[1]) +
-                             "'"};
+                         "bad numeric value '" +
+                             std::string(fields[1].text) + "'"};
         return false;
     }
     if (*wait < 0.0) {
         err = ParseError{"", 0, "field 2 (wait)",
-                         "negative wait time '" + std::string(fields[1]) +
-                             "'"};
+                         "negative wait time '" +
+                             std::string(fields[1].text) + "'"};
         return false;
     }
-    job = JobRecord{};
     job.submitTime = *submit;
     job.waitSeconds = *wait;
     if (field_count >= 3) {
-        const auto procs = detail::parseFieldInt(fields[2]);
+        const auto procs = fields[2].toInt();
         if (!procs || *procs < 1 ||
             *procs > std::numeric_limits<int>::max()) {
             err = ParseError{"", 0, "field 3 (procs)",
                              "bad processor count '" +
-                                 std::string(fields[2]) + "'"};
+                                 std::string(fields[2].text) + "'"};
             return false;
         }
         job.procs = static_cast<int>(*procs);
     }
-    if (field_count >= 4 && fields[3] != "-")
-        job.queue = std::string(fields[3]);
+    if (field_count >= 4 && fields[3].text != "-")
+        job.queue = std::string(fields[3].text);
     return true;
 }
 
@@ -134,8 +131,7 @@ parseNativeChunk(std::string_view chunk, const NativeParseOptions &options)
     out.records.reserve(detail::LineCursor::maxLines(chunk));
     detail::LineCursor cursor(chunk);
     std::string_view line;
-    std::string_view fields[kMaxNativeFields];
-    JobRecord job;
+    detail::ScannedField fields[kMaxNativeFields];
     ParseError err;
     while (cursor.next(line)) {
         ++out.totalLines;
@@ -150,11 +146,14 @@ parseNativeChunk(std::string_view chunk, const NativeParseOptions &options)
                 out.siteMachine = std::move(header);
             continue;
         }
-        // tokenizeFields skips interior and trailing whitespace
-        // (including a trailing '\r'), so no trimmed copy is needed.
-        const size_t nf = detail::tokenizeFields(line.substr(first),
-                                                 fields, kMaxNativeFields);
-        if (!parseNativeFields(fields, nf, job, err)) {
+        // scanFields skips interior and trailing whitespace (including
+        // a trailing '\r'), so no trimmed copy is needed.
+        const size_t nf = detail::scanFields(line.substr(first), fields,
+                                             kMaxNativeFields);
+        // Built in place; a malformed line gives it back.
+        if (!parseNativeFields(fields, nf, out.records.emplace_back(),
+                               err)) {
+            out.records.pop_back();
             ++out.malformedLines;
             if (out.errors.size() < IngestReport::kMaxDetailedErrors) {
                 err.line = out.totalLines;
@@ -166,7 +165,6 @@ parseNativeChunk(std::string_view chunk, const NativeParseOptions &options)
             }
             continue;
         }
-        out.records.push_back(std::move(job));
         ++out.parsedRecords;
     }
     return out;
@@ -218,16 +216,17 @@ parseNativeTrace(std::istream &in, const std::string &name,
             }
             continue;
         }
-        // Deliberately the allocating tokenizer: this path is the
-        // equivalence oracle for the zero-copy scanner, and the parity
-        // tests only mean something while the two line/tokenize
-        // machineries stay independent.
+        // Deliberately the allocating tokenizer, and every field left
+        // to parseInt()/parseDouble(): this path is the equivalence
+        // oracle for the zero-copy scanner, and the parity tests only
+        // mean something while the two split/convert machineries stay
+        // independent.
         const auto field_strings = splitWhitespace(body);
-        std::string_view fields[kMaxNativeFields];
+        detail::ScannedField fields[kMaxNativeFields];
         const size_t nf =
             std::min(field_strings.size(), kMaxNativeFields);
         for (size_t i = 0; i < nf; ++i)
-            fields[i] = field_strings[i];
+            fields[i].text = field_strings[i];
         JobRecord job;
         ParseError err;
         if (!parseNativeFields(fields, nf, job, err)) {
@@ -285,19 +284,16 @@ parseNativeBuffer(std::string_view data, const std::string &name,
         return rep.errors.back();
     }
 
-    Trace t;
-    t.reserve(record_total);
+    std::pair<std::string, std::string> site_machine;
     size_t line_offset = 0;
     for (auto &chunk : parsed) {
-        if (chunk.siteMachine) {
-            t.setSite(std::move(chunk.siteMachine->first));
-            t.setMachine(std::move(chunk.siteMachine->second));
-        }
-        for (auto &record : chunk.records)
-            t.add(std::move(record));
+        if (chunk.siteMachine)
+            site_machine = std::move(*chunk.siteMachine);
         accumulateCounts(rep, chunk, line_offset, name);
         line_offset += chunk.totalLines;
     }
+    Trace t(std::move(site_machine.first), std::move(site_machine.second),
+            detail::joinChunkRecords(parsed, record_total));
     t.sortBySubmitTime();
     return t;
 }

@@ -2,8 +2,9 @@
  * @file
  * Zero-copy building blocks shared by the SWF and native trace
  * parsers: a line cursor with std::getline semantics over a byte
- * buffer, an in-place whitespace tokenizer, and the newline-aligned
- * chunk splitter + deterministic fan-out used for parallel parsing.
+ * buffer, an in-place field scanner that converts plain integers as
+ * it splits, and the newline-aligned chunk splitter + deterministic
+ * fan-out used for parallel parsing.
  *
  * The invariants that make parallel chunk parsing byte-identical to
  * the sequential getline path (see DESIGN.md §12):
@@ -22,7 +23,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <future>
+#include <iterator>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -67,9 +71,19 @@ class LineCursor
     static size_t
     maxLines(std::string_view data)
     {
-        return static_cast<size_t>(
-                   std::count(data.begin(), data.end(), '\n')) +
-               1;
+        // memchr, not std::count: GCC does not vectorize the latter.
+        size_t lines = 1;
+        const char *p = data.data();
+        const char *const end = p + data.size();
+        while (p != end) {
+            const void *eol =
+                std::memchr(p, '\n', static_cast<size_t>(end - p));
+            if (eol == nullptr)
+                break;
+            ++lines;
+            p = static_cast<const char *>(eol) + 1;
+        }
+        return lines;
     }
 
     /** Advance to the next line; false when the buffer is exhausted. */
@@ -95,86 +109,80 @@ class LineCursor
 };
 
 /**
+ * One whitespace-delimited token of a data line. A plain
+ * -?[0-9]{1,15} token is converted while the line is split: at most
+ * 15 digits stay below 2^53, so the value is exact both as a long long
+ * and as a double (the double a from_chars parse would round to). Any
+ * other token keeps only its text and converts through parseInt() /
+ * parseDouble(), so every conversion equals theirs on the token text.
+ */
+struct ScannedField
+{
+    std::string_view text;
+    long long magnitude = -1;  //!< The digits' value; < 0: not plain.
+    bool negative = false;     //!< Leading '-' (so "-0" is -0.0).
+
+    std::optional<long long>
+    toInt() const
+    {
+        if (magnitude < 0)
+            return parseInt(text);
+        return negative ? -magnitude : magnitude;
+    }
+
+    std::optional<double>
+    toDouble() const
+    {
+        if (magnitude < 0)
+            return parseDouble(text);
+        const double value = static_cast<double>(magnitude);
+        return negative ? -value : value;
+    }
+};
+
+/**
  * Split @p text on runs of ASCII whitespace into @p fields, stopping
  * after @p max_fields tokens (the trace formats address a bounded
- * prefix of the columns; trailing fields are ignored exactly as the
- * allocating splitWhitespace-based parsers ignored them).
+ * prefix of the columns; trailing fields are ignored), converting
+ * each plain integer token in the same pass (see ScannedField).
  *
  * @return the number of fields written (saturates at @p max_fields).
  */
 inline size_t
-tokenizeFields(std::string_view text, std::string_view *fields,
-               size_t max_fields)
+scanFields(std::string_view text, ScannedField *fields, size_t max_fields)
 {
+    const char *p = text.data();
+    const char *const end = p + text.size();
     size_t count = 0;
-    size_t i = 0;
-    while (i < text.size() && count < max_fields) {
-        while (i < text.size() &&
-               isFieldSpace(static_cast<unsigned char>(text[i]))) {
-            ++i;
+    while (count < max_fields) {
+        while (p != end && isFieldSpace(static_cast<unsigned char>(*p)))
+            ++p;
+        if (p == end)
+            break;
+        const char *const start = p;
+        const bool negative = *p == '-';
+        p += negative;
+        const char *const digits = p;
+        // Unsigned, so a long digit run wraps instead of overflowing;
+        // its value is discarded past 15 digits anyway.
+        uint64_t value = 0;
+        for (unsigned digit;
+             p != end &&
+             (digit = static_cast<unsigned char>(*p) - unsigned{'0'}) <= 9;
+             ++p) {
+            value = value * 10 + digit;
         }
-        const size_t start = i;
-        while (i < text.size() &&
-               !isFieldSpace(static_cast<unsigned char>(text[i]))) {
-            ++i;
+        const size_t digit_count = static_cast<size_t>(p - digits);
+        bool plain = digit_count >= 1 && digit_count <= 15;
+        for (; p != end && !isFieldSpace(static_cast<unsigned char>(*p));
+             ++p) {
+            plain = false;
         }
-        if (i > start)
-            fields[count++] = text.substr(start, i - start);
+        fields[count++] = {
+            std::string_view(start, static_cast<size_t>(p - start)),
+            plain ? static_cast<long long>(value) : -1, negative};
     }
     return count;
-}
-
-/**
- * Fast path for parseInt() on an already-tokenized field: a plain
- * '-'-signed run of up to 18 digits (so the accumulator cannot
- * overflow) is decoded inline; anything else — empty, '+'-signed,
- * huge, or non-numeric — defers to parseInt() itself, so the result
- * is identical to parseInt() for every input without whitespace
- * (tokenized fields never contain any).
- */
-inline std::optional<long long>
-parseFieldInt(std::string_view text)
-{
-    size_t i = 0;
-    const bool neg = !text.empty() && text[0] == '-';
-    if (neg)
-        i = 1;
-    if (i == text.size() || text.size() - i > 18)
-        return parseInt(text);
-    long long value = 0;
-    for (; i < text.size(); ++i) {
-        const unsigned digit = static_cast<unsigned char>(text[i]) - '0';
-        if (digit > 9)
-            return parseInt(text);
-        value = value * 10 + static_cast<long long>(digit);
-    }
-    return neg ? -value : value;
-}
-
-/**
- * Fast path for parseDouble() on an already-tokenized field: a
- * '-'-signed run of up to 15 digits converts exactly (< 2^53, so the
- * integer-to-double cast equals what from_chars would round to);
- * fractions, exponents, and oddities defer to parseDouble().
- */
-inline std::optional<double>
-parseFieldDouble(std::string_view text)
-{
-    size_t i = 0;
-    const bool neg = !text.empty() && text[0] == '-';
-    if (neg)
-        i = 1;
-    if (i == text.size() || text.size() - i > 15)
-        return parseDouble(text);
-    long long value = 0;
-    for (; i < text.size(); ++i) {
-        const unsigned digit = static_cast<unsigned char>(text[i]) - '0';
-        if (digit > 9)
-            return parseDouble(text);
-        value = value * 10 + static_cast<long long>(digit);
-    }
-    const double as_double = static_cast<double>(value);
-    return neg ? -as_double : as_double;
 }
 
 /**
@@ -249,6 +257,28 @@ parseChunks(const std::vector<std::string_view> &chunks,
     for (auto &future : futures)
         results.push_back(future.get());
     return results;
+}
+
+/**
+ * Concatenate the @c records vectors of @p chunks in chunk order,
+ * reusing the first chunk's storage: a trace that fits one chunk moves
+ * into place without touching a record. @p total is the record count.
+ */
+template <typename ChunkResult>
+auto
+joinChunkRecords(std::vector<ChunkResult> &chunks, size_t total)
+{
+    auto records = std::move(chunks.front().records);
+    if (chunks.size() > 1) {
+        records.reserve(total);
+        for (size_t i = 1; i < chunks.size(); ++i) {
+            auto &more = chunks[i].records;
+            records.insert(records.end(),
+                           std::make_move_iterator(more.begin()),
+                           std::make_move_iterator(more.end()));
+        }
+    }
+    return records;
 }
 
 /** Default parallel-parse chunk size (4 MiB). */

@@ -9,7 +9,14 @@
  *  - parseSwfBuffer(string_view): the zero-copy path — scans the
  *    buffer in place with no per-line allocation, optionally in
  *    parallel over newline-aligned chunks (see parse_buffer.hh for
- *    the invariants that keep the merge deterministic).
+ *    the invariants that keep the merge deterministic). Each line is
+ *    split and its plain integers converted in one pass
+ *    (detail::scanFields), and each record is built once, in place in
+ *    its chunk's vector, beside a column of SWF queue numbers. A
+ *    "; Queue:" directive is keyed by the number of records its chunk
+ *    kept before it; the merge replays the directives against that
+ *    count and names each record's queue in place, through a
+ *    one-entry cache, and the Trace takes the chunks' vectors whole.
  */
 
 #include "trace/swf_format.hh"
@@ -40,33 +47,33 @@ constexpr double kMaxIntegralDouble = 9.0e18;
 /** Highest 0-based SWF field index the parser addresses (queue number). */
 constexpr size_t kMaxSwfFields = 15;
 
-/** One data line, parsed: the record plus the policy-filter verdict. */
-struct SwfLine
+/** What one SWF data line came to. */
+enum class SwfVerdict
 {
-    JobRecord job;
-    long long queueNumber = -1;
-    bool filtered = false;
+    Malformed,
+    Filtered,  //!< Well-formed, but dropped by the skip options.
+    Kept,
 };
 
 /**
- * Parse the fields of one SWF data line into @p out, overwriting every
- * member (so one instance can be reused across lines without carrying
- * state over). On failure fills @p err with field/reason only — the
- * caller adds file and line number — and returns false. Operates on
- * unowned views so both the getline path and the zero-copy path share
- * the field semantics (the *scanning* machinery stays independent; see
+ * Parse the fields of one SWF data line into @p job (every member but
+ * the queue name, which the caller resolves from @p queue_number) —
+ * only once the line is known to be well-formed. On failure fills
+ * @p err with field/reason only; the caller adds file and line
+ * number. Both the getline path and the zero-copy path share these
+ * field semantics; the scanning machinery stays independent (see
  * parseSwfTrace).
  */
-bool
-parseSwfFields(const std::string_view *fields, size_t field_count,
-               const SwfParseOptions &options, SwfLine &out,
-               ParseError &err)
+SwfVerdict
+parseSwfFields(const detail::ScannedField *fields, size_t field_count,
+               const SwfParseOptions &options, JobRecord &job,
+               long long &queue_number, ParseError &err)
 {
     if (field_count < 5) {
         err = ParseError{"", 0, "",
                          "SWF data lines need at least 5 fields, got " +
                              std::to_string(field_count)};
-        return false;
+        return SwfVerdict::Malformed;
     }
 
     bool failed = false;
@@ -74,17 +81,17 @@ parseSwfFields(const std::string_view *fields, size_t field_count,
         failed = true;
         err = ParseError{};
         err.field = "field " + std::to_string(idx + 1);
-        err.reason = what + " '" + std::string(fields[idx]) + "'";
+        err.reason = what + " '" + std::string(fields[idx].text) + "'";
     };
     auto field_int = [&](size_t idx, long long missing) -> long long {
         if (failed || idx >= field_count)
             return missing;
-        if (auto value = detail::parseFieldInt(fields[idx]))
+        if (auto value = fields[idx].toInt())
             return *value;
         // SWF occasionally carries fractional seconds; accept, but only
         // for finite values that fit a long long (the cast is UB
         // otherwise).
-        if (auto dvalue = detail::parseFieldDouble(fields[idx])) {
+        if (auto dvalue = fields[idx].toDouble()) {
             if (std::isfinite(*dvalue) &&
                 std::abs(*dvalue) <= kMaxIntegralDouble)
                 return static_cast<long long>(*dvalue);
@@ -95,7 +102,7 @@ parseSwfFields(const std::string_view *fields, size_t field_count,
     auto field_double = [&](size_t idx, double missing) -> double {
         if (failed || idx >= field_count)
             return missing;
-        auto value = detail::parseFieldDouble(fields[idx]);
+        auto value = fields[idx].toDouble();
         if (!value || !std::isfinite(*value)) {
             fail(idx, "bad SWF numeric value");
             return missing;
@@ -109,59 +116,52 @@ parseSwfFields(const std::string_view *fields, size_t field_count,
     const long long alloc_procs = field_int(4, -1);
     const long long req_procs = field_int(7, -1);
     const long long status = field_int(10, -1);
-    const long long queue_number = field_int(14, -1);
+    const long long queue = field_int(14, -1);
     if (failed)
-        return false;
+        return SwfVerdict::Malformed;
 
     const long long procs = req_procs > 0 ? req_procs : alloc_procs;
     if (procs > std::numeric_limits<int>::max()) {
         err = ParseError{"", 0, "field 8 (requested procs)",
                          "processor count out of range: " +
                              std::to_string(procs)};
-        return false;
+        return SwfVerdict::Malformed;
     }
 
-    out.job.submitTime = submit;
+    job.submitTime = submit;
     // Preserve "no recorded wait" as -1 rather than clamping to 0;
     // writers re-emit -1 so round trips keep the distinction.
-    out.job.waitSeconds = wait < 0.0 ? -1.0 : wait;
-    out.job.runSeconds = run;
-    out.job.procs = procs > 0 ? static_cast<int>(procs) : 1;
-    out.job.status = status;
-    out.job.queue.clear();
-    out.queueNumber = queue_number;
+    job.waitSeconds = wait < 0.0 ? -1.0 : wait;
+    job.runSeconds = run;
+    job.procs = procs > 0 ? static_cast<int>(procs) : 1;
+    job.status = status;
+    queue_number = queue;
 
-    out.filtered = false;
-    if (!out.job.hasWait() && options.skipMissingWait)
-        out.filtered = true;
-    else if (options.skipFailed && (status == 0 || status == 5))
-        out.filtered = true;
-    return true;
+    if (!job.hasWait() && options.skipMissingWait)
+        return SwfVerdict::Filtered;
+    if (options.skipFailed && (status == 0 || status == 5))
+        return SwfVerdict::Filtered;
+    return SwfVerdict::Kept;
 }
 
 /** A "; Queue: <N> <name>" header directive, in line order. */
 struct QueueDirective
 {
-    size_t relLine = 0;       //!< Chunk-relative 1-based line number.
+    size_t recordsBefore = 0;  //!< Records the chunk kept before it.
     long long number = -1;
     std::string name;
 };
 
-/** One kept record plus the state needed to finish it at merge time. */
-struct PendingRecord
-{
-    JobRecord job;
-    long long queueNumber = -1;
-    size_t relLine = 0;
-};
-
 /**
  * Everything one newline-aligned chunk contributes. Line numbers are
- * chunk-relative; the merge rebases them by prefix sum.
+ * chunk-relative; the merge rebases them by prefix sum. The records'
+ * queue names are resolved at merge time, from queueNumbers (one per
+ * record) and the directives seen so far.
  */
 struct SwfChunkResult
 {
-    std::vector<PendingRecord> records;
+    std::vector<JobRecord> records;
+    std::vector<long long> queueNumbers;
     std::vector<QueueDirective> queues;
     // Last "; Computer:" / "; Installation:" header in the chunk
     // (machine/site are last-writer-wins, so order within the chunk
@@ -179,8 +179,7 @@ struct SwfChunkResult
 
 /** Parse the "; ..." header comment @p header into @p out. */
 void
-parseSwfHeader(std::string_view header, size_t rel_line,
-               SwfChunkResult &out)
+parseSwfHeader(std::string_view header, SwfChunkResult &out)
 {
     if (startsWith(header, "Computer:")) {
         out.machine = std::string(trim(header.substr(9)));
@@ -193,8 +192,8 @@ parseSwfHeader(std::string_view header, size_t rel_line,
                 std::string qname = fields[1];
                 for (size_t k = 2; k < fields.size(); ++k)
                     qname += " " + fields[k];
-                out.queues.push_back(
-                    {rel_line, *num, qname == "-" ? "" : qname});
+                out.queues.push_back({out.records.size(), *num,
+                                      qname == "-" ? "" : qname});
             }
         }
     }
@@ -206,12 +205,13 @@ parseSwfChunk(std::string_view chunk, const SwfParseOptions &options)
 {
     SwfChunkResult out;
     // Each line yields at most one record, so this reserve is never
-    // outgrown and the vector never reallocates.
-    out.records.reserve(detail::LineCursor::maxLines(chunk));
+    // outgrown and the vectors never reallocate.
+    const size_t max_lines = detail::LineCursor::maxLines(chunk);
+    out.records.reserve(max_lines);
+    out.queueNumbers.reserve(max_lines);
     detail::LineCursor cursor(chunk);
     std::string_view line;
-    std::string_view fields[kMaxSwfFields];
-    SwfLine swf_line;
+    detail::ScannedField fields[kMaxSwfFields];
     ParseError err;
     while (cursor.next(line)) {
         ++out.totalLines;
@@ -222,15 +222,21 @@ parseSwfChunk(std::string_view chunk, const SwfParseOptions &options)
         }
         if (line[first] == ';') {
             ++out.commentLines;
-            parseSwfHeader(trim(line.substr(first + 1)), out.totalLines,
-                           out);
+            parseSwfHeader(trim(line.substr(first + 1)), out);
             continue;
         }
-        // tokenizeFields skips interior and trailing whitespace
-        // (including a trailing '\r'), so no trimmed copy is needed.
-        const size_t nf = detail::tokenizeFields(line.substr(first),
-                                                 fields, kMaxSwfFields);
-        if (!parseSwfFields(fields, nf, options, swf_line, err)) {
+        // scanFields skips interior and trailing whitespace (including
+        // a trailing '\r'), so no trimmed copy is needed.
+        const size_t nf = detail::scanFields(line.substr(first), fields,
+                                             kMaxSwfFields);
+        // Built in place; a line that keeps no record gives it back.
+        long long queue_number = -1;
+        const SwfVerdict verdict =
+            parseSwfFields(fields, nf, options, out.records.emplace_back(),
+                           queue_number, err);
+        if (verdict != SwfVerdict::Kept)
+            out.records.pop_back();
+        if (verdict == SwfVerdict::Malformed) {
             ++out.malformedLines;
             if (out.errors.size() < IngestReport::kMaxDetailedErrors) {
                 err.line = out.totalLines;
@@ -242,12 +248,11 @@ parseSwfChunk(std::string_view chunk, const SwfParseOptions &options)
             }
             continue;
         }
-        if (swf_line.filtered) {
+        if (verdict == SwfVerdict::Filtered) {
             ++out.filteredRecords;
             continue;
         }
-        out.records.push_back({std::move(swf_line.job),
-                               swf_line.queueNumber, out.totalLines});
+        out.queueNumbers.push_back(queue_number);
         ++out.parsedRecords;
     }
     return out;
@@ -302,7 +307,7 @@ parseSwfTrace(std::istream &in, const std::string &name,
             // free-form comments: anything unrecognized is skipped,
             // never an error.
             SwfChunkResult header;
-            parseSwfHeader(trim(body.substr(1)), lineno, header);
+            parseSwfHeader(trim(body.substr(1)), header);
             if (header.machine)
                 t.setMachine(std::move(*header.machine));
             if (header.site)
@@ -311,19 +316,23 @@ parseSwfTrace(std::istream &in, const std::string &name,
                 queue_names[queue.number] = std::move(queue.name);
             continue;
         }
-        // Deliberately the allocating tokenizer: this path is the
-        // equivalence oracle for the zero-copy scanner, and the parity
-        // tests only mean something while the two line/tokenize
-        // machineries stay independent.
+        // Deliberately the allocating tokenizer, and every field left
+        // to parseInt()/parseDouble(): this path is the equivalence
+        // oracle for the zero-copy scanner, and the parity tests only
+        // mean something while the two split/convert machineries stay
+        // independent.
         const auto field_strings = splitWhitespace(body);
-        std::string_view fields[kMaxSwfFields];
+        detail::ScannedField fields[kMaxSwfFields];
         const size_t nf =
             std::min(field_strings.size(), kMaxSwfFields);
         for (size_t i = 0; i < nf; ++i)
-            fields[i] = field_strings[i];
-        SwfLine swf_line;
+            fields[i].text = field_strings[i];
+        JobRecord job;
+        long long queue_number = -1;
         ParseError err;
-        if (!parseSwfFields(fields, nf, options, swf_line, err)) {
+        const SwfVerdict verdict =
+            parseSwfFields(fields, nf, options, job, queue_number, err);
+        if (verdict == SwfVerdict::Malformed) {
             err.file = name;
             err.line = lineno;
             if (options.mode == ParseMode::Strict) {
@@ -333,18 +342,17 @@ parseSwfTrace(std::istream &in, const std::string &name,
             rep.addError(std::move(err));
             continue;
         }
-        if (swf_line.queueNumber >= 0) {
-            auto it = queue_names.find(swf_line.queueNumber);
-            swf_line.job.queue =
-                it != queue_names.end()
-                    ? it->second
-                    : "q" + std::to_string(swf_line.queueNumber);
-        }
-        if (swf_line.filtered) {
+        if (verdict == SwfVerdict::Filtered) {
             ++rep.filteredRecords;
             continue;
         }
-        t.add(std::move(swf_line.job));
+        if (queue_number >= 0) {
+            auto it = queue_names.find(queue_number);
+            job.queue = it != queue_names.end()
+                            ? it->second
+                            : "q" + std::to_string(queue_number);
+        }
+        t.add(std::move(job));
         ++rep.parsedRecords;
     }
     t.sortBySubmitTime();
@@ -389,42 +397,52 @@ parseSwfBuffer(std::string_view data, const std::string &name,
         return rep.errors.back();
     }
 
-    Trace t;
-    t.reserve(record_total);
+    std::string site;
+    std::string machine;
     std::map<long long, std::string> queue_names;
+    // Consecutive records mostly share a queue: resolve a number once
+    // per run of it, not once per record.
+    long long cached_number = -1;
+    std::string cached_name;
     size_t line_offset = 0;
     for (auto &chunk : parsed) {
         if (chunk.machine)
-            t.setMachine(std::move(*chunk.machine));
+            machine = std::move(*chunk.machine);
         if (chunk.site)
-            t.setSite(std::move(*chunk.site));
+            site = std::move(*chunk.site);
         // Replay the queue directives against the records in line
         // order, so a record before its "; Queue:" header resolves to
         // the synthetic q<N> name exactly as in the sequential scan.
         size_t qi = 0;
-        for (auto &record : chunk.records) {
-            while (qi < chunk.queues.size() &&
-                   chunk.queues[qi].relLine < record.relLine) {
+        const auto declare_through = [&](size_t records_before) {
+            for (; qi < chunk.queues.size() &&
+                   chunk.queues[qi].recordsBefore <= records_before;
+                 ++qi) {
                 queue_names[chunk.queues[qi].number] =
                     std::move(chunk.queues[qi].name);
-                ++qi;
+                cached_number = -1;
             }
-            if (record.queueNumber >= 0) {
-                auto it = queue_names.find(record.queueNumber);
-                record.job.queue =
-                    it != queue_names.end()
-                        ? it->second
-                        : "q" + std::to_string(record.queueNumber);
+        };
+        for (size_t k = 0; k < chunk.records.size(); ++k) {
+            declare_through(k);
+            const long long number = chunk.queueNumbers[k];
+            if (number >= 0) {
+                if (number != cached_number) {
+                    auto it = queue_names.find(number);
+                    cached_name = it != queue_names.end()
+                                      ? it->second
+                                      : "q" + std::to_string(number);
+                    cached_number = number;
+                }
+                chunk.records[k].queue = cached_name;
             }
-            t.add(std::move(record.job));
         }
-        for (; qi < chunk.queues.size(); ++qi) {
-            queue_names[chunk.queues[qi].number] =
-                std::move(chunk.queues[qi].name);
-        }
+        declare_through(chunk.records.size());
         accumulateCounts(rep, chunk, line_offset, name);
         line_offset += chunk.totalLines;
     }
+    Trace t(std::move(site), std::move(machine),
+            detail::joinChunkRecords(parsed, record_total));
     t.sortBySubmitTime();
     return t;
 }

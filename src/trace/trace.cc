@@ -11,39 +11,49 @@
 namespace qdel {
 namespace trace {
 
+namespace {
+
+bool
+submittedBefore(const JobRecord &a, const JobRecord &b)
+{
+    return a.submitTime < b.submitTime;
+}
+
+} // namespace
+
 Trace::Trace(std::string site, std::string machine)
     : site_(std::move(site)), machine_(std::move(machine))
+{
+}
+
+Trace::Trace(std::string site, std::string machine,
+             std::vector<JobRecord> jobs)
+    : site_(std::move(site)), machine_(std::move(machine)),
+      jobs_(std::move(jobs)),
+      sorted_(std::is_sorted(jobs_.begin(), jobs_.end(), submittedBefore))
 {
 }
 
 void
 Trace::add(JobRecord job)
 {
+    // std::is_sorted's own test, one consecutive pair at a time.
+    if (!jobs_.empty() && submittedBefore(job, jobs_.back()))
+        sorted_ = false;
     jobs_.push_back(std::move(job));
 }
 
 void
 Trace::sortBySubmitTime()
 {
-    const auto by_submit = [](const JobRecord &a, const JobRecord &b) {
-        return a.submitTime < b.submitTime;
-    };
     // Real traces are almost always submit-ordered already, and
-    // stable_sort on sorted input is an identity — but the is_sorted
-    // scan is far cheaper than letting it move the records to find
-    // that out.
-    if (std::is_sorted(jobs_.begin(), jobs_.end(), by_submit))
+    // stable_sort on sorted input is an identity.
+    if (sorted_)
         return;
-    std::stable_sort(jobs_.begin(), jobs_.end(), by_submit);
-}
-
-bool
-Trace::isSorted() const
-{
-    return std::is_sorted(jobs_.begin(), jobs_.end(),
-                          [](const JobRecord &a, const JobRecord &b) {
-                              return a.submitTime < b.submitTime;
-                          });
+    std::stable_sort(jobs_.begin(), jobs_.end(), submittedBefore);
+    // A NaN submit time orders against nothing, so the sort need not
+    // leave every consecutive pair ordered: check rather than assume.
+    sorted_ = std::is_sorted(jobs_.begin(), jobs_.end(), submittedBefore);
 }
 
 std::vector<double>

@@ -31,6 +31,10 @@ class Trace
      */
     Trace(std::string site, std::string machine);
 
+    /** Take @p jobs as they are, in one move: isSorted() then reports
+     *  whether they are in submission order. */
+    Trace(std::string site, std::string machine, std::vector<JobRecord> jobs);
+
     const std::string &site() const { return site_; }
     const std::string &machine() const { return machine_; }
     void setSite(std::string site) { site_ = std::move(site); }
@@ -45,13 +49,14 @@ class Trace
     /** Stable-sort jobs by submission time. */
     void sortBySubmitTime();
 
-    /** @return true when jobs are nondecreasing in submission time. */
-    bool isSorted() const;
+    /** @return true when no job is submitted before its predecessor
+     *  (std::is_sorted by submit time), in O(1). */
+    bool isSorted() const { return sorted_; }
 
     size_t size() const { return jobs_.size(); }
     bool empty() const { return jobs_.empty(); }
+    /** Read-only, so no write can unsort the jobs behind isSorted(). */
     const JobRecord &operator[](size_t i) const { return jobs_[i]; }
-    JobRecord &operator[](size_t i) { return jobs_[i]; }
 
     std::vector<JobRecord>::const_iterator begin() const
     {
@@ -84,6 +89,7 @@ class Trace
     std::string site_;
     std::string machine_;
     std::vector<JobRecord> jobs_;
+    bool sorted_ = true;  //!< Kept by every member that changes jobs_.
 };
 
 } // namespace trace

@@ -495,6 +495,59 @@ TEST(QueueCoreWindow, WrapsAtCapacityInReleaseOrderAndRoundTrips)
     EXPECT_EQ(core.windowHits(), kCapacity);
 }
 
+TEST(QueueCoreDrain, InfiniteHorizonStopsOnceEveryLaterEpochIsIdle)
+{
+    // Draining to +inf must fire what draining to one epoch past the
+    // last release fires, then stop: no release, snapshot or series
+    // tick is left, so every later epoch would refit nothing.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const trace::Trace t = sharedSubmitTrace(0);
+    std::vector<double> submits, waits;
+    double last_release = 0.0;
+    for (const trace::JobRecord &job : t) {
+        submits.push_back(job.submitTime);
+        waits.push_back(job.waitSeconds);
+        last_release = std::max(last_release, job.startTime());
+    }
+    ReplayProbe probe;
+    probe.captureSeries = true;
+    probe.seriesBegin = submits[submits.size() / 4];
+    probe.seriesEnd = submits[submits.size() / 2];
+    probe.snapshotQuantiles = {{0.5, true}, {0.95, true}};
+    const ReplayProbe *probes[] = {nullptr, &probe};
+    for (const ReplayProbe *p : probes) {
+        SCOPED_TRACE(p != nullptr ? "probe" : "no probe");
+        auto finite_predictor = core::makePredictor("bmbp", {});
+        auto infinite_predictor = core::makePredictor("bmbp", {});
+        QueueCore finite(*finite_predictor, {300.0, 100}, p);
+        QueueCore infinite(*infinite_predictor, {300.0, 100}, p);
+        for (QueueCore *c : {&finite, &infinite})
+            c->processRows(submits.data(), waits.data(), submits.size());
+        finite.advanceTo(last_release + 300.0);
+        infinite.advanceTo(kInf);
+
+        EXPECT_EQ(infinite.windowCount(), finite.windowCount());
+        EXPECT_EQ(infinite.windowHits(), finite.windowHits());
+        EXPECT_EQ(infinite_predictor->upperBound().value,
+                  finite_predictor->upperBound().value);
+        const ReplayResult a = finite.result().value();
+        const ReplayResult b = infinite.result().value();
+        EXPECT_EQ(b.evaluatedJobs, a.evaluatedJobs);
+        EXPECT_EQ(b.correct, a.correct);
+        EXPECT_EQ(b.infinitePredictions, a.infinitePredictions);
+        EXPECT_EQ(b.windowCount, a.windowCount);
+        EXPECT_EQ(b.windowHits, a.windowHits);
+        EXPECT_EQ(b.pValue, a.pValue);
+        EXPECT_EQ(b.medianRatio, a.medianRatio);
+        EXPECT_EQ(b.series.size(), a.series.size());
+        EXPECT_EQ(b.snapshots.size(), a.snapshots.size());
+        if (p != nullptr) {
+            EXPECT_FALSE(a.series.empty());
+            EXPECT_FALSE(a.snapshots.empty());
+        }
+    }
+}
+
 } // namespace
 } // namespace sim
 } // namespace qdel

@@ -7,6 +7,7 @@
  * sizes small enough to force many parallel chunk merges.
  */
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -222,6 +223,55 @@ TEST(ParseParity, NativeEdgeShapes)
     checkNativeParity("# site=alpha machine=beta\n100 5\n", lenient);
     checkNativeParity("100 5 4 batch", lenient);
     checkNativeParity("# site=a machine=m\r\n100 5 1 -\r\n", lenient);
+}
+
+TEST(ParseParity, SwfSixteenDigitSubmitAndNegativeZero)
+{
+    // A 16-digit submit time (2^53 + 1) is past the scanner's plain
+    // integers and rounds through from_chars; a -0 wait and runtime
+    // must keep their sign on both paths.
+    const std::string text =
+        "1 9007199254740993 -0 -0 4 -1 -1 4 -1 -1 1 1 1 -1 2\n"
+        "2 1234567890123456 5 60 -0 -1 -1 -0 -1 -1 -0 1 1 -1 -0\n";
+    SwfParseOptions options;
+    options.mode = ParseMode::Strict;
+    options.chunkBytes = 8;
+    options.threads = 4;
+    checkSwfParity(text, options);
+
+    std::istringstream in(text);
+    const Trace via_stream = parseSwfTrace(in, "p", options).value();
+    const Trace via_buffer = parseSwfBuffer(text, "p", options).value();
+    ASSERT_EQ(via_buffer.size(), 2u);
+    for (size_t i = 0; i < via_buffer.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(std::signbit(via_buffer[i].waitSeconds),
+                  std::signbit(via_stream[i].waitSeconds));
+        EXPECT_EQ(std::signbit(via_buffer[i].runSeconds),
+                  std::signbit(via_stream[i].runSeconds));
+    }
+    EXPECT_TRUE(std::signbit(via_buffer[1].waitSeconds));
+    EXPECT_EQ(via_buffer[1].submitTime, 9007199254740992.0);
+}
+
+TEST(ParseParity, NativeSixteenDigitSubmitAndNegativeZero)
+{
+    const std::string text = "9007199254740993 -0 1 q\n"
+                             "1234567890123456 5 1 -\n";
+    NativeParseOptions options;
+    options.mode = ParseMode::Strict;
+    options.chunkBytes = 4;
+    options.threads = 4;
+    checkNativeParity(text, options);
+
+    std::istringstream in(text);
+    const Trace via_stream = parseNativeTrace(in, "p", options).value();
+    const Trace via_buffer = parseNativeBuffer(text, "p", options).value();
+    ASSERT_EQ(via_buffer.size(), 2u);
+    EXPECT_TRUE(std::signbit(via_buffer[1].waitSeconds));
+    EXPECT_EQ(std::signbit(via_buffer[1].waitSeconds),
+              std::signbit(via_stream[1].waitSeconds));
+    EXPECT_EQ(via_buffer[1].submitTime, 9007199254740992.0);
 }
 
 } // namespace

@@ -3,6 +3,12 @@
  * Unit tests for the Trace container.
  */
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "trace/trace.hh"
@@ -93,6 +99,81 @@ TEST(Trace, Summary)
     EXPECT_EQ(s.count, 3u);
     EXPECT_DOUBLE_EQ(s.median, 10.0);
     EXPECT_NEAR(s.mean, 20.0, 1e-12);
+}
+
+bool
+scanSorted(const Trace &t)
+{
+    return std::is_sorted(t.begin(), t.end(),
+                          [](const JobRecord &a, const JobRecord &b) {
+                              return a.submitTime < b.submitTime;
+                          });
+}
+
+/** A trace of @p n jobs whose submit times repeat and include NaN. */
+Trace
+randomTrace(std::mt19937 &rng, size_t n)
+{
+    const double kTimes[] = {0.0, 1.0, 1.0, 2.0, 3.0,
+                             std::numeric_limits<double>::quiet_NaN()};
+    std::uniform_int_distribution<size_t> pick(0, std::size(kTimes) - 1);
+    std::uniform_int_distribution<int> procs(1, 64);
+    Trace t;
+    for (size_t i = 0; i < n; ++i) {
+        const double submit = kTimes[pick(rng)];
+        t.add({submit, 1.0, procs(rng), 1.0, pick(rng) % 2 ? "a" : "b"});
+        EXPECT_EQ(t.isSorted(), scanSorted(t)) << "after add " << i;
+    }
+    return t;
+}
+
+TEST(TraceSorted, TracksAddOrderWithTiesAndNaN)
+{
+    std::mt19937 rng(7);
+    for (size_t trial = 0; trial < 500; ++trial) {
+        SCOPED_TRACE(trial);
+        const Trace t = randomTrace(rng, trial % 12);
+        // Handing the same jobs over whole gives the same answer.
+        const Trace whole("s", "m",
+                          std::vector<JobRecord>(t.begin(), t.end()));
+        EXPECT_EQ(whole.isSorted(), t.isSorted());
+    }
+}
+
+TEST(TraceSorted, FilterOutputsAgreeWithAScan)
+{
+    std::mt19937 rng(11);
+    for (size_t trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE(trial);
+        const Trace t = randomTrace(rng, trial % 12);
+        for (const Trace &out :
+             {t.filterByQueue("a"), t.filterByQueue(""),
+              t.filterByProcRange({1, 16}), t.filterByProcRange({17, -1}),
+              t.filterByTime(1.0, 3.0), t.filterByTime(0.0, 1e9)}) {
+            EXPECT_EQ(out.isSorted(), scanSorted(out));
+        }
+    }
+}
+
+TEST(TraceSorted, SortBySubmitTimeAgreesWithAScan)
+{
+    std::mt19937 rng(13);
+    for (size_t trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE(trial);
+        Trace t = randomTrace(rng, trial % 12);
+        t.sortBySubmitTime();
+        EXPECT_EQ(t.isSorted(), scanSorted(t));
+        t.add({-1.0, 1.0, 1, 1.0, "a"});
+        EXPECT_EQ(t.isSorted(), scanSorted(t));
+    }
+    // Without NaN the sort always leaves the trace sorted.
+    Trace t;
+    for (double submit : {3.0, 1.0, 2.0, 1.0})
+        t.add({submit, 1.0, 1, 1.0, "a"});
+    EXPECT_FALSE(t.isSorted());
+    t.sortBySubmitTime();
+    EXPECT_TRUE(t.isSorted());
+    EXPECT_TRUE(scanSorted(t));
 }
 
 TEST(ProcRange, ContainsAndLabel)

@@ -7,6 +7,7 @@
  * changes the final Trace, only costs a re-parse.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -139,6 +140,29 @@ TEST(TraceCache, RoundTripPreservesRecordsAndReport)
     ASSERT_EQ(cached.status, CacheStatus::Hit) << cached.detail;
     expectTracesEqual(cached.trace, fx.parsed);
     expectReportsEqual(cached.report, fx.report);
+}
+
+TEST(TraceCache, LoadedTraceKnowsWhetherItIsSorted)
+{
+    CacheFixture fx;
+    const auto stamp = FileStamp::of(fx.swfPath).value();
+    Trace unsorted = fx.parsed;
+    unsorted.add({-1.0, 1.0, 1, 1.0, "late"});
+    for (const Trace *t : {&fx.parsed, &unsorted}) {
+        ASSERT_TRUE(writeTraceCache(fx.cachePath(), *t, fx.report,
+                                    fx.optionsWord(), stamp)
+                        .ok());
+        auto cached =
+            readTraceCache(fx.cachePath(), fx.optionsWord(), stamp);
+        ASSERT_EQ(cached.status, CacheStatus::Hit) << cached.detail;
+        const bool scanned = std::is_sorted(
+            cached.trace.begin(), cached.trace.end(),
+            [](const JobRecord &a, const JobRecord &b) {
+                return a.submitTime < b.submitTime;
+            });
+        EXPECT_EQ(cached.trace.isSorted(), scanned);
+        EXPECT_EQ(cached.trace.isSorted(), t == &fx.parsed);
+    }
 }
 
 TEST(TraceCache, LoadTraceWritesThenHits)
