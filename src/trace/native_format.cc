@@ -284,16 +284,19 @@ parseNativeBuffer(std::string_view data, const std::string &name,
         return rep.errors.back();
     }
 
-    std::pair<std::string, std::string> site_machine;
+    Trace t;
+    t.reserve(record_total);
     size_t line_offset = 0;
     for (auto &chunk : parsed) {
-        if (chunk.siteMachine)
-            site_machine = std::move(*chunk.siteMachine);
+        if (chunk.siteMachine) {
+            t.setSite(std::move(chunk.siteMachine->first));
+            t.setMachine(std::move(chunk.siteMachine->second));
+        }
+        for (auto &record : chunk.records)
+            t.add(std::move(record));
         accumulateCounts(rep, chunk, line_offset, name);
         line_offset += chunk.totalLines;
     }
-    Trace t(std::move(site_machine.first), std::move(site_machine.second),
-            detail::joinChunkRecords(parsed, record_total));
     t.sortBySubmitTime();
     return t;
 }

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
-#include <iterator>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -257,28 +256,6 @@ parseChunks(const std::vector<std::string_view> &chunks,
     for (auto &future : futures)
         results.push_back(future.get());
     return results;
-}
-
-/**
- * Concatenate the @c records vectors of @p chunks in chunk order,
- * reusing the first chunk's storage: a trace that fits one chunk moves
- * into place without touching a record. @p total is the record count.
- */
-template <typename ChunkResult>
-auto
-joinChunkRecords(std::vector<ChunkResult> &chunks, size_t total)
-{
-    auto records = std::move(chunks.front().records);
-    if (chunks.size() > 1) {
-        records.reserve(total);
-        for (size_t i = 1; i < chunks.size(); ++i) {
-            auto &more = chunks[i].records;
-            records.insert(records.end(),
-                           std::make_move_iterator(more.begin()),
-                           std::make_move_iterator(more.end()));
-        }
-    }
-    return records;
 }
 
 /** Default parallel-parse chunk size (4 MiB). */

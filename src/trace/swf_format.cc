@@ -15,8 +15,7 @@
  *    its chunk's vector, beside a column of SWF queue numbers. A
  *    "; Queue:" directive is keyed by the number of records its chunk
  *    kept before it; the merge replays the directives against that
- *    count and names each record's queue in place, through a
- *    one-entry cache, and the Trace takes the chunks' vectors whole.
+ *    count and names each record's queue as it joins the Trace.
  */
 
 #include "trace/swf_format.hh"
@@ -397,19 +396,15 @@ parseSwfBuffer(std::string_view data, const std::string &name,
         return rep.errors.back();
     }
 
-    std::string site;
-    std::string machine;
+    Trace t;
+    t.reserve(record_total);
     std::map<long long, std::string> queue_names;
-    // Consecutive records mostly share a queue: resolve a number once
-    // per run of it, not once per record.
-    long long cached_number = -1;
-    std::string cached_name;
     size_t line_offset = 0;
     for (auto &chunk : parsed) {
         if (chunk.machine)
-            machine = std::move(*chunk.machine);
+            t.setMachine(std::move(*chunk.machine));
         if (chunk.site)
-            site = std::move(*chunk.site);
+            t.setSite(std::move(*chunk.site));
         // Replay the queue directives against the records in line
         // order, so a record before its "; Queue:" header resolves to
         // the synthetic q<N> name exactly as in the sequential scan.
@@ -420,29 +415,24 @@ parseSwfBuffer(std::string_view data, const std::string &name,
                  ++qi) {
                 queue_names[chunk.queues[qi].number] =
                     std::move(chunk.queues[qi].name);
-                cached_number = -1;
             }
         };
         for (size_t k = 0; k < chunk.records.size(); ++k) {
             declare_through(k);
+            JobRecord &record = chunk.records[k];
             const long long number = chunk.queueNumbers[k];
             if (number >= 0) {
-                if (number != cached_number) {
-                    auto it = queue_names.find(number);
-                    cached_name = it != queue_names.end()
-                                      ? it->second
-                                      : "q" + std::to_string(number);
-                    cached_number = number;
-                }
-                chunk.records[k].queue = cached_name;
+                auto it = queue_names.find(number);
+                record.queue = it != queue_names.end()
+                                   ? it->second
+                                   : "q" + std::to_string(number);
             }
+            t.add(std::move(record));
         }
         declare_through(chunk.records.size());
         accumulateCounts(rep, chunk, line_offset, name);
         line_offset += chunk.totalLines;
     }
-    Trace t(std::move(site), std::move(machine),
-            detail::joinChunkRecords(parsed, record_total));
     t.sortBySubmitTime();
     return t;
 }

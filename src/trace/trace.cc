@@ -26,14 +26,6 @@ Trace::Trace(std::string site, std::string machine)
 {
 }
 
-Trace::Trace(std::string site, std::string machine,
-             std::vector<JobRecord> jobs)
-    : site_(std::move(site)), machine_(std::move(machine)),
-      jobs_(std::move(jobs)),
-      sorted_(std::is_sorted(jobs_.begin(), jobs_.end(), submittedBefore))
-{
-}
-
 void
 Trace::add(JobRecord job)
 {

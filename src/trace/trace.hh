@@ -31,10 +31,6 @@ class Trace
      */
     Trace(std::string site, std::string machine);
 
-    /** Take @p jobs as they are, in one move: isSorted() then reports
-     *  whether they are in submission order. */
-    Trace(std::string site, std::string machine, std::vector<JobRecord> jobs);
-
     const std::string &site() const { return site_; }
     const std::string &machine() const { return machine_; }
     void setSite(std::string site) { site_ = std::move(site); }

