@@ -4,7 +4,7 @@
  * the numbers behind the zero-copy parser and the binary ".qtc" trace
  * cache.
  *
- * Three layers are measured on the same synthesized SWF/native traces
+ * Four layers are measured on the same synthesized SWF/native traces
  * (the largest queue in the paper's catalog, ~hundreds of thousands of
  * jobs):
  *
@@ -14,6 +14,8 @@
  *  - cache: ".qtc" write, and ".qtc" load vs re-parsing the text
  *    (the cache load processes the *binary* file, so compare the
  *    per-iteration times — both paths produce the identical Trace);
+ *  - the producing side: synthesizing the trace, and writing it as
+ *    SWF and as native text to a file;
  *  - full replay: cached load + a complete BMBP replay evaluation,
  *    reported as jobs/second end to end.
  *
@@ -250,6 +252,48 @@ BM_QtcLoad(benchmark::State &state)
     reportRates(state, cache_bytes, c.trace.size());
 }
 BENCHMARK(BM_QtcLoad)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------
+// The other direction: synthesis and the text writers (what a catalog
+// set-up spends its time on).
+
+void
+BM_SynthesizeTrace(benchmark::State &state)
+{
+    const Corpus &c = corpus();
+    for (auto _ : state) {
+        const auto t = workload::synthesizeTrace(largestProfile(), 1);
+        benchmark::DoNotOptimize(t.size());
+    }
+    state.counters["jobs_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * c.trace.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SynthesizeTrace)->Unit(benchmark::kMillisecond);
+
+void
+BM_SwfWrite(benchmark::State &state)
+{
+    const Corpus &c = corpus();
+    const std::string path = c.swfPath + ".bench";
+    for (auto _ : state)
+        benchmark::DoNotOptimize(trace::saveSwfTrace(c.trace, path).ok());
+    std::filesystem::remove(path);
+    reportRates(state, c.swfText.size(), c.trace.size());
+}
+BENCHMARK(BM_SwfWrite)->Unit(benchmark::kMillisecond);
+
+void
+BM_NativeWrite(benchmark::State &state)
+{
+    const Corpus &c = corpus();
+    const std::string path = c.swfPath + ".native.bench";
+    for (auto _ : state)
+        benchmark::DoNotOptimize(trace::saveNativeTrace(c.trace, path).ok());
+    std::filesystem::remove(path);
+    reportRates(state, c.nativeText.size(), c.trace.size());
+}
+BENCHMARK(BM_NativeWrite)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // End to end: cached load + full BMBP replay evaluation.

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "trace/parse_buffer.hh"
+#include "trace/text_writer.hh"
 #include "util/mapped_file.hh"
 #include "util/string_utils.hh"
 
@@ -314,14 +314,23 @@ loadNativeTrace(const std::string &path, const NativeParseOptions &options,
 void
 writeNativeTrace(const Trace &t, std::ostream &out)
 {
-    out << "# site=" << t.site() << " machine=" << t.machine() << "\n";
-    out << "# submit wait procs queue\n";
-    char buf[128];
+    TextWriter text(out);
+    text.text("# site=");
+    text.text(t.site());
+    text.text(" machine=");
+    text.text(t.machine());
+    text.text("\n# submit wait procs queue\n");
     for (const auto &job : t) {
-        std::snprintf(buf, sizeof(buf), "%.0f %.6g %d %s\n", job.submitTime,
-                      job.waitSeconds, job.procs,
-                      job.queue.empty() ? "-" : job.queue.c_str());
-        out << buf;
+        text.fixed0(job.submitTime);
+        text.put(' ');
+        text.general6(job.waitSeconds);
+        text.put(' ');
+        text.integer(job.procs);
+        text.put(' ');
+        // A name is written up to its first NUL byte ("%s").
+        text.text(job.queue.empty() ? std::string_view("-")
+                                    : std::string_view(job.queue.c_str()));
+        text.put('\n');
     }
 }
 

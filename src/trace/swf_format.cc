@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -447,41 +446,66 @@ loadSwfTrace(const std::string &path, const SwfParseOptions &options,
     return parseSwfBuffer(file.value().view(), path, options, report);
 }
 
+SwfWriter::SwfWriter(std::ostream &out, std::string_view machine,
+                     std::string_view site,
+                     const std::vector<std::string_view> &queues)
+    : text_(out)
+{
+    text_.text("; Computer: ");
+    text_.text(machine);
+    text_.text("\n; Installation: ");
+    text_.text(site);
+    text_.text("\n; Generated by the qdel BMBP reproduction library\n");
+    for (size_t id = 0; id < queues.size(); ++id) {
+        text_.text("; Queue: ");
+        text_.integer(static_cast<long long>(id));
+        text_.put(' ');
+        text_.text(queues[id].empty() ? "-" : queues[id]);
+        text_.put('\n');
+    }
+}
+
+void
+SwfWriter::write(const JobRecord &job, int queueId)
+{
+    text_.integer(++jobNumber_);
+    text_.put(' ');
+    text_.fixed0(job.submitTime);
+    text_.put(' ');
+    text_.fixed0(job.hasWait() ? job.waitSeconds : -1.0);
+    text_.put(' ');
+    text_.fixed0(job.runSeconds < 0.0 ? -1.0 : job.runSeconds);
+    text_.put(' ');
+    text_.integer(job.procs);
+    text_.text(" -1 -1 ");
+    text_.integer(job.procs);
+    text_.text(" -1 -1 ");
+    text_.integer(job.status);
+    text_.text(" -1 -1 -1 ");
+    text_.integer(queueId);
+    text_.text(" -1 -1 -1\n");
+}
+
 void
 writeSwfTrace(const Trace &t, std::ostream &out)
 {
-    // Map queue names to SWF queue numbers in first-appearance order.
-    std::map<std::string, int> queue_ids;
-    std::vector<const std::string *> queue_order;
+    // Number the queues in first-appearance order, and note each job's
+    // number in the same pass.
+    std::map<std::string_view, int> queue_ids;
+    std::vector<std::string_view> queue_order;
+    std::vector<int> job_queue;
+    job_queue.reserve(t.size());
     for (const auto &job : t) {
-        if (queue_ids.emplace(job.queue,
-                              static_cast<int>(queue_order.size()))
-                .second)
-            queue_order.push_back(&job.queue);
+        const auto [it, added] = queue_ids.emplace(
+            job.queue, static_cast<int>(queue_order.size()));
+        if (added)
+            queue_order.push_back(job.queue);
+        job_queue.push_back(it->second);
     }
 
-    out << "; Computer: " << t.machine() << "\n";
-    out << "; Installation: " << t.site() << "\n";
-    out << "; Generated by the qdel BMBP reproduction library\n";
-    for (size_t id = 0; id < queue_order.size(); ++id) {
-        const std::string &queue = *queue_order[id];
-        out << "; Queue: " << id << " " << (queue.empty() ? "-" : queue)
-            << "\n";
-    }
-
-    char buf[256];
-    long long jobno = 0;
-    for (const auto &job : t) {
-        ++jobno;
-        std::snprintf(buf, sizeof(buf),
-                      "%lld %.0f %.0f %.0f %d -1 -1 %d -1 -1 %lld -1 -1 -1 "
-                      "%d -1 -1 -1\n",
-                      jobno, job.submitTime,
-                      job.hasWait() ? job.waitSeconds : -1.0,
-                      job.runSeconds < 0.0 ? -1.0 : job.runSeconds, job.procs,
-                      job.procs, job.status, queue_ids[job.queue]);
-        out << buf;
-    }
+    SwfWriter writer(out, t.machine(), t.site(), queue_order);
+    for (size_t i = 0; i < t.size(); ++i)
+        writer.write(t[i], job_queue[i]);
 }
 
 Expected<Unit>

@@ -36,8 +36,10 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "trace/ingest.hh"
+#include "trace/text_writer.hh"
 #include "trace/trace.hh"
 #include "util/expected.hh"
 
@@ -104,11 +106,38 @@ Expected<Trace> loadSwfTrace(const std::string &path,
                              IngestReport *report = nullptr);
 
 /**
+ * SWF output one job at a time: the header when constructed, then one
+ * data line per write(), buffered through a TextWriter. Times are
+ * written rounded to whole seconds ("%.0f"); a missing wait or run
+ * time is written as -1 and the job status is preserved.
+ */
+class SwfWriter
+{
+  public:
+    /**
+     * Write the header: @p machine, @p site and one "; Queue:" line per
+     * name in @p queues, numbered from 0 (an empty name is written "-").
+     */
+    SwfWriter(std::ostream &out, std::string_view machine,
+              std::string_view site,
+              const std::vector<std::string_view> &queues);
+
+    /** Write @p job as the next data line, in SWF queue @p queueId. */
+    void write(const JobRecord &job, int queueId);
+
+    /** Hand the buffered lines to the stream (destruction does too). */
+    void flush() { text_.flush(); }
+
+  private:
+    TextWriter text_;
+    long long jobNumber_ = 0;
+};
+
+/**
  * Write @p t as SWF. Queue names are mapped to numbers in
- * first-appearance order (and emitted as header comments). Missing
- * waits and run times are written as -1 and the job status is
- * preserved, so parse -> write -> parse is lossless for the fields the
- * library models.
+ * first-appearance order (and emitted as header comments), so
+ * parse -> write -> parse is lossless for the fields the library
+ * models.
  */
 void writeSwfTrace(const Trace &t, std::ostream &out);
 

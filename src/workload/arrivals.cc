@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.hh"
 
@@ -30,50 +31,112 @@ arrivalIntensity(const ArrivalModel &model, double t)
     return intensity;
 }
 
+ArrivalTable::ArrivalTable(double begin, double end,
+                           const ArrivalModel &model)
+    : begin_(begin)
+{
+    if (!(end > begin))
+        panic("ArrivalTable: empty span [", begin, ", ", end, ")");
+    const double span = end - begin;
+    const size_t buckets =
+        std::max<size_t>(1, static_cast<size_t>(std::ceil(span / 3600.0)));
+    width_ = span / static_cast<double>(buckets);
+
+    cumulative_.assign(buckets + 1, 0.0);
+    for (size_t b = 0; b < buckets; ++b) {
+        const double mid = begin + (static_cast<double>(b) + 0.5) * width_;
+        cumulative_[b + 1] =
+            cumulative_[b] + arrivalIntensity(model, mid) * width_;
+    }
+
+    // Guide slice g covers masses [g, g + 1) / guideScale_ and starts at
+    // the bucket holding its lower edge. Any start is correct (bucketOf
+    // walks both ways); this one leaves a walk of about one bucket.
+    guide_.resize(buckets);
+    guideScale_ = static_cast<double>(buckets) / total();
+    size_t b = 0;
+    for (size_t g = 0; g < buckets; ++g) {
+        const double edge = static_cast<double>(g) / guideScale_;
+        while (b + 1 < buckets && cumulative_[b + 1] <= edge)
+            ++b;
+        guide_[g] = b;
+    }
+}
+
+size_t
+ArrivalTable::bucketOf(double target) const
+{
+    const size_t last = buckets() - 1;
+    // At or past the total, and NaN, upper_bound lands on the end.
+    if (!(target < total()))
+        return last;
+    const double slice = target * guideScale_;
+    size_t b = slice > 0.0
+                   ? guide_[std::min(static_cast<size_t>(slice), last)]
+                   : 0;
+    while (b > 0 && cumulative_[b] > target)
+        --b;
+    while (b < last && cumulative_[b + 1] <= target)
+        ++b;
+    return b;
+}
+
+double
+ArrivalTable::at(double u) const
+{
+    const double target = u * total();
+    const size_t b = bucketOf(target);
+    // Interpolate linearly inside the bucket.
+    const double mass_in_bucket = cumulative_[b + 1] - cumulative_[b];
+    const double frac =
+        mass_in_bucket > 0.0 ? (target - cumulative_[b]) / mass_in_bucket
+                             : 0.5;
+    return begin_ + (static_cast<double>(b) + frac) * width_;
+}
+
 std::vector<double>
 generateArrivals(double begin, double end, size_t count,
                  const ArrivalModel &model, stats::Rng &rng)
 {
-    if (!(end > begin))
-        panic("generateArrivals: empty span [", begin, ", ", end, ")");
+    const ArrivalTable table(begin, end, model);
     std::vector<double> arrivals;
-    if (count == 0)
-        return arrivals;
     arrivals.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        arrivals.push_back(table.at(rng.uniform()));
 
-    // Piecewise-constant hourly integral of the intensity across the span.
-    const double span = end - begin;
-    const size_t buckets =
-        std::max<size_t>(1, static_cast<size_t>(std::ceil(span / 3600.0)));
-    const double bucket_width = span / static_cast<double>(buckets);
-
-    std::vector<double> cumulative(buckets + 1, 0.0);
-    for (size_t b = 0; b < buckets; ++b) {
-        const double mid = begin + (static_cast<double>(b) + 0.5) *
-                           bucket_width;
-        cumulative[b + 1] =
-            cumulative[b] + arrivalIntensity(model, mid) * bucket_width;
+    // Sort in place: a counting (American flag) sort on the hour an
+    // arrival falls in, then a sort inside each hour. The hour is
+    // computed from the value by rounded steps that are each monotone,
+    // so it never decreases as the value grows, and ordering by it
+    // first gives the order one std::sort gives. Equal arrivals are
+    // equal bits (no -0, no NaN), so the bytes match too.
+    const size_t hours = table.buckets();
+    const double per_second = static_cast<double>(hours) / (end - begin);
+    const auto hour = [&](double t) -> size_t {
+        const double h = (t - begin) * per_second;
+        if (!(h > 0.0))
+            return 0;
+        return h < static_cast<double>(hours) ? static_cast<size_t>(h)
+                                              : hours - 1;
+    };
+    // Hour h's arrivals go to [bound[h], bound[h + 1]).
+    std::vector<size_t> bound(hours + 1, 0);
+    for (double t : arrivals)
+        ++bound[hour(t) + 1];
+    std::partial_sum(bound.begin(), bound.end(), bound.begin());
+    std::vector<size_t> next(bound.begin(), bound.end() - 1);
+    for (size_t h = 0; h < hours; ++h) {
+        // Swap each misplaced arrival into the next free slot of its
+        // own hour, until one that belongs to hour h turns up.
+        while (next[h] < bound[h + 1]) {
+            double t = arrivals[next[h]];
+            for (size_t k = hour(t); k != h; k = hour(t))
+                std::swap(t, arrivals[next[k]++]);
+            arrivals[next[h]++] = t;
+        }
+        std::sort(arrivals.begin() + static_cast<ptrdiff_t>(bound[h]),
+                  arrivals.begin() + static_cast<ptrdiff_t>(bound[h + 1]));
     }
-    const double total = cumulative.back();
-
-    for (size_t i = 0; i < count; ++i) {
-        const double target = rng.uniform() * total;
-        // Binary search the bucket containing the target mass, then
-        // interpolate linearly inside it.
-        const auto it = std::upper_bound(cumulative.begin(),
-                                         cumulative.end(), target);
-        size_t b = static_cast<size_t>(it - cumulative.begin());
-        b = b == 0 ? 0 : b - 1;
-        if (b >= buckets)
-            b = buckets - 1;
-        const double mass_in_bucket = cumulative[b + 1] - cumulative[b];
-        const double frac =
-            mass_in_bucket > 0.0 ? (target - cumulative[b]) / mass_in_bucket
-                                 : 0.5;
-        arrivals.push_back(begin +
-                           (static_cast<double>(b) + frac) * bucket_width);
-    }
-    std::sort(arrivals.begin(), arrivals.end());
     return arrivals;
 }
 

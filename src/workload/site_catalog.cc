@@ -278,5 +278,18 @@ monthStartUnix(int year, int month)
     return dateUnix(year, month, 1);
 }
 
+TimeSpan
+profileSpan(const QueueProfile &profile)
+{
+    int end_month = profile.endMonth + 1;
+    int end_year = profile.endYear;
+    if (end_month > 12) {
+        end_month = 1;
+        ++end_year;
+    }
+    return {monthStartUnix(profile.startYear, profile.startMonth),
+            monthStartUnix(end_year, end_month)};
+}
+
 } // namespace workload
 } // namespace qdel

@@ -57,7 +57,7 @@ struct QueueProfile
     const char *queue;    //!< Queue name as logged.
 
     int startMonth, startYear;  //!< Trace start (month 1-12, 4-digit year).
-    int endMonth, endYear;      //!< Trace end (exclusive month).
+    int endMonth, endYear;      //!< Last month (inclusive; profileSpan()).
 
     long long jobCount;    //!< Number of records in the log.
     double meanDelay;      //!< Published mean queuing delay (seconds).
@@ -116,6 +116,20 @@ double monthStartUnix(int year, int month);
 
 /** UNIX timestamp of 00:00 UTC on the given civil date. */
 double dateUnix(int year, int month, int day);
+
+/** A half-open interval [begin, end) of UNIX time. */
+struct TimeSpan
+{
+    double begin = 0.0;
+    double end = 0.0;
+};
+
+/**
+ * The span a profile's synthesized trace covers: from the start of its
+ * first month to the start of the month after its last one (the
+ * catalog stores the last month inclusively).
+ */
+TimeSpan profileSpan(const QueueProfile &profile);
 
 } // namespace workload
 } // namespace qdel

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "workload/arrivals.hh"
-
 namespace qdel {
 namespace workload {
 
@@ -17,6 +15,13 @@ namespace {
 
 /** Stream-splitting constant for the dedicated arrival RNG. */
 constexpr uint64_t kArrivalStreamSalt = 0x9e3779b97f4a7c15ull;
+
+ArrivalTable
+spanTable(const QueueProfile &profile)
+{
+    const TimeSpan span = profileSpan(profile);
+    return ArrivalTable(span.begin, span.end, ArrivalModel{});
+}
 
 } // namespace
 
@@ -28,34 +33,9 @@ StreamingSynthesizer::StreamingSynthesizer(const QueueProfile &profile,
                  : static_cast<size_t>(profile.jobCount)),
       rng_(profileSeed(profile, options.baseSeed)),
       arrivalRng_(profileSeed(profile, options.baseSeed) ^
-                  kArrivalStreamSalt)
+                  kArrivalStreamSalt),
+      arrivals_(spanTable(profile))
 {
-    begin_ = monthStartUnix(profile.startYear, profile.startMonth);
-    // The catalog stores the last month of the span inclusively; the
-    // trace runs to the start of the following month.
-    int end_month = profile.endMonth + 1;
-    int end_year = profile.endYear;
-    if (end_month > 12) {
-        end_month = 1;
-        ++end_year;
-    }
-    const double end = monthStartUnix(end_year, end_month);
-
-    // The same hourly intensity-integral table generateArrivals()
-    // builds — O(span hours), independent of job count.
-    const ArrivalModel model;
-    const double span = end - begin_;
-    const size_t buckets = std::max<size_t>(
-        1, static_cast<size_t>(std::ceil(span / 3600.0)));
-    bucketWidth_ = span / static_cast<double>(buckets);
-    cumulative_.assign(buckets + 1, 0.0);
-    for (size_t b = 0; b < buckets; ++b) {
-        const double mid =
-            begin_ + (static_cast<double>(b) + 0.5) * bucketWidth_;
-        cumulative_[b + 1] =
-            cumulative_[b] + arrivalIntensity(model, mid) * bucketWidth_;
-    }
-
     auto regimes = makeRegimeSchedule(profile, count_, rng_);
     sampler_.emplace(profile, std::move(regimes), count_, rng_);
 }
@@ -74,23 +54,7 @@ StreamingSynthesizer::nextArrival()
         (1.0 - lastUniform_) *
         (-std::expm1(std::log(v) / static_cast<double>(m)));
     lastUniform_ = std::min(lastUniform_, 1.0);
-
-    // Inverse CDF through the hourly table, exactly as
-    // generateArrivals() interpolates.
-    const double total = cumulative_.back();
-    const double target = lastUniform_ * total;
-    const auto it = std::upper_bound(cumulative_.begin(),
-                                     cumulative_.end(), target);
-    size_t b = static_cast<size_t>(it - cumulative_.begin());
-    b = b == 0 ? 0 : b - 1;
-    const size_t buckets = cumulative_.size() - 1;
-    if (b >= buckets)
-        b = buckets - 1;
-    const double mass_in_bucket = cumulative_[b + 1] - cumulative_[b];
-    const double frac =
-        mass_in_bucket > 0.0 ? (target - cumulative_[b]) / mass_in_bucket
-                             : 0.5;
-    return begin_ + (static_cast<double>(b) + frac) * bucketWidth_;
+    return arrivals_.at(lastUniform_);
 }
 
 bool

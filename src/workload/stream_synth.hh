@@ -14,8 +14,8 @@
  *
  *   U_(k) = U_(k-1) + (1 - U_(k-1)) * (1 - V_k^(1/(n-k+1))),  V_k ~ U(0,1)
  *
- * and maps each through the same hourly intensity-integral inverse CDF
- * as generateArrivals(). Arrival draws come from a dedicated RNG
+ * and maps each through the same ArrivalTable inverse CDF that
+ * generateArrivals() uses. Arrival draws come from a dedicated RNG
  * stream so the regime schedule and per-job draws are independent of
  * how arrivals are consumed.
  *
@@ -32,10 +32,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "stats/rng.hh"
 #include "trace/job_record.hh"
+#include "workload/arrivals.hh"
 #include "workload/site_catalog.hh"
 #include "workload/synthesizer.hh"
 
@@ -79,10 +79,7 @@ class StreamingSynthesizer
     stats::Rng rng_;         //!< Schedule + per-job draws.
     stats::Rng arrivalRng_;  //!< Sorted-uniform arrival draws only.
 
-    // Arrival inverse-CDF state (mirrors generateArrivals' table).
-    double begin_ = 0.0;
-    double bucketWidth_ = 0.0;
-    std::vector<double> cumulative_;
+    ArrivalTable arrivals_;  //!< The profile span's inverse CDF.
     double lastUniform_ = 0.0;
 
     // Per-job model core, shared with synthesizeTrace().

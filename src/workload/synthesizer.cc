@@ -348,20 +348,9 @@ synthesizeTrace(const QueueProfile &profile, uint64_t baseSeed)
     stats::Rng rng(profileSeed(profile, baseSeed));
     const size_t count = static_cast<size_t>(profile.jobCount);
 
-    const double begin = monthStartUnix(profile.startYear,
-                                        profile.startMonth);
-    // The catalog stores the last month of the span inclusively; the
-    // trace runs to the start of the following month.
-    int end_month = profile.endMonth + 1;
-    int end_year = profile.endYear;
-    if (end_month > 12) {
-        end_month = 1;
-        ++end_year;
-    }
-    const double end = monthStartUnix(end_year, end_month);
-
-    ArrivalModel arrival_model;
-    auto arrivals = generateArrivals(begin, end, count, arrival_model, rng);
+    const TimeSpan span = profileSpan(profile);
+    const auto arrivals =
+        generateArrivals(span.begin, span.end, count, ArrivalModel{}, rng);
 
     auto regimes = makeRegimeSchedule(profile, count, rng);
     JobSampler sampler(profile, std::move(regimes), count, rng);

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "edge_trace.hh"
 #include "trace/native_format.hh"
+#include "trace/text_writer.hh"
 
 namespace qdel {
 namespace trace {
@@ -190,6 +192,26 @@ TEST(NativeFile, MissingFileIsAnError)
     ASSERT_FALSE(t.ok());
     EXPECT_NE(t.error().reason.find("cannot open"), std::string::npos);
     EXPECT_EQ(t.error().file, "/no/such/file.txt");
+}
+
+TEST(NativeWriterDifferential, EdgeValuesMatchPrintf)
+{
+    // writeNativeTrace() spelled with one snprintf per line.
+    const Trace t = edge::edgeTrace();
+    std::ostringstream expected;
+    expected << "# site=" << t.site() << " machine=" << t.machine() << "\n";
+    expected << "# submit wait procs queue\n";
+    for (const auto &job : t) {
+        expected << edge::printfString(
+            "%.0f %.6g %d %s\n", job.submitTime, job.waitSeconds, job.procs,
+            job.queue.empty() ? "-" : job.queue.c_str());
+    }
+
+    std::ostringstream out;
+    writeNativeTrace(t, out);
+    ASSERT_GT(expected.str().size(), TextWriter::kCapacity);
+    ASSERT_EQ(out.str().size(), expected.str().size());
+    EXPECT_TRUE(out.str() == expected.str());
 }
 
 } // namespace

@@ -4,11 +4,15 @@
  */
 
 #include <cstdio>
+#include <map>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "edge_trace.hh"
 #include "trace/swf_format.hh"
+#include "workload/site_catalog.hh"
+#include "workload/stream_synth.hh"
 
 namespace qdel {
 namespace trace {
@@ -281,6 +285,94 @@ TEST(SwfFile, MissingFileIsAnError)
     ASSERT_FALSE(t.ok());
     EXPECT_NE(t.error().reason.find("cannot open"), std::string::npos);
     EXPECT_EQ(t.error().file, "/no/such/dir/file.swf");
+}
+
+// ---------------------------------------------------------------------
+// The buffered writer against printf with the SWF format string.
+
+/** writeSwfTrace() spelled with one snprintf per line. */
+std::string
+printfSwf(const Trace &t)
+{
+    std::map<std::string, int> queue_ids;
+    std::vector<const std::string *> queue_order;
+    for (const auto &job : t) {
+        if (queue_ids.emplace(job.queue,
+                              static_cast<int>(queue_order.size()))
+                .second)
+            queue_order.push_back(&job.queue);
+    }
+    std::ostringstream out;
+    out << "; Computer: " << t.machine() << "\n";
+    out << "; Installation: " << t.site() << "\n";
+    out << "; Generated by the qdel BMBP reproduction library\n";
+    for (size_t id = 0; id < queue_order.size(); ++id) {
+        const std::string &queue = *queue_order[id];
+        out << "; Queue: " << id << " " << (queue.empty() ? "-" : queue)
+            << "\n";
+    }
+    long long jobno = 0;
+    for (const auto &job : t) {
+        ++jobno;
+        out << edge::printfString(
+            "%lld %.0f %.0f %.0f %d -1 -1 %d -1 -1 %lld -1 -1 -1 "
+            "%d -1 -1 -1\n",
+            jobno, job.submitTime,
+            job.hasWait() ? job.waitSeconds : -1.0,
+            job.runSeconds < 0.0 ? -1.0 : job.runSeconds, job.procs,
+            job.procs, job.status, queue_ids[job.queue]);
+    }
+    return out.str();
+}
+
+TEST(SwfWriterDifferential, EdgeValuesMatchPrintf)
+{
+    const Trace t = edge::edgeTrace();
+    std::ostringstream out;
+    writeSwfTrace(t, out);
+    const std::string expected = printfSwf(t);
+    // Several buffer fills, so the flush boundaries are crossed too.
+    ASSERT_GT(expected.size(), 2 * TextWriter::kCapacity);
+    ASSERT_EQ(out.str().size(), expected.size());
+    EXPECT_TRUE(out.str() == expected);
+}
+
+TEST(SwfWriterDifferential, StreamedSynthesisMatchesPrintf)
+{
+    // The path qdel_synth --stream-out --format=swf takes: a streamed
+    // profile, one queue numbered 0.
+    const auto &profile = workload::findProfile("paragon", "q256s");
+    workload::StreamSynthOptions options;
+    options.jobCountOverride = 300;
+
+    std::ostringstream expected;
+    expected << "; Computer: " << profile.display << "\n";
+    expected << "; Installation: " << profile.site << "\n";
+    expected << "; Generated by the qdel BMBP reproduction library\n";
+    expected << "; Queue: 0 " << profile.queue << "\n";
+    workload::StreamingSynthesizer reference(profile, options);
+    JobRecord job;
+    long long jobno = 0;
+    while (reference.next(&job)) {
+        ++jobno;
+        expected << edge::printfString(
+            "%lld %.0f %.0f %.0f %d -1 -1 %d -1 -1 %lld -1 "
+            "-1 -1 0 -1 -1 -1\n",
+            jobno, job.submitTime, job.waitSeconds,
+            job.runSeconds < 0.0 ? -1.0 : job.runSeconds, job.procs,
+            job.procs, job.status);
+    }
+    ASSERT_EQ(jobno, 300);
+
+    std::ostringstream out;
+    {
+        SwfWriter writer(out, profile.display, profile.site,
+                         {profile.queue});
+        workload::StreamingSynthesizer synth(profile, options);
+        while (synth.next(&job))
+            writer.write(job, 0);
+    }
+    EXPECT_EQ(out.str(), expected.str());
 }
 
 } // namespace

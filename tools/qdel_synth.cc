@@ -28,8 +28,6 @@
  * benchmark inputs are made.
  */
 
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -124,7 +122,7 @@ streamQtc(const workload::QueueProfile &profile,
 /**
  * Stream one profile to a buffered SWF file: headers up front (the
  * queue table is known before the first job — one queue per profile),
- * then one formatted line per job through a stdio-buffered ofstream.
+ * then one line per job through trace::SwfWriter.
  */
 size_t
 streamSwf(const workload::QueueProfile &profile,
@@ -137,31 +135,19 @@ streamSwf(const workload::QueueProfile &profile,
                   << "' for writing\n";
         return 0;
     }
-    out << "; Computer: " << profile.display << "\n";
-    out << "; Installation: " << profile.site << "\n";
-    out << "; Generated by the qdel BMBP reproduction library\n";
-    out << "; Queue: 0 " << profile.queue << "\n";
-
     workload::StreamingSynthesizer synth(profile, synth_options);
+    trace::SwfWriter writer(out, profile.display, profile.site,
+                            {profile.queue});
     trace::JobRecord job;
-    char buf[256];
-    long long jobno = 0;
-    while (synth.next(&job)) {
-        ++jobno;
-        std::snprintf(buf, sizeof(buf),
-                      "%lld %.0f %.0f %.0f %d -1 -1 %d -1 -1 %lld -1 "
-                      "-1 -1 0 -1 -1 -1\n",
-                      jobno, job.submitTime, job.waitSeconds,
-                      job.runSeconds < 0.0 ? -1.0 : job.runSeconds,
-                      job.procs, job.procs, job.status);
-        out << buf;
-    }
+    while (synth.next(&job))
+        writer.write(job, 0);
+    writer.flush();
     out.flush();
     if (!out) {
         std::cerr << "error: write failed for '" << path << "'\n";
         return 0;
     }
-    const auto total = static_cast<size_t>(jobno);
+    const size_t total = synth.produced();
     if (verify) {
         trace::IngestReport report;
         auto reloaded = trace::loadSwfTrace(path, {}, &report);
