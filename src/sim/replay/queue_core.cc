@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <numeric>
 
 #include "obs/calibration.hh"
 #include "obs/domain_metrics.hh"
@@ -101,6 +101,65 @@ QueueCore::QueueCore(core::Predictor &predictor, Rules rules,
 }
 
 void
+QueueCore::siftUp(ptrdiff_t hole, PendingRelease value, Outcome outcome)
+{
+    // libstdc++'s __push_heap with std::greater: move the hole up
+    // while its parent orders after the value.
+    ptrdiff_t parent = (hole - 1) / 2;
+    while (hole > 0 && pending_[parent] > value) {
+        pending_[hole] = pending_[parent];
+        pendingOutcomes_[hole] = pendingOutcomes_[parent];
+        hole = parent;
+        parent = (hole - 1) / 2;
+    }
+    pending_[hole] = value;
+    pendingOutcomes_[hole] = outcome;
+}
+
+void
+QueueCore::pushPending(PendingRelease release, Outcome outcome)
+{
+    pending_.push_back(release);
+    pendingOutcomes_.push_back(outcome);
+    siftUp(static_cast<ptrdiff_t>(pending_.size()) - 1, release, outcome);
+}
+
+void
+QueueCore::popPending()
+{
+    // libstdc++'s __pop_heap + __adjust_heap with std::greater: the
+    // last element is lifted out, the front takes its slot, the hole
+    // left at the top sinks along the earlier child to a leaf, and the
+    // lifted element sifts up from there.
+    const auto len = static_cast<ptrdiff_t>(pending_.size()) - 1;
+    if (len > 0) {
+        const PendingRelease value = pending_[len];
+        const Outcome outcome = pendingOutcomes_[len];
+        pending_[len] = pending_[0];
+        pendingOutcomes_[len] = pendingOutcomes_[0];
+        ptrdiff_t hole = 0;
+        ptrdiff_t child = 0;
+        while (child < (len - 1) / 2) {
+            child = 2 * (child + 1);
+            if (pending_[child] > pending_[child - 1])
+                --child;
+            pending_[hole] = pending_[child];
+            pendingOutcomes_[hole] = pendingOutcomes_[child];
+            hole = child;
+        }
+        if ((len & 1) == 0 && child == (len - 2) / 2) {
+            child = 2 * (child + 1);
+            pending_[hole] = pending_[child - 1];
+            pendingOutcomes_[hole] = pendingOutcomes_[child - 1];
+            hole = child - 1;
+        }
+        siftUp(hole, value, outcome);
+    }
+    pending_.pop_back();
+    pendingOutcomes_.pop_back();
+}
+
+void
 QueueCore::refit()
 {
     predictor_.refit();
@@ -178,11 +237,9 @@ QueueCore::advanceTo(double horizon)
             while (!pending_.empty() && pending_.front().time <= cap) {
                 const PendingRelease &next = pending_.front();
                 waitScratch_.push_back(next.time - next.submit);
-                if (next.outcome != Outcome::Unscored)
-                    window_.record(next.outcome == Outcome::Hit);
-                std::pop_heap(pending_.begin(), pending_.end(),
-                              std::greater<PendingRelease>{});
-                pending_.pop_back();
+                if (pendingOutcomes_.front() != Outcome::Unscored)
+                    window_.record(pendingOutcomes_.front() == Outcome::Hit);
+                popPending();
             }
             predictor_.observeBatch(waitScratch_.data(),
                                     waitScratch_.size());
@@ -324,10 +381,8 @@ QueueCore::processRows(const double *submits, const double *trace_waits,
                 !scored ? Outcome::Unscored
                 : !(bound < kInf) || bound >= waits[k] ? Outcome::Hit
                                                        : Outcome::Miss;
-            pending_.push_back(
-                {submits[k] + trace_waits[k], submits[k], outcome});
-            std::push_heap(pending_.begin(), pending_.end(),
-                           std::greater<PendingRelease>{});
+            pushPending({submits[k] + trace_waits[k], submits[k]},
+                        outcome);
         }
         QDEL_OBS(obs::replayMetrics().jobsProcessed.inc(s - r));
         r = s;
@@ -349,15 +404,18 @@ QueueCore::result()
     }
     // The window as if every pending job released now, in the order
     // the heap would pop them.
+    // (Jobs with equal keys carry equal outcomes unless one is a
+    // training job, which the window skips, so ties may fall in any
+    // order.)
     Window window = window_;
-    std::vector<PendingRelease> pending = pending_;
-    std::sort(pending.begin(), pending.end(),
-              [](const PendingRelease &a, const PendingRelease &b) {
-                  return b > a;
-              });
-    for (const PendingRelease &release : pending) {
-        if (release.outcome != Outcome::Unscored)
-            window.record(release.outcome == Outcome::Hit);
+    std::vector<size_t> order(pending_.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return pending_[b] > pending_[a];
+    });
+    for (size_t k : order) {
+        if (pendingOutcomes_[k] != Outcome::Unscored)
+            window.record(pendingOutcomes_[k] == Outcome::Hit);
     }
     const obs::CalibrationVerdict verdict = obs::assessCalibration(
         window.hits, window.count(), predictor_.confidence());
@@ -389,9 +447,9 @@ QueueCore::saveState(persist::StateWriter &writer) const
     // release, and the series, as (time, value) pairs, go out flat.
     std::vector<double> pending, series;
     std::string outcomes;
-    for (const PendingRelease &release : pending_) {
-        pending.insert(pending.end(), {release.time, release.submit});
-        outcomes.push_back(static_cast<char>(release.outcome));
+    for (size_t k = 0; k < pending_.size(); ++k) {
+        pending.insert(pending.end(), {pending_[k].time, pending_[k].submit});
+        outcomes.push_back(static_cast<char>(pendingOutcomes_[k]));
     }
     for (const SeriesPoint &point : series_)
         series.insert(series.end(), {point.time, point.value});
@@ -487,10 +545,11 @@ QueueCore::loadState(persist::StateReader &reader, bool *predictor_loaded,
         window_.record(outcome != 0);
     ratios_.reset(std::move(ratios));
     pending_.clear();
+    pendingOutcomes_.clear();
     series_.clear();
     for (size_t i = 0; i < pending.size(); i += 2) {
-        pending_.push_back({pending[i], pending[i + 1],
-                            static_cast<Outcome>(outcomes[i / 2])});
+        pending_.push_back({pending[i], pending[i + 1]});
+        pendingOutcomes_.push_back(static_cast<Outcome>(outcomes[i / 2]));
     }
     for (size_t i = 0; i < series.size(); i += 2)
         series_.push_back({series[i], series[i + 1]});

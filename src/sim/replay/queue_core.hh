@@ -221,12 +221,13 @@ class QueueCore
     };
 
     /** A submitted job waiting to be released; the heap orders by
-     *  (time, submit), and the wait it releases is time - submit. */
+     *  (time, submit), and the wait it releases is time - submit. Its
+     *  outcome sits at the same index of pendingOutcomes_, so the heap
+     *  moves 16 bytes, not 24. */
     struct PendingRelease
     {
         double time;    //!< Release (start) time: submit + wait.
         double submit;  //!< The job's submit time.
-        Outcome outcome;
 
         bool
         operator>(const PendingRelease &other) const
@@ -235,6 +236,14 @@ class QueueCore
                                       : submit > other.submit;
         }
     };
+
+    /** std::push_heap / std::pop_heap over pending_ (a min-heap by
+     *  (time, submit)), made step for step as libstdc++ makes them so
+     *  the checkpointed heap layout is unchanged, each move repeated in
+     *  pendingOutcomes_. popPending() removes the front. */
+    void pushPending(PendingRelease release, Outcome outcome);
+    void popPending();
+    void siftUp(ptrdiff_t hole, PendingRelease value, Outcome outcome);
 
     void refit();
     void fireEpoch(double now);
@@ -275,6 +284,7 @@ class QueueCore
     /** Set by any refit or trim; see takeBoundMoved(). */
     bool moved_ = false;
     std::vector<PendingRelease> pending_;
+    std::vector<Outcome> pendingOutcomes_;  //!< One per pending_ slot.
 
     uint64_t evaluated_ = 0;
     uint64_t correct_ = 0;

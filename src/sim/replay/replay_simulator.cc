@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <optional>
 
 #include "persist/checkpoint.hh"
@@ -26,7 +25,8 @@ namespace {
 constexpr uint32_t kReplayStateVersion = 4;
 constexpr char kReplayStateTag[] = "replay-driver";
 
-/** Jobs handed to the core per call; bounds the column staging. */
+/** Jobs handed to the core per call; bounds the core's per-call
+ *  scratch (QueueCore::processRows). */
 constexpr size_t kChunkJobs = 4096;
 
 /**
@@ -38,13 +38,11 @@ constexpr size_t kChunkJobs = 4096;
 uint64_t
 traceFingerprint(const trace::Trace &t)
 {
+    const trace::TraceColumns &jobs = t.columns();
     uint32_t crc = 0;
     for (size_t i = 0; i < t.size(); ++i) {
-        uint64_t bits[2];
-        static_assert(sizeof(double) == sizeof(uint64_t));
-        std::memcpy(&bits[0], &t[i].submitTime, sizeof(bits[0]));
-        std::memcpy(&bits[1], &t[i].waitSeconds, sizeof(bits[1]));
-        crc = persist::crc32(bits, sizeof(bits), crc);
+        const double pair[2] = {jobs.submit[i], jobs.wait[i]};
+        crc = persist::crc32(pair, sizeof(pair), crc);
     }
     return (static_cast<uint64_t>(t.size()) << 32) ^ crc;
 }
@@ -249,10 +247,11 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
     };
     const size_t checkpoint_every = manager ? ckpt.intervalJobs : 0;
 
-    // The trace is one stream: feed it in chunks that end on every
-    // progress and checkpoint boundary (chunking never changes results).
-    std::vector<double> submit(kChunkJobs);
-    std::vector<double> wait(kChunkJobs);
+    // The trace is one stream: feed the core straight from its submit
+    // and wait columns, in chunks that end on every progress and
+    // checkpoint boundary (chunking never changes results).
+    const double *submit = t.columns().submit.data();
+    const double *wait = t.columns().wait.data();
     while (queue.submits() < t.size()) {
         const size_t begin = queue.submits();
         size_t end = std::min(t.size(), begin + kChunkJobs);
@@ -260,11 +259,7 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             if (period > 0)
                 end = std::min(end, (begin / period + 1) * period);
         }
-        for (size_t i = begin; i < end; ++i) {
-            submit[i - begin] = t[i].submitTime;
-            wait[i - begin] = t[i].waitSeconds;
-        }
-        queue.processRows(submit.data(), wait.data(), end - begin);
+        queue.processRows(submit + begin, wait + begin, end - begin);
         if (progress_every > 0 && end % progress_every == 0)
             report_progress();
         if (checkpoint_every > 0 && end % checkpoint_every == 0 &&

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <istream>
 #include <limits>
+#include <map>
 #include <optional>
 #include <ostream>
 #include <utility>
@@ -33,16 +34,25 @@ namespace {
 /** Highest field count a native data line can carry meaning in. */
 constexpr size_t kMaxNativeFields = 4;
 
+/** The values one native data line contributes. */
+struct NativeRow
+{
+    double submit = 0.0;
+    double wait = 0.0;
+    int procs = 1;
+    std::string_view queue;  //!< Into the line; "" when unnamed.
+};
+
 /**
- * Parse the fields of one native data line into the default-constructed
- * @p job. On failure fills @p err with field/reason only — the caller
- * adds file and line number — and returns false. Both the getline path
- * and the zero-copy path share these field semantics; the scanning
- * machinery stays independent (see parseNativeTrace).
+ * Parse the fields of one native data line into @p row. On failure
+ * fills @p err with field/reason only — the caller adds file and line
+ * number — and returns false. Both the getline path and the zero-copy
+ * path share these field semantics; the scanning machinery stays
+ * independent (see parseNativeTrace).
  */
 bool
 parseNativeFields(const detail::ScannedField *fields, size_t field_count,
-                  JobRecord &job, ParseError &err)
+                  NativeRow &row, ParseError &err)
 {
     if (field_count < 2) {
         err = ParseError{
@@ -69,8 +79,8 @@ parseNativeFields(const detail::ScannedField *fields, size_t field_count,
                              std::string(fields[1].text) + "'"};
         return false;
     }
-    job.submitTime = *submit;
-    job.waitSeconds = *wait;
+    row.submit = *submit;
+    row.wait = *wait;
     if (field_count >= 3) {
         const auto procs = fields[2].toInt();
         if (!procs || *procs < 1 ||
@@ -80,10 +90,10 @@ parseNativeFields(const detail::ScannedField *fields, size_t field_count,
                                  std::string(fields[2].text) + "'"};
             return false;
         }
-        job.procs = static_cast<int>(*procs);
+        row.procs = static_cast<int>(*procs);
     }
     if (field_count >= 4 && fields[3].text != "-")
-        job.queue = std::string(fields[3].text);
+        row.queue = fields[3].text;
     return true;
 }
 
@@ -106,11 +116,13 @@ parseNativeHeader(std::string_view header)
 
 /**
  * Everything one newline-aligned chunk contributes. Line numbers are
- * chunk-relative; the merge rebases them by prefix sum.
+ * chunk-relative; the merge rebases them by prefix sum. Queue ids
+ * index the chunk's own table until the merge renumbers them.
  */
 struct NativeChunkResult
 {
-    std::vector<JobRecord> records;
+    TraceColumns records;
+    std::vector<std::string> queueNames;
     /** Last "# site=... machine=..." header in the chunk (last wins). */
     std::optional<std::pair<std::string, std::string>> siteMachine;
     size_t totalLines = 0;
@@ -127,8 +139,13 @@ parseNativeChunk(std::string_view chunk, const NativeParseOptions &options)
 {
     NativeChunkResult out;
     // Each line yields at most one record, so this reserve is never
-    // outgrown and the vector never reallocates.
+    // outgrown and the columns never reallocate.
     out.records.reserve(detail::LineCursor::maxLines(chunk));
+    // A name becomes an id once, when the chunk first sees it; a job
+    // naming the same queue as the last costs one comparison.
+    std::map<std::string, uint32_t, std::less<>> queue_ids;
+    std::string_view last_queue;
+    uint32_t last_id = 0;
     detail::LineCursor cursor(chunk);
     std::string_view line;
     detail::ScannedField fields[kMaxNativeFields];
@@ -150,10 +167,8 @@ parseNativeChunk(std::string_view chunk, const NativeParseOptions &options)
         // a trailing '\r'), so no trimmed copy is needed.
         const size_t nf = detail::scanFields(line.substr(first), fields,
                                              kMaxNativeFields);
-        // Built in place; a malformed line gives it back.
-        if (!parseNativeFields(fields, nf, out.records.emplace_back(),
-                               err)) {
-            out.records.pop_back();
+        NativeRow row;
+        if (!parseNativeFields(fields, nf, row, err)) {
             ++out.malformedLines;
             if (out.errors.size() < IngestReport::kMaxDetailedErrors) {
                 err.line = out.totalLines;
@@ -165,6 +180,17 @@ parseNativeChunk(std::string_view chunk, const NativeParseOptions &options)
             }
             continue;
         }
+        if (out.queueNames.empty() || row.queue != last_queue) {
+            auto [it, added] = queue_ids.emplace(
+                row.queue, static_cast<uint32_t>(out.queueNames.size()));
+            if (added)
+                out.queueNames.emplace_back(row.queue);
+            last_queue = it->first;
+            last_id = it->second;
+        }
+        // The format carries no run time or status: the JobRecord
+        // defaults, unknown (-1) and completed (1).
+        out.records.push(row.submit, row.wait, -1.0, 1, row.procs, last_id);
         ++out.parsedRecords;
     }
     return out;
@@ -227,9 +253,9 @@ parseNativeTrace(std::istream &in, const std::string &name,
             std::min(field_strings.size(), kMaxNativeFields);
         for (size_t i = 0; i < nf; ++i)
             fields[i].text = field_strings[i];
-        JobRecord job;
+        NativeRow row;
         ParseError err;
-        if (!parseNativeFields(fields, nf, job, err)) {
+        if (!parseNativeFields(fields, nf, row, err)) {
             err.file = name;
             err.line = lineno;
             if (options.mode == ParseMode::Strict) {
@@ -239,7 +265,8 @@ parseNativeTrace(std::istream &in, const std::string &name,
             rep.addError(std::move(err));
             continue;
         }
-        t.add(std::move(job));
+        t.add(row.submit, row.wait, -1.0, 1, row.procs,
+              t.internQueue(row.queue));  // As in parseNativeChunk.
         ++rep.parsedRecords;
     }
     t.sortBySubmitTime();
@@ -284,16 +311,18 @@ parseNativeBuffer(std::string_view data, const std::string &name,
         return rep.errors.back();
     }
 
+    // One chunk's columns are taken whole; several are copied, in
+    // order, into room for all of them, each freed once copied.
     Trace t;
-    t.reserve(record_total);
+    if (parsed.size() > 1)
+        t.reserve(record_total);
     size_t line_offset = 0;
     for (auto &chunk : parsed) {
         if (chunk.siteMachine) {
             t.setSite(std::move(chunk.siteMachine->first));
             t.setMachine(std::move(chunk.siteMachine->second));
         }
-        for (auto &record : chunk.records)
-            t.add(std::move(record));
+        t.append(std::move(chunk.records), chunk.queueNames);
         accumulateCounts(rep, chunk, line_offset, name);
         line_offset += chunk.totalLines;
     }
@@ -320,16 +349,20 @@ writeNativeTrace(const Trace &t, std::ostream &out)
     text.text(" machine=");
     text.text(t.machine());
     text.text("\n# submit wait procs queue\n");
-    for (const auto &job : t) {
-        text.fixed0(job.submitTime);
+    // A name is written up to its first NUL byte ("%s").
+    std::vector<std::string_view> names;
+    for (const std::string &queue : t.queueTable())
+        names.push_back(queue.empty() ? std::string_view("-")
+                                      : std::string_view(queue.c_str()));
+    const TraceColumns &jobs = t.columns();
+    for (size_t i = 0; i < t.size(); ++i) {
+        text.fixed0(jobs.submit[i]);
         text.put(' ');
-        text.general6(job.waitSeconds);
+        text.general6(jobs.wait[i]);
         text.put(' ');
-        text.integer(job.procs);
+        text.integer(jobs.procs[i]);
         text.put(' ');
-        // A name is written up to its first NUL byte ("%s").
-        text.text(job.queue.empty() ? std::string_view("-")
-                                    : std::string_view(job.queue.c_str()));
+        text.text(names[jobs.queueId[i]]);
         text.put('\n');
     }
 }

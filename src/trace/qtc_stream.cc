@@ -60,12 +60,7 @@ ShardedTraceWriter::ShardedTraceWriter(ShardWriterOptions options)
         panic("ShardedTraceWriter: shardSize must be > 0");
     if (options_.directory.empty())
         panic("ShardedTraceWriter: directory must be set");
-    submit_.reserve(options_.shardSize);
-    wait_.reserve(options_.shardSize);
-    run_.reserve(options_.shardSize);
-    status_.reserve(options_.shardSize);
-    procs_.reserve(options_.shardSize);
-    queueId_.reserve(options_.shardSize);
+    shard_.reserve(options_.shardSize);
     if (auto made = persist::ensureDirectory(options_.directory);
         !made.ok())
         err_ = made.error();
@@ -105,21 +100,17 @@ ShardedTraceWriter::add(double submit_time, double wait_seconds,
     if (queue_id >= shardQueueJobs_.size())
         shardQueueJobs_.resize(queue_id + 1, 0);
     ++shardQueueJobs_[queue_id];
-    submit_.push_back(submit_time);
-    wait_.push_back(wait_seconds);
-    run_.push_back(run_seconds);
-    status_.push_back(static_cast<int64_t>(status));
-    procs_.push_back(static_cast<int32_t>(procs));
-    queueId_.push_back(queue_id);
+    shard_.push(submit_time, wait_seconds, run_seconds, status, procs,
+                queue_id);
     ++totalJobs_;
-    if (submit_.size() >= options_.shardSize)
+    if (shard_.size() >= options_.shardSize)
         flushShard();
 }
 
 void
 ShardedTraceWriter::flushShard()
 {
-    const size_t n = submit_.size();
+    const size_t n = shard_.size();
     if (n == 0 || !err_.ok())
         return;
 
@@ -137,17 +128,8 @@ ShardedTraceWriter::flushShard()
     report.totalLines = n;
     report.parsedRecords = n;
 
-    QtcColumnsRef columns;
-    columns.n = n;
-    columns.submit = submit_.data();
-    columns.wait = wait_.data();
-    columns.run = run_.data();
-    columns.status = status_.data();
-    columns.procs = procs_.data();
-    columns.queueId = queueId_.data();
-
     const std::string bytes =
-        encodeQtcImage(columns, options_.site, options_.machine,
+        encodeQtcImage(shard_.view(), options_.site, options_.machine,
                        queueNames_, report, /*options_word=*/0,
                        FileStamp{});
     if (auto wrote = persist::atomicWriteFile(path, bytes); !wrote.ok()) {
@@ -156,12 +138,7 @@ ShardedTraceWriter::flushShard()
     }
     shards_.push_back(std::move(entry));
 
-    submit_.clear();
-    wait_.clear();
-    run_.clear();
-    status_.clear();
-    procs_.clear();
-    queueId_.clear();
+    shard_.clear();
     shardQueueJobs_.assign(queueNames_.size(), 0);
 }
 
@@ -471,16 +448,7 @@ StreamingTraceReader::materialize()
             return more.error();
         if (!more.value())
             break;
-        for (size_t i = 0; i < batch.size; ++i) {
-            JobRecord job;
-            job.submitTime = batch.submit[i];
-            job.waitSeconds = batch.wait[i];
-            job.runSeconds = batch.run[i];
-            job.procs = static_cast<int>(batch.procs[i]);
-            job.status = static_cast<long long>(batch.status[i]);
-            job.queue = queueNames_[batch.queueId[i]];
-            out.add(std::move(job));
-        }
+        out.append(TraceColumns::copyOf(batch.columns()), queueNames_);
     }
     reset();
     return out;

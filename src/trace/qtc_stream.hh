@@ -116,11 +116,7 @@ class ShardedTraceWriter
     bool finished_ = false;
     size_t totalJobs_ = 0;
 
-    // Current shard, SoA.
-    std::vector<double> submit_, wait_, run_;
-    std::vector<int64_t> status_;
-    std::vector<int32_t> procs_;
-    std::vector<uint32_t> queueId_;
+    TraceColumns shard_;  //!< The current shard's columns.
     std::vector<uint64_t> shardQueueJobs_;
 
     // Global queue table (ids are global; see file comment).
@@ -143,6 +139,12 @@ struct ColumnBatch
     const int64_t *status = nullptr;
     const int32_t *procs = nullptr;
     const uint32_t *queueId = nullptr;  //!< Indexes queueNames().
+
+    ColumnsView
+    columns() const
+    {
+        return {size, submit, wait, run, status, procs, queueId};
+    }
 };
 
 /** Configuration for StreamingTraceReader. */

@@ -11,11 +11,12 @@
  *    parallel over newline-aligned chunks (see parse_buffer.hh for
  *    the invariants that keep the merge deterministic). Each line is
  *    split and its plain integers converted in one pass
- *    (detail::scanFields), and each record is built once, in place in
- *    its chunk's vector, beside a column of SWF queue numbers. A
+ *    (detail::scanFields), and each record is appended to its chunk's
+ *    columns (trace.hh), beside a column of SWF queue numbers. A
  *    "; Queue:" directive is keyed by the number of records its chunk
  *    kept before it; the merge replays the directives against that
- *    count and names each record's queue as it joins the Trace.
+ *    count, turning each declared name into a queue id once, fills the
+ *    chunk's queue-id column and concatenates the columns.
  */
 
 #include "trace/swf_format.hh"
@@ -53,19 +54,27 @@ enum class SwfVerdict
     Kept,
 };
 
+/** The values one SWF data line contributes. */
+struct SwfRow
+{
+    double submit = 0.0;
+    double wait = 0.0;  //!< -1 when the log recorded none.
+    double run = -1.0;
+    long long status = 1;
+    int procs = 1;
+    long long queueNumber = -1;  //!< Resolved to a name by the caller.
+};
+
 /**
- * Parse the fields of one SWF data line into @p job (every member but
- * the queue name, which the caller resolves from @p queue_number) —
- * only once the line is known to be well-formed. On failure fills
- * @p err with field/reason only; the caller adds file and line
- * number. Both the getline path and the zero-copy path share these
- * field semantics; the scanning machinery stays independent (see
- * parseSwfTrace).
+ * Parse the fields of one SWF data line into @p row — only once the
+ * line is known to be well-formed. On failure fills @p err with
+ * field/reason only; the caller adds file and line number. Both the
+ * getline path and the zero-copy path share these field semantics; the
+ * scanning machinery stays independent (see parseSwfTrace).
  */
 SwfVerdict
 parseSwfFields(const detail::ScannedField *fields, size_t field_count,
-               const SwfParseOptions &options, JobRecord &job,
-               long long &queue_number, ParseError &err)
+               const SwfParseOptions &options, SwfRow &row, ParseError &err)
 {
     if (field_count < 5) {
         err = ParseError{"", 0, "",
@@ -126,16 +135,16 @@ parseSwfFields(const detail::ScannedField *fields, size_t field_count,
         return SwfVerdict::Malformed;
     }
 
-    job.submitTime = submit;
+    row.submit = submit;
     // Preserve "no recorded wait" as -1 rather than clamping to 0;
     // writers re-emit -1 so round trips keep the distinction.
-    job.waitSeconds = wait < 0.0 ? -1.0 : wait;
-    job.runSeconds = run;
-    job.procs = procs > 0 ? static_cast<int>(procs) : 1;
-    job.status = status;
-    queue_number = queue;
+    row.wait = wait < 0.0 ? -1.0 : wait;
+    row.run = run;
+    row.procs = procs > 0 ? static_cast<int>(procs) : 1;
+    row.status = status;
+    row.queueNumber = queue;
 
-    if (!job.hasWait() && options.skipMissingWait)
+    if (row.wait < 0.0 && options.skipMissingWait)
         return SwfVerdict::Filtered;
     if (options.skipFailed && (status == 0 || status == 5))
         return SwfVerdict::Filtered;
@@ -151,14 +160,50 @@ struct QueueDirective
 };
 
 /**
+ * Turns SWF queue numbers into a Trace's queue ids under the
+ * "; Queue:" directives seen so far. A name is interned once per
+ * directive, or once per undeclared number as "q<N>" (a negative
+ * number is the unnamed queue ""); a job costs an integer lookup.
+ */
+class SwfQueueIds
+{
+  public:
+    explicit SwfQueueIds(Trace &trace) : trace_(trace) {}
+
+    void
+    declare(long long number, std::string_view name)
+    {
+        ids_[number] = trace_.internQueue(name);
+    }
+
+    uint32_t
+    idOf(long long number)
+    {
+        auto it = ids_.find(number);
+        if (it == ids_.end()) {
+            it = ids_.emplace(number,
+                              trace_.internQueue(
+                                  number < 0 ? std::string()
+                                             : "q" + std::to_string(number)))
+                     .first;
+        }
+        return it->second;
+    }
+
+  private:
+    Trace &trace_;
+    std::map<long long, uint32_t> ids_;
+};
+
+/**
  * Everything one newline-aligned chunk contributes. Line numbers are
  * chunk-relative; the merge rebases them by prefix sum. The records'
- * queue names are resolved at merge time, from queueNumbers (one per
+ * queue ids are filled at merge time, from queueNumbers (one per
  * record) and the directives seen so far.
  */
 struct SwfChunkResult
 {
-    std::vector<JobRecord> records;
+    TraceColumns records;
     std::vector<long long> queueNumbers;
     std::vector<QueueDirective> queues;
     // Last "; Computer:" / "; Installation:" header in the chunk
@@ -227,13 +272,9 @@ parseSwfChunk(std::string_view chunk, const SwfParseOptions &options)
         // a trailing '\r'), so no trimmed copy is needed.
         const size_t nf = detail::scanFields(line.substr(first), fields,
                                              kMaxSwfFields);
-        // Built in place; a line that keeps no record gives it back.
-        long long queue_number = -1;
+        SwfRow row;
         const SwfVerdict verdict =
-            parseSwfFields(fields, nf, options, out.records.emplace_back(),
-                           queue_number, err);
-        if (verdict != SwfVerdict::Kept)
-            out.records.pop_back();
+            parseSwfFields(fields, nf, options, row, err);
         if (verdict == SwfVerdict::Malformed) {
             ++out.malformedLines;
             if (out.errors.size() < IngestReport::kMaxDetailedErrors) {
@@ -250,7 +291,10 @@ parseSwfChunk(std::string_view chunk, const SwfParseOptions &options)
             ++out.filteredRecords;
             continue;
         }
-        out.queueNumbers.push_back(queue_number);
+        // The queue id is filled at merge time.
+        out.records.push(row.submit, row.wait, row.run, row.status,
+                         row.procs, 0);
+        out.queueNumbers.push_back(row.queueNumber);
         ++out.parsedRecords;
     }
     return out;
@@ -289,7 +333,7 @@ parseSwfTrace(std::istream &in, const std::string &name,
     Trace t;
     // Queue names declared by "; Queue: <N> <name>" header comments
     // (the writer emits them); data lines carry only the number.
-    std::map<long long, std::string> queue_names;
+    SwfQueueIds queue_ids(t);
     std::string line;
     size_t lineno = 0;
     while (std::getline(in, line)) {
@@ -310,8 +354,8 @@ parseSwfTrace(std::istream &in, const std::string &name,
                 t.setMachine(std::move(*header.machine));
             if (header.site)
                 t.setSite(std::move(*header.site));
-            for (auto &queue : header.queues)
-                queue_names[queue.number] = std::move(queue.name);
+            for (const auto &queue : header.queues)
+                queue_ids.declare(queue.number, queue.name);
             continue;
         }
         // Deliberately the allocating tokenizer, and every field left
@@ -325,11 +369,10 @@ parseSwfTrace(std::istream &in, const std::string &name,
             std::min(field_strings.size(), kMaxSwfFields);
         for (size_t i = 0; i < nf; ++i)
             fields[i].text = field_strings[i];
-        JobRecord job;
-        long long queue_number = -1;
+        SwfRow row;
         ParseError err;
         const SwfVerdict verdict =
-            parseSwfFields(fields, nf, options, job, queue_number, err);
+            parseSwfFields(fields, nf, options, row, err);
         if (verdict == SwfVerdict::Malformed) {
             err.file = name;
             err.line = lineno;
@@ -344,13 +387,8 @@ parseSwfTrace(std::istream &in, const std::string &name,
             ++rep.filteredRecords;
             continue;
         }
-        if (queue_number >= 0) {
-            auto it = queue_names.find(queue_number);
-            job.queue = it != queue_names.end()
-                            ? it->second
-                            : "q" + std::to_string(queue_number);
-        }
-        t.add(std::move(job));
+        t.add(row.submit, row.wait, row.run, row.status, row.procs,
+              queue_ids.idOf(row.queueNumber));
         ++rep.parsedRecords;
     }
     t.sortBySubmitTime();
@@ -395,9 +433,12 @@ parseSwfBuffer(std::string_view data, const std::string &name,
         return rep.errors.back();
     }
 
+    // One chunk's columns are taken whole; several are copied, in
+    // order, into room for all of them, each freed once copied.
     Trace t;
-    t.reserve(record_total);
-    std::map<long long, std::string> queue_names;
+    if (parsed.size() > 1)
+        t.reserve(record_total);
+    SwfQueueIds queue_ids(t);
     size_t line_offset = 0;
     for (auto &chunk : parsed) {
         if (chunk.machine)
@@ -412,23 +453,18 @@ parseSwfBuffer(std::string_view data, const std::string &name,
             for (; qi < chunk.queues.size() &&
                    chunk.queues[qi].recordsBefore <= records_before;
                  ++qi) {
-                queue_names[chunk.queues[qi].number] =
-                    std::move(chunk.queues[qi].name);
+                queue_ids.declare(chunk.queues[qi].number,
+                                  chunk.queues[qi].name);
             }
         };
-        for (size_t k = 0; k < chunk.records.size(); ++k) {
+        std::vector<uint32_t> &ids = chunk.records.queueId;
+        for (size_t k = 0; k < ids.size(); ++k) {
             declare_through(k);
-            JobRecord &record = chunk.records[k];
-            const long long number = chunk.queueNumbers[k];
-            if (number >= 0) {
-                auto it = queue_names.find(number);
-                record.queue = it != queue_names.end()
-                                   ? it->second
-                                   : "q" + std::to_string(number);
-            }
-            t.add(std::move(record));
+            ids[k] = queue_ids.idOf(chunk.queueNumbers[k]);
         }
-        declare_through(chunk.records.size());
+        declare_through(ids.size());
+        chunk.queueNumbers = {};
+        t.append(std::move(chunk.records));
         accumulateCounts(rep, chunk, line_offset, name);
         line_offset += chunk.totalLines;
     }
@@ -468,19 +504,27 @@ SwfWriter::SwfWriter(std::ostream &out, std::string_view machine,
 void
 SwfWriter::write(const JobRecord &job, int queueId)
 {
+    write(job.submitTime, job.waitSeconds, job.runSeconds, job.procs,
+          job.status, queueId);
+}
+
+void
+SwfWriter::write(double submit, double wait, double run, int procs,
+                 long long status, int queueId)
+{
     text_.integer(++jobNumber_);
     text_.put(' ');
-    text_.fixed0(job.submitTime);
+    text_.fixed0(submit);
     text_.put(' ');
-    text_.fixed0(job.hasWait() ? job.waitSeconds : -1.0);
+    text_.fixed0(wait >= 0.0 ? wait : -1.0);
     text_.put(' ');
-    text_.fixed0(job.runSeconds < 0.0 ? -1.0 : job.runSeconds);
+    text_.fixed0(run < 0.0 ? -1.0 : run);
     text_.put(' ');
-    text_.integer(job.procs);
+    text_.integer(procs);
     text_.text(" -1 -1 ");
-    text_.integer(job.procs);
+    text_.integer(procs);
     text_.text(" -1 -1 ");
-    text_.integer(job.status);
+    text_.integer(status);
     text_.text(" -1 -1 -1 ");
     text_.integer(queueId);
     text_.text(" -1 -1 -1\n");
@@ -489,23 +533,22 @@ SwfWriter::write(const JobRecord &job, int queueId)
 void
 writeSwfTrace(const Trace &t, std::ostream &out)
 {
-    // Number the queues in first-appearance order, and note each job's
-    // number in the same pass.
-    std::map<std::string_view, int> queue_ids;
+    // Number the queues in first-appearance order.
+    const std::vector<uint32_t> order = t.queueIdsInOrder();
+    std::vector<int> number(t.queueTable().size(), -1);
     std::vector<std::string_view> queue_order;
-    std::vector<int> job_queue;
-    job_queue.reserve(t.size());
-    for (const auto &job : t) {
-        const auto [it, added] = queue_ids.emplace(
-            job.queue, static_cast<int>(queue_order.size()));
-        if (added)
-            queue_order.push_back(job.queue);
-        job_queue.push_back(it->second);
+    for (uint32_t id : order) {
+        number[id] = static_cast<int>(queue_order.size());
+        queue_order.push_back(t.queueTable()[id]);
     }
 
     SwfWriter writer(out, t.machine(), t.site(), queue_order);
-    for (size_t i = 0; i < t.size(); ++i)
-        writer.write(t[i], job_queue[i]);
+    const TraceColumns &jobs = t.columns();
+    for (size_t i = 0; i < t.size(); ++i) {
+        writer.write(jobs.submit[i], jobs.wait[i], jobs.run[i],
+                     jobs.procs[i], jobs.status[i],
+                     number[jobs.queueId[i]]);
+    }
 }
 
 Expected<Unit>

@@ -125,6 +125,10 @@ class SwfWriter
     /** Write @p job as the next data line, in SWF queue @p queueId. */
     void write(const JobRecord &job, int queueId);
 
+    /** The same, from a job's column values. */
+    void write(double submit, double wait, double run, int procs,
+               long long status, int queueId);
+
     /** Hand the buffered lines to the stream (destruction does too). */
     void flush() { text_.flush(); }
 

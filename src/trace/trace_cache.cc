@@ -7,7 +7,6 @@
 #include "trace/trace_cache.hh"
 
 #include <cstring>
-#include <map>
 #include <vector>
 
 #include "persist/io.hh"
@@ -171,7 +170,7 @@ traceCachePath(const std::string &trace_path, const std::string &cache_dir)
 }
 
 std::string
-encodeQtcImage(const QtcColumnsRef &columns, const std::string &site,
+encodeQtcImage(const ColumnsView &columns, const std::string &site,
                const std::string &machine,
                const std::vector<std::string> &queue_names,
                const IngestReport &report, uint32_t options_word,
@@ -227,37 +226,27 @@ writeTraceCache(const std::string &cache_path, const Trace &t,
                 const IngestReport &report, uint32_t options_word,
                 const FileStamp &source_stamp)
 {
-    const size_t n = t.size();
-
-    // Columns, transposed from the record array in one pass.
-    std::vector<double> submit(n), wait(n), run(n);
-    std::vector<int32_t> procs(n);
-    std::vector<int64_t> status(n);
-    std::vector<uint32_t> queue_id(n);
-    std::map<std::string, uint32_t> queue_ids;
+    // The columns go out as they are. Queues are numbered in
+    // first-appearance order, which is the trace's own numbering
+    // unless a sort or a filter moved its ids out of that order; only
+    // then is the id column renumbered.
+    const std::vector<uint32_t> order = t.queueIdsInOrder();
     std::vector<std::string> queue_order;
-    for (size_t i = 0; i < n; ++i) {
-        const JobRecord &job = t[i];
-        submit[i] = job.submitTime;
-        wait[i] = job.waitSeconds;
-        run[i] = job.runSeconds;
-        procs[i] = static_cast<int32_t>(job.procs);
-        status[i] = static_cast<int64_t>(job.status);
-        auto inserted = queue_ids.emplace(
-            job.queue, static_cast<uint32_t>(queue_order.size()));
-        if (inserted.second)
-            queue_order.push_back(job.queue);
-        queue_id[i] = inserted.first->second;
+    std::vector<uint32_t> number(t.queueTable().size(), 0);
+    bool renumber = false;
+    for (uint32_t id : order) {
+        renumber = renumber || id != queue_order.size();
+        number[id] = static_cast<uint32_t>(queue_order.size());
+        queue_order.push_back(t.queueTable()[id]);
     }
-
-    QtcColumnsRef columns;
-    columns.n = n;
-    columns.submit = submit.data();
-    columns.wait = wait.data();
-    columns.run = run.data();
-    columns.status = status.data();
-    columns.procs = procs.data();
-    columns.queueId = queue_id.data();
+    ColumnsView columns = t.columns().view();
+    std::vector<uint32_t> queue_id;
+    if (renumber) {
+        queue_id.reserve(t.size());
+        for (uint32_t id : t.columns().queueId)
+            queue_id.push_back(number[id]);
+        columns.queueId = queue_id.data();
+    }
     const std::string bytes =
         encodeQtcImage(columns, t.site(), t.machine(), queue_order,
                        report, options_word, source_stamp);
@@ -391,18 +380,8 @@ readTraceCache(const std::string &cache_path, uint32_t options_word,
     out.report = view.report;
     out.trace.setSite(view.site);
     out.trace.setMachine(view.machine);
-    const size_t n = view.jobCount;
-    out.trace.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        JobRecord job;
-        job.submitTime = view.submit[i];
-        job.waitSeconds = view.wait[i];
-        job.runSeconds = view.run[i];
-        job.procs = static_cast<int>(view.procs[i]);
-        job.status = static_cast<long long>(view.status[i]);
-        job.queue = view.queueNames[view.queueId[i]];
-        out.trace.add(std::move(job));
-    }
+    out.trace.append(TraceColumns::copyOf(view.columns()),
+                     view.queueNames);
     out.status = CacheStatus::Hit;
     return out;
 }

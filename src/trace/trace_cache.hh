@@ -128,6 +128,13 @@ struct QtcView
     std::string machine;
     std::vector<std::string> queueNames;
     IngestReport report;
+
+    /** The six column pointers, jobCount rows each. */
+    ColumnsView
+    columns() const
+    {
+        return {jobCount, submit, wait, run, status, procs, queueId};
+    }
 };
 
 /** Outcome of parseQtcView(): Hit carries the view. */
@@ -148,25 +155,12 @@ struct QtcParseResult
 QtcParseResult parseQtcView(std::string_view bytes,
                             bool verify_crc = true);
 
-/** SoA column pointers describing one .qtc image to be written. */
-struct QtcColumnsRef
-{
-    size_t n = 0;
-    const double *submit = nullptr;
-    const double *wait = nullptr;
-    const double *run = nullptr;
-    const int64_t *status = nullptr;
-    const int32_t *procs = nullptr;
-    const uint32_t *queueId = nullptr;
-};
-
 /**
  * Serialize one complete .qtc image (header, columns, string section,
- * trailing CRC) from already-transposed columns. Shared by
- * writeTraceCache and the shard writer in qtc_stream.hh; every
- * queueId must index @p queue_names.
+ * trailing CRC) from columns. Shared by writeTraceCache and the shard
+ * writer in qtc_stream.hh; every queueId must index @p queue_names.
  */
-std::string encodeQtcImage(const QtcColumnsRef &columns,
+std::string encodeQtcImage(const ColumnsView &columns,
                            const std::string &site,
                            const std::string &machine,
                            const std::vector<std::string> &queue_names,

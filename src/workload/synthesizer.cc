@@ -357,18 +357,14 @@ synthesizeTrace(const QueueProfile &profile, uint64_t baseSeed)
 
     trace::Trace t(profile.site, profile.display);
     t.reserve(count);
+    const uint32_t queue = t.internQueue(profile.queue);
 
     for (size_t i = 0; i < count; ++i) {
         int procs = 0;
         double wait = 0.0;
         sampler.sample(i, arrivals[i], rng, &procs, &wait);
-
-        trace::JobRecord job;
-        job.submitTime = arrivals[i];
-        job.waitSeconds = wait;
-        job.procs = procs;
-        job.queue = profile.queue;
-        t.add(std::move(job));
+        // Run time unknown, status completed: the JobRecord defaults.
+        t.add(arrivals[i], wait, -1.0, 1, procs, queue);
     }
 
     return t;

@@ -295,19 +295,19 @@ std::string
 printfSwf(const Trace &t)
 {
     std::map<std::string, int> queue_ids;
-    std::vector<const std::string *> queue_order;
+    std::vector<std::string> queue_order;
     for (const auto &job : t) {
         if (queue_ids.emplace(job.queue,
                               static_cast<int>(queue_order.size()))
                 .second)
-            queue_order.push_back(&job.queue);
+            queue_order.push_back(job.queue);
     }
     std::ostringstream out;
     out << "; Computer: " << t.machine() << "\n";
     out << "; Installation: " << t.site() << "\n";
     out << "; Generated by the qdel BMBP reproduction library\n";
     for (size_t id = 0; id < queue_order.size(); ++id) {
-        const std::string &queue = *queue_order[id];
+        const std::string &queue = queue_order[id];
         out << "; Queue: " << id << " " << (queue.empty() ? "-" : queue)
             << "\n";
     }

@@ -508,8 +508,8 @@ main(int argc, char **argv)
         for (const auto &queue : queues) {
             auto subdivided = trace.filterByQueue(queue);
             auto predictor = core::makePredictor(method, options);
-            for (const auto &job : subdivided)
-                predictor->observe(job.waitSeconds);
+            for (double wait : subdivided.columns().wait)
+                predictor->observe(wait);
             predictor->refit();
             const auto bound = predictor->upperBound();
             std::cout << "  " << (queue.empty() ? "(all)" : queue)
