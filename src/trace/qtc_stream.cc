@@ -439,8 +439,8 @@ Expected<Trace>
 StreamingTraceReader::materialize()
 {
     reset();
-    Trace out(site_, machine_);
-    out.reserve(jobCount_);
+    TraceColumns columns;
+    columns.reserve(jobCount_);
     ColumnBatch batch;
     while (true) {
         auto more = next(&batch);
@@ -448,9 +448,11 @@ StreamingTraceReader::materialize()
             return more.error();
         if (!more.value())
             break;
-        out.append(TraceColumns::copyOf(batch.columns()), queueNames_);
+        columns.append(batch.columns());
     }
     reset();
+    Trace out(site_, machine_);
+    out.append(std::move(columns), queueNames_);
     return out;
 }
 

@@ -25,13 +25,6 @@ permute(std::vector<T> &column, const std::vector<size_t> &order)
     column.swap(out);
 }
 
-template <typename T>
-void
-appendArray(std::vector<T> &column, const T *values, size_t n)
-{
-    column.insert(column.end(), values, values + n);
-}
-
 } // namespace
 
 void
@@ -63,17 +56,15 @@ TraceColumns::view() const
             status.data(), procs.data(),  queueId.data()};
 }
 
-TraceColumns
-TraceColumns::copyOf(const ColumnsView &view)
+void
+TraceColumns::append(const ColumnsView &rows)
 {
-    TraceColumns out;
-    out.submit.assign(view.submit, view.submit + view.n);
-    out.wait.assign(view.wait, view.wait + view.n);
-    out.run.assign(view.run, view.run + view.n);
-    out.status.assign(view.status, view.status + view.n);
-    out.procs.assign(view.procs, view.procs + view.n);
-    out.queueId.assign(view.queueId, view.queueId + view.n);
-    return out;
+    submit.insert(submit.end(), rows.submit, rows.submit + rows.n);
+    wait.insert(wait.end(), rows.wait, rows.wait + rows.n);
+    run.insert(run.end(), rows.run, rows.run + rows.n);
+    status.insert(status.end(), rows.status, rows.status + rows.n);
+    procs.insert(procs.end(), rows.procs, rows.procs + rows.n);
+    queueId.insert(queueId.end(), rows.queueId, rows.queueId + rows.n);
 }
 
 Trace::Trace(std::string site, std::string machine)
@@ -114,17 +105,10 @@ void
 Trace::append(TraceColumns &&columns)
 {
     const size_t old_size = size();
-    if (old_size == 0 && columns_.submit.capacity() < columns.size()) {
+    if (old_size == 0 && columns_.submit.capacity() < columns.size())
         columns_ = std::move(columns);
-    } else {
-        const ColumnsView in = columns.view();
-        appendArray(columns_.submit, in.submit, in.n);
-        appendArray(columns_.wait, in.wait, in.n);
-        appendArray(columns_.run, in.run, in.n);
-        appendArray(columns_.status, in.status, in.n);
-        appendArray(columns_.procs, in.procs, in.n);
-        appendArray(columns_.queueId, in.queueId, in.n);
-    }
+    else
+        columns_.append(columns.view());
     columns = {};
     const std::vector<double> &submit = columns_.submit;
     for (size_t i = std::max<size_t>(old_size, 1); i < submit.size(); ++i) {

@@ -76,8 +76,8 @@ struct TraceColumns
 
     ColumnsView view() const;
 
-    /** A copy of the @p view.n rows @p view points at. */
-    static TraceColumns copyOf(const ColumnsView &view);
+    /** Append a copy of the @p rows.n rows @p rows points at. */
+    void append(const ColumnsView &rows);
 };
 
 /**

@@ -380,8 +380,9 @@ readTraceCache(const std::string &cache_path, uint32_t options_word,
     out.report = view.report;
     out.trace.setSite(view.site);
     out.trace.setMachine(view.machine);
-    out.trace.append(TraceColumns::copyOf(view.columns()),
-                     view.queueNames);
+    TraceColumns columns;
+    columns.append(view.columns());
+    out.trace.append(std::move(columns), view.queueNames);
     out.status = CacheStatus::Hit;
     return out;
 }
