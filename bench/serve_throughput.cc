@@ -14,7 +14,10 @@
  *  - event ingest: apply() through the serialized per-shard writer,
  *    events_per_sec, including the periodic refit + republish cost;
  *  - wire codec: encode -> frame -> unframe -> decode round-trips for
- *    the query and event message types.
+ *    the query and event message types;
+ *  - trace bridging: serve::eventsFromJobs over a synthesized queue of
+ *    the largest catalog queue's size, the §5.1 event order that
+ *    `qdel_serve --drive` and the ingest firehose replay.
  *
  * Three rows then put the kernel back in, against a real BoundServer on
  * loopback: BM_ServeNetworkQps (pipelined clients through the epoll
@@ -46,6 +49,9 @@
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/wire.hh"
+#include "trace/job_record.hh"
+#include "workload/site_catalog.hh"
+#include "workload/synthesizer.hh"
 
 namespace {
 
@@ -268,6 +274,30 @@ BM_ServeWireEventRoundTrip(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServeWireEventRoundTrip);
+
+/**
+ * A trace's Submit/Start event stream: the synthesized tacc2/normal
+ * queue (the largest catalog queue, 712,974 events), expanded and
+ * ordered by serve::eventsFromJobs.
+ */
+void
+BM_EventsFromJobs(benchmark::State &state)
+{
+    static const std::vector<trace::JobRecord> jobs = [] {
+        const trace::Trace t = workload::synthesizeTrace(
+            workload::findProfile("tacc2", "normal"), 5);
+        return std::vector<trace::JobRecord>(t.begin(), t.end());
+    }();
+    size_t events = 0;
+    for (auto _ : state) {
+        const auto stream = serve::eventsFromJobs(jobs, "tacc2");
+        events += stream.size();
+        benchmark::DoNotOptimize(stream.data());
+    }
+    state.counters["events_per_sec"] = benchmark::Counter(
+        static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EventsFromJobs)->Unit(benchmark::kMillisecond);
 
 // --- overload scenario: N stalled clients + a healthy client --------
 

@@ -344,34 +344,42 @@ std::vector<JobEvent>
 eventsFromJobs(const std::vector<trace::JobRecord> &jobs,
                const std::string &machine)
 {
-    std::vector<JobEvent> events;
-    events.reserve(jobs.size() * 2);
+    // Sort one 16-byte key per event, then build each event once in
+    // order. tag = jobId * 2 + isStart orders (jobId, Submit<Start).
+    struct Key
+    {
+        double time;
+        uint64_t tag;
+    };
+    std::vector<Key> keys;
+    keys.reserve(jobs.size() * 2);
     for (size_t i = 0; i < jobs.size(); ++i) {
         const trace::JobRecord &job = jobs[i];
-        JobEvent submit;
-        submit.kind = EventKind::Submit;
-        submit.jobId = i + 1;
-        submit.time = job.submitTime;
-        submit.machine = machine;
-        submit.queue = job.queue;
-        submit.procs = job.procs;
-        events.push_back(submit);
-        if (!job.hasWait())
-            continue;
-        JobEvent start = submit;
-        start.kind = EventKind::Start;
-        start.time = job.startTime();
-        events.push_back(start);
+        const uint64_t tag = static_cast<uint64_t>(i + 1) << 1;
+        keys.push_back({job.submitTime, tag});
+        if (job.hasWait())
+            keys.push_back({job.startTime(), tag | 1});
     }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const JobEvent &a, const JobEvent &b) {
+    // Stable: a NaN time orders against nothing, and that can send
+    // std::sort outside the vector.
+    std::stable_sort(keys.begin(), keys.end(),
+                     [](const Key &a, const Key &b) {
                          if (a.time != b.time)
                              return a.time < b.time;
-                         if (a.jobId != b.jobId)
-                             return a.jobId < b.jobId;
-                         return static_cast<uint8_t>(a.kind) <
-                                static_cast<uint8_t>(b.kind);
+                         return a.tag < b.tag;
                      });
+    std::vector<JobEvent> events(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+        const trace::JobRecord &job = jobs[(keys[i].tag >> 1) - 1];
+        JobEvent &event = events[i];
+        event.kind = (keys[i].tag & 1) != 0 ? EventKind::Start
+                                            : EventKind::Submit;
+        event.jobId = keys[i].tag >> 1;
+        event.time = keys[i].time;
+        event.machine = machine;
+        event.queue = job.queue;
+        event.procs = job.procs;
+    }
     return events;
 }
 

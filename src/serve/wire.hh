@@ -244,6 +244,13 @@ void appendPingFrame(std::string &out);
  * manager would have emitted, ordered by (time, jobId, Submit<Start).
  * Jobs without a recorded wait get a Submit only; jobId is the 1-based
  * position in @p jobs (SWF job-number semantics).
+ *
+ * The order is computed on one (time, jobId * 2 + isStart) key per
+ * event, and each event is built once, in that order. A (jobId, kind)
+ * pair is unique, so on finite times the comparison is a strict total
+ * order and any correct sort gives the same stream. A NaN time orders
+ * against nothing, so its event has no defined place in the stream.
+ * The Golden.qdel_serve.drive.* tests pin the order end to end.
  */
 std::vector<JobEvent> eventsFromJobs(const std::vector<trace::JobRecord> &jobs,
                                      const std::string &machine);

@@ -149,6 +149,11 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             "", 0, "trace",
             "ReplaySimulator: trace must be sorted by submission time"};
     }
+    if (!t.submitTimesFinite()) {
+        return ParseError{
+            "", 0, "trace",
+            "ReplaySimulator: trace holds a non-finite submission time"};
+    }
 
     if (t.empty())
         return ReplayResult{};

@@ -6,6 +6,7 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 namespace qdel {
@@ -97,6 +98,8 @@ Trace::add(double submit_time, double wait_seconds, double run_seconds,
     // std::is_sorted's own test, one consecutive pair at a time.
     if (!empty() && submit_time < columns_.submit.back())
         sorted_ = false;
+    if (!std::isfinite(submit_time))
+        finite_ = false;
     columns_.push(submit_time, wait_seconds, run_seconds, status, procs,
                   queue_id);
 }
@@ -111,9 +114,11 @@ Trace::append(TraceColumns &&columns)
         columns_.append(columns.view());
     columns = {};
     const std::vector<double> &submit = columns_.submit;
-    for (size_t i = std::max<size_t>(old_size, 1); i < submit.size(); ++i) {
-        if (submit[i] < submit[i - 1])
+    for (size_t i = old_size; i < submit.size(); ++i) {
+        if (i > 0 && submit[i] < submit[i - 1])
             sorted_ = false;
+        if (!std::isfinite(submit[i]))
+            finite_ = false;
     }
 }
 

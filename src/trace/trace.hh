@@ -133,6 +133,11 @@ class Trace
      *  (std::is_sorted by submit time), in O(1). */
     bool isSorted() const { return sorted_; }
 
+    /** @return true when every submit time is finite, in O(1). A NaN
+     *  orders against nothing, so isSorted() cannot see it: (5, NaN, 3)
+     *  has no descending pair. */
+    bool submitTimesFinite() const { return finite_; }
+
     size_t size() const { return columns_.size(); }
     bool empty() const { return columns_.submit.empty(); }
 
@@ -184,6 +189,7 @@ class Trace
     std::vector<std::string> names_;
     std::map<std::string, uint32_t, std::less<>> ids_;  //!< names_ inverse.
     bool sorted_ = true;  //!< Kept by every member that changes columns_.
+    bool finite_ = true;  //!< Kept beside sorted_.
 };
 
 /** Iterates a Trace's jobs as JobRecord values (see operator[]). */

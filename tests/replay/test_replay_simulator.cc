@@ -253,6 +253,33 @@ TEST(Replay, RejectsUnsortedTrace)
     EXPECT_NE(result.error().reason.find("sorted"), std::string::npos);
 }
 
+TEST(Replay, RejectsNonFiniteSubmitTimes)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // (5, NaN, 3) has no descending pair, so it counts as sorted; a
+    // lone NaN is sorted trivially. Both are refused before any work.
+    trace::Trace between;
+    for (double submit : {5.0, nan, 3.0})
+        between.add({submit, 1.0, 1, -1.0, ""});
+    EXPECT_TRUE(between.isSorted());
+    trace::Trace lone;
+    lone.add({nan, 1.0, 1, -1.0, ""});
+    trace::Trace infinite;
+    infinite.add({1.0, 1.0, 1, -1.0, ""});
+    infinite.add({std::numeric_limits<double>::infinity(), 1.0, 1, -1.0,
+                  ""});
+    for (const trace::Trace *t : {&between, &lone, &infinite}) {
+        EXPECT_FALSE(t->submitTimesFinite());
+        ProbePredictor predictor;
+        auto result = ReplaySimulator().run(*t, predictor);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.error().field, "trace");
+        EXPECT_NE(result.error().reason.find("non-finite"),
+                  std::string::npos);
+        EXPECT_TRUE(predictor.observed.empty());
+    }
+}
+
 TEST(Replay, RejectsBadConfig)
 {
     auto t = simpleTrace(5, 10.0, 1.0);

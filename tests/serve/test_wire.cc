@@ -6,9 +6,12 @@
  * event expansion.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -335,6 +338,97 @@ TEST(WireEvents, EventsFromJobsExpandsAndOrders)
     EXPECT_EQ(events[4].kind, EventKind::Start);  // a @150
     EXPECT_EQ(events[4].jobId, 1u);
     EXPECT_EQ(events[4].time, 150.0);
+}
+
+/** The whole-event stable sort eventsFromJobs must reproduce. */
+std::vector<JobEvent>
+eventsBySortingWholeEvents(const std::vector<trace::JobRecord> &jobs,
+                           const std::string &machine)
+{
+    std::vector<JobEvent> events;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        const trace::JobRecord &job = jobs[i];
+        JobEvent submit;
+        submit.kind = EventKind::Submit;
+        submit.jobId = i + 1;
+        submit.time = job.submitTime;
+        submit.machine = machine;
+        submit.queue = job.queue;
+        submit.procs = job.procs;
+        events.push_back(submit);
+        if (!job.hasWait())
+            continue;
+        JobEvent start = submit;
+        start.kind = EventKind::Start;
+        start.time = job.startTime();
+        events.push_back(start);
+    }
+    std::stable_sort(events.begin(), events.end(),
+                     [](const JobEvent &a, const JobEvent &b) {
+                         if (a.time != b.time)
+                             return a.time < b.time;
+                         if (a.jobId != b.jobId)
+                             return a.jobId < b.jobId;
+                         return static_cast<uint8_t>(a.kind) <
+                                static_cast<uint8_t>(b.kind);
+                     });
+    return events;
+}
+
+uint64_t
+timeBits(double time)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &time, sizeof(bits));
+    return bits;
+}
+
+TEST(WireEvents, EventsFromJobsMatchesFullEventSort)
+{
+    // Few distinct times, so submits and starts tie often; -0.0 and 0.0
+    // compare equal but must keep their own sign in the output.
+    const double kTimes[] = {-0.0, 0.0, 1.0, 2.0, 2.0, 3.5, 10.0, 1e9};
+    const double kWaits[] = {-1.0, 0.0, -0.0, 1.0, 2.0, 0.5, 7.0};
+    const std::string kQueues[] = {
+        "", "q", "normal", "a queue name longer than the SSO buffer",
+        "another long queue name, with spaces"};
+    std::mt19937 rng(28);
+    std::uniform_int_distribution<size_t> time(0, std::size(kTimes) - 1);
+    std::uniform_int_distribution<size_t> wait(0, std::size(kWaits) - 1);
+    std::uniform_int_distribution<size_t> queue(0, std::size(kQueues) - 1);
+    std::uniform_int_distribution<int> procs(1, 512);
+    std::uniform_int_distribution<int> coin(0, 2);
+    for (size_t trial = 0; trial < 400; ++trial) {
+        SCOPED_TRACE(trial);
+        std::vector<trace::JobRecord> jobs(trial % 40);
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            trace::JobRecord &job = jobs[i];
+            // Mostly ascending submits with ties, some out of order.
+            job.submitTime = coin(rng) == 0
+                                 ? kTimes[time(rng)]
+                                 : static_cast<double>(i / 3);
+            job.waitSeconds = kWaits[wait(rng)];
+            job.procs = procs(rng);
+            job.queue = kQueues[queue(rng)];
+        }
+        const std::string machine =
+            trial % 2 ? "m" : "a machine name longer than the SSO buffer";
+        const auto expected = eventsBySortingWholeEvents(jobs, machine);
+        const auto events = eventsFromJobs(jobs, machine);
+        ASSERT_EQ(events.size(), expected.size());
+        for (size_t i = 0; i < events.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(events[i].kind, expected[i].kind);
+            EXPECT_EQ(events[i].jobId, expected[i].jobId);
+            EXPECT_EQ(timeBits(events[i].time), timeBits(expected[i].time));
+            EXPECT_EQ(events[i].machine, expected[i].machine);
+            EXPECT_EQ(events[i].queue, expected[i].queue);
+            EXPECT_EQ(events[i].procs, expected[i].procs);
+            EXPECT_EQ(events[i].clientId, expected[i].clientId);
+            EXPECT_EQ(events[i].seq, expected[i].seq);
+            EXPECT_EQ(events[i].traceId, expected[i].traceId);
+        }
+    }
 }
 
 TEST(WireTrace, EventTraceTailIsWireOnlyAndOptional)

@@ -4,6 +4,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -175,6 +176,45 @@ TEST(TraceSorted, SortBySubmitTimeAgreesWithAScan)
     t.sortBySubmitTime();
     EXPECT_TRUE(t.isSorted());
     EXPECT_TRUE(scanSorted(t));
+}
+
+bool
+scanFinite(const Trace &t)
+{
+    return std::all_of(t.begin(), t.end(), [](const JobRecord &job) {
+        return std::isfinite(job.submitTime);
+    });
+}
+
+TEST(TraceSorted, FiniteFlagAgreesWithAScan)
+{
+    std::mt19937 rng(17);
+    for (size_t trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE(trial);
+        Trace t = randomTrace(rng, trial % 12);
+        EXPECT_EQ(t.submitTimesFinite(), scanFinite(t));
+        for (const Trace &out :
+             {t.filterByQueue("a"), t.filterByProcRange({1, 16}),
+              t.filterByTime(1.0, 3.0)}) {
+            EXPECT_EQ(out.submitTimesFinite(), scanFinite(out));
+        }
+        // append(): taken whole by an empty trace, copied otherwise.
+        for (bool empty : {true, false}) {
+            Trace appended;
+            if (!empty)
+                appended.add({0.0, 1.0, 1, 1.0, "a"});
+            TraceColumns columns;
+            for (const JobRecord &job : t) {
+                columns.push(job.submitTime, job.waitSeconds,
+                             job.runSeconds, job.status, job.procs,
+                             appended.internQueue(job.queue));
+            }
+            appended.append(std::move(columns));
+            EXPECT_EQ(appended.submitTimesFinite(), scanFinite(appended));
+        }
+        t.sortBySubmitTime();
+        EXPECT_EQ(t.submitTimesFinite(), scanFinite(t));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,8 +8,9 @@
 # from BUILD_DIR/bench at --threads=4, qdel_predict --lenient on each
 # tests/corpus/ input, and qdel_predict with bmbp and lognormal-trim,
 # per queue and --by-procs, on the synthesized datastar/normal and
-# lanl/shared queues (qdel_synth --seed=7), and writes their standard
-# output over the golden files. A change that moves a golden file must
+# lanl/shared queues (qdel_synth --seed=7) and qdel_serve --drive
+# --digest on the same two queues, and writes their standard output over
+# the golden files. A change that moves a golden file must
 # say in CHANGES.md which cells moved and why.
 set -eu
 build=$(cd "$1" && pwd)
@@ -35,7 +36,7 @@ done
 # tests/golden/check_synth_golden.sh runs them.
 synth_dir=$(mktemp -d)
 trap 'rm -rf "$synth_dir"' EXIT
-mkdir -p "$golden/predict/synth"
+mkdir -p "$golden/predict/synth" "$golden/serve/drive"
 for queue in datastar/normal lanl/shared; do
     site=${queue%/*}
     name=${queue#*/}
@@ -52,4 +53,8 @@ for queue in datastar/normal lanl/shared; do
                 > "$golden/predict/synth/${site}_$name.$method.$mode.txt"
         done
     done
+    echo "qdel_serve --drive ${site}_$name"
+    (cd "$synth_dir" &&
+        "$build/tools/qdel_serve" --drive="${site}_$name.swf" --digest) \
+        > "$golden/serve/drive/${site}_$name.txt"
 done
