@@ -6,10 +6,11 @@
 # Runs every table/figure/ablation binary that BUILD_DIR registers a
 # Golden.<name> test for (qdel_bench() in bench/CMakeLists.txt does)
 # from BUILD_DIR/bench at --threads=4, qdel_predict --lenient on each
-# tests/corpus/ input, and qdel_predict with bmbp and lognormal-trim,
-# per queue and --by-procs, on the synthesized datastar/normal and
-# lanl/shared queues (qdel_synth --seed=7) and qdel_serve --drive
-# --digest on the same two queues, and writes their standard output over
+# tests/corpus/ input, qdel_predict with bmbp and lognormal-trim, per
+# queue and --by-procs, on the synthesized datastar/normal and
+# lanl/shared queues (qdel_synth --seed=7) and per queue on the paragon
+# queues joined into one trace, and qdel_serve --drive --digest on the
+# two single queues, and writes their standard output over
 # the golden files. A change that moves a golden file must
 # say in CHANGES.md which cells moved and why.
 set -eu
@@ -32,29 +33,32 @@ for input in mixed.swf mixed_native.txt; do
         > "$golden/predict/$(echo "$input" | tr . _).txt" 2> /dev/null
 done
 
-# The synthesized queues, from a scratch directory, as
-# tests/golden/check_synth_golden.sh runs them.
+# The synthesized traces, from a scratch directory, as
+# tests/golden/check_synth_golden.sh runs them: per queue and --by-procs
+# on the single-queue traces, per queue on the joined paragon trace.
 synth_dir=$(mktemp -d)
 trap 'rm -rf "$synth_dir"' EXIT
 mkdir -p "$golden/predict/synth" "$golden/serve/drive"
-for queue in datastar/normal lanl/shared; do
-    site=${queue%/*}
-    name=${queue#*/}
-    "$build/tools/qdel_synth" --out="$synth_dir" --format=swf \
-        --site="$site" --queue="$name" --seed=7 > /dev/null
+for trace in datastar/normal lanl/shared paragon; do
+    file=$("$golden/synth_trace.sh" "$build/tools/qdel_synth" \
+        "$synth_dir" "$trace")
+    stem=$(echo "$trace" | tr / _)
+    modes=queue
+    [ "$stem" != "$trace" ] && modes="queue by-procs"
     for method in bmbp lognormal-trim; do
-        for mode in queue by-procs; do
-            echo "qdel_predict ${site}_$name $method $mode"
+        for mode in $modes; do
+            echo "qdel_predict $stem $method $mode"
             flag=
             [ "$mode" = by-procs ] && flag=--by-procs
             (cd "$synth_dir" &&
-                "$build/tools/qdel_predict" "${site}_$name.swf" \
+                "$build/tools/qdel_predict" "$file" \
                     --method=$method $flag --threads=4) \
-                > "$golden/predict/synth/${site}_$name.$method.$mode.txt"
+                > "$golden/predict/synth/$stem.$method.$mode.txt"
         done
     done
-    echo "qdel_serve --drive ${site}_$name"
+    [ "$stem" = "$trace" ] && continue
+    echo "qdel_serve --drive $stem"
     (cd "$synth_dir" &&
-        "$build/tools/qdel_serve" --drive="${site}_$name.swf" --digest) \
-        > "$golden/serve/drive/${site}_$name.txt"
+        "$build/tools/qdel_serve" --drive="$file" --digest) \
+        > "$golden/serve/drive/$stem.txt"
 done
