@@ -36,7 +36,7 @@ main(int argc, char **argv)
                 const auto sub = trace.filterByQueue(queue);
                 const auto summary = sub.summary();
                 table.addRow(
-                    {path, queue.empty() ? "(all)" : queue,
+                    {path, queue.empty() ? "(none)" : queue,
                      TablePrinter::cell(
                          static_cast<long long>(summary.count)),
                      TablePrinter::cell(summary.mean, 0),

@@ -28,6 +28,19 @@
 namespace qdel {
 namespace sim {
 
+/** @return true when @p correct_fraction meets @p quantile once rounded
+ *  to two decimals the way the paper's tables do, so a cell printing as
+ *  "0.95" is not asterisked. */
+inline bool
+meetsQuantile(double correct_fraction, double quantile)
+{
+    const double rounded =
+        static_cast<double>(
+            static_cast<long long>(correct_fraction * 100.0 + 0.5)) /
+        100.0;
+    return rounded >= quantile;
+}
+
 /** One cell of a paper results table. */
 struct EvaluationCell
 {
@@ -36,22 +49,12 @@ struct EvaluationCell
     double correctFraction = 0.0; //!< Paper Tables 3 and 5-7.
     double medianRatio = 0.0;     //!< Paper Table 4.
     size_t trims = 0;             //!< Change points detected (if any).
-    /** The replay's calibration window: coverage (-1 when empty) and
-     *  whether its binomial verdict fails. */
-    double windowCoverage = -1.0;
-    bool failing = false;
 
     /** @return true when the method met its advertised quantile. */
     bool
     correct(double quantile) const
     {
-        // Round to two decimals the way the paper's tables do, so a
-        // cell printing as "0.95" is not asterisked.
-        const double rounded =
-            static_cast<double>(
-                static_cast<long long>(correctFraction * 100.0 + 0.5)) /
-            100.0;
-        return rounded >= quantile;
+        return meetsQuantile(correctFraction, quantile);
     }
 };
 

@@ -1,16 +1,18 @@
 /**
  * @file
- * Implementation of the out-of-core streaming replay evaluator.
+ * Implementation of the per-queue replay sweep.
  */
 
 #include "sim/replay/stream_replay.hh"
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <filesystem>
+#include <functional>
 #include <future>
+#include <limits>
 #include <memory>
+#include <numeric>
 
 #include "obs/domain_metrics.hh"
 #include "obs/obs.hh"
@@ -53,29 +55,37 @@ struct QueueRun
     std::vector<double> wait;
 };
 
-} // namespace
-
-Expected<Unit>
-StreamReplayConfig::validate() const
+/** The one error both overloads give input that breaks
+ *  ReplaySimulator::run()'s contract. */
+ParseError
+unsortedInput()
 {
-    ReplayConfig replay;
-    replay.epochSeconds = epochSeconds;
-    replay.trainFraction = trainFraction;
-    if (auto ok = replay.validate(); !ok.ok())
-        return ok.error();
-    if (batchSize == 0) {
-        return ParseError{"", 0, "batchSize",
-                          "must be at least 1 row per batch"};
-    }
-    return Unit{};
+    return {"", 0, "trace",
+            "replay input must be sorted by submission time, with finite "
+            "submit times"};
 }
 
-Expected<StreamReplayResult>
-replayStream(trace::StreamingTraceReader &reader, const std::string &method,
-             const core::PredictorOptions &options,
-             const StreamReplayConfig &config)
+/** What a sweep reads: labels, a queue table, each queue's job count,
+ *  the result order, and batches of rows (next() is false at the end). */
+struct SweepInput
 {
-    if (auto valid = config.validate(); !valid.ok())
+    const std::string &site;
+    const std::string &machine;
+    size_t shards = 0;
+    const std::vector<std::string> &queueNames;
+    std::vector<uint64_t> queueTotals;
+    size_t jobs = 0;
+    std::vector<uint32_t> resultOrder;
+    std::function<Expected<bool>(trace::ColumnBatch *)> next;
+};
+
+/** The sweep both overloads run (see the header). */
+Expected<StreamReplayResult>
+sweepQueues(const SweepInput &input, const std::string &method,
+            const core::PredictorOptions &options,
+            const StreamReplayConfig &config)
+{
+    if (auto valid = config.replay.validate(); !valid.ok())
         return valid.error();
 
     std::string spill_dir = config.spillDir;
@@ -87,10 +97,7 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
     const uint64_t serial =
         spillSerial.fetch_add(1, std::memory_order_relaxed);
 
-    const auto &queue_names = reader.queueNames();
-    const auto &queue_totals = reader.queueJobCounts();
-    const size_t n_queues = queue_names.size();
-
+    const size_t n_queues = input.queueNames.size();
     std::vector<std::unique_ptr<core::Predictor>> predictors;
     std::vector<std::unique_ptr<QueueCore>> cores;
     for (size_t q = 0; q < n_queues; ++q) {
@@ -99,42 +106,40 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
             return predictor.error();
         predictors.push_back(std::move(predictor).value());
         const auto training = static_cast<uint64_t>(
-            config.trainFraction * static_cast<double>(queue_totals[q]));
+            config.replay.trainFraction *
+            static_cast<double>(input.queueTotals[q]));
         cores.push_back(std::make_unique<QueueCore>(
             *predictors.back(),
-            QueueCore::Rules{config.epochSeconds, training}, nullptr,
+            QueueCore::Rules{config.replay.epochSeconds, training}, nullptr,
             spillFilePath(spill_dir, serial, q),
             config.spillThresholdDoubles));
     }
 
     StreamReplayResult result;
-    result.site = reader.site();
-    result.machine = reader.machine();
-    result.shards = reader.shardCount();
+    result.site = input.site;
+    result.machine = input.machine;
+    result.shards = input.shards;
+    const size_t every =
+        config.replay.onProgress ? config.replay.progressEveryJobs : 0;
+    size_t reported = 0;  // totalJobs at the last progress report
+    auto report_progress = [&]() {
+        ReplayProgress progress{result.totalJobs, input.jobs, 0, 0};
+        for (const auto &core : cores) {
+            progress.evaluated += core->evaluated();
+            progress.correct += core->correct();
+        }
+        config.replay.onProgress(progress);
+        reported = result.totalJobs;
+    };
 
     ThreadPool pool(ThreadPool::resolveThreadCount(config.threads));
     std::vector<QueueRun> runs(n_queues);
     std::vector<size_t> touched;
     touched.reserve(n_queues);
 
-    size_t shards_completed = 0;
-    size_t last_shard = 0;
-    auto sample_memory = [&]() {
-        const size_t resident = util::currentResidentBytes();
-        result.peakResidentBytes =
-            std::max(result.peakResidentBytes, resident);
-        QDEL_OBS({
-            obs::replayMetrics().residentBytes.set(
-                static_cast<double>(resident));
-            obs::replayMetrics().streamShardLag.set(static_cast<double>(
-                std::min(reader.currentShard() + 1, reader.shardCount()) -
-                shards_completed));
-        });
-    };
-
     trace::ColumnBatch batch;
     while (true) {
-        auto more = reader.next(&batch);
+        auto more = input.next(&batch);
         if (!more.ok())
             return more.error();
         if (!more.value())
@@ -145,7 +150,7 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
         QDEL_OBS(obs::replayMetrics().batches.inc());
 
         if (n_queues == 1) {
-            // Single queue: evaluate straight off the mapped columns.
+            // Single queue: evaluate straight off the input columns.
             cores[0]->processRows(batch.submit, batch.wait, batch.size);
         } else {
             // Scatter the batch into per-queue runs (order-preserving
@@ -179,33 +184,116 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
                 runs[q].wait.clear();
             }
         }
-
-        const size_t shard = reader.currentShard();
-        if (shard != last_shard) {
-            // All rows of every shard before `shard` are evaluated
-            // (the join above is a barrier).
-            shards_completed = shard;
-            last_shard = shard;
-            sample_memory();
-        } else if (result.batches % kRssSampleEveryBatches == 0) {
-            sample_memory();
-        }
+        if (every > 0 && result.totalJobs / every > reported / every)
+            report_progress();
     }
+    if (every > 0 && reported != result.totalJobs)
+        report_progress();
 
-    shards_completed = reader.shardCount();
-    sample_memory();
-
-    result.queues.resize(n_queues);
-    for (size_t q = 0; q < n_queues; ++q) {
+    for (uint32_t q : input.resultOrder) {
+        if (cores[q]->submits() == 0)
+            continue;
         auto scored = cores[q]->result();
         if (!scored.ok())
             return scored.error();
-        QueueStreamResult &out = result.queues[q];
-        out.queue = queue_names[q];
-        out.result = std::move(scored).value();
-        out.trims = predictorTrimCount(*predictors[q]);
+        result.queues.push_back({input.queueNames[q],
+                                 std::move(scored).value(),
+                                 predictorTrimCount(*predictors[q])});
     }
     return result;
+}
+
+} // namespace
+
+Expected<StreamReplayResult>
+replayStream(trace::StreamingTraceReader &reader, const std::string &method,
+             const core::PredictorOptions &options,
+             const StreamReplayConfig &config)
+{
+    // RSS is sampled as each shard starts, every kRssSampleEveryBatches
+    // batches and at the end; one shard is in flight until the end.
+    size_t batches = 0;
+    size_t last_shard = 0;
+    size_t peak_resident = 0;
+    auto sample_memory = [&](double shards_in_flight) {
+        const size_t resident = util::currentResidentBytes();
+        peak_resident = std::max(peak_resident, resident);
+        QDEL_OBS({
+            obs::replayMetrics().residentBytes.set(
+                static_cast<double>(resident));
+            obs::replayMetrics().streamShardLag.set(shards_in_flight);
+        });
+    };
+
+    SweepInput input{reader.site(), reader.machine(), reader.shardCount(),
+                     reader.queueNames(), reader.queueJobCounts(),
+                     reader.jobCount(), {}, nullptr};
+    input.resultOrder.resize(reader.queueNames().size());
+    std::iota(input.resultOrder.begin(), input.resultOrder.end(), 0u);
+    double last_submit = std::numeric_limits<double>::lowest();
+    input.next = [&](trace::ColumnBatch *batch) -> Expected<bool> {
+        // The sweep has evaluated every row handed out so far.
+        if (batches > 0 && (reader.currentShard() != last_shard ||
+                            batches % kRssSampleEveryBatches == 0)) {
+            last_shard = reader.currentShard();
+            sample_memory(1.0);
+        }
+        auto more = reader.next(batch);
+        if (!more.ok() || !more.value())
+            return more;
+        ++batches;
+        // One comparison a row on the submit column: NaN and -inf fail
+        // it (the first row meets lowest(), not -inf), and +inf can
+        // only end a batch that passes it.
+        const double *submit = batch->submit;
+        bool ordered = submit[0] >= last_submit;
+        for (size_t row = 1; row < batch->size; ++row)
+            ordered &= submit[row] >= submit[row - 1];
+        last_submit = submit[batch->size - 1];
+        if (!ordered || !(last_submit <= std::numeric_limits<double>::max()))
+            return unsortedInput();
+        return true;
+    };
+
+    auto result = sweepQueues(input, method, options, config);
+    sample_memory(0.0);
+    if (result.ok())
+        result.value().peakResidentBytes = peak_resident;
+    return result;
+}
+
+Expected<StreamReplayResult>
+replayStream(const trace::Trace &t, const std::string &method,
+             const core::PredictorOptions &options,
+             const StreamReplayConfig &config)
+{
+    if (!t.isSorted() || !t.submitTimesFinite())
+        return unsortedInput();
+    const trace::TraceColumns &jobs = t.columns();
+    SweepInput input{t.site(), t.machine(), 0, t.queueTable(),
+                     std::vector<uint64_t>(t.queueTable().size(), 0),
+                     t.size(), t.queueIdsInOrder(), nullptr};
+    for (uint32_t id : jobs.queueId)
+        ++input.queueTotals[id];
+
+    // Batches end on every progress boundary too, so a trace reports
+    // progress every progressEveryJobs rows exactly.
+    const size_t chunk = trace::StreamReadOptions{}.batchSize;
+    const size_t every =
+        config.replay.onProgress ? config.replay.progressEveryJobs : 0;
+    size_t begin = 0;
+    input.next = [&](trace::ColumnBatch *batch) -> Expected<bool> {
+        size_t end = std::min(t.size(), begin + chunk);
+        if (every > 0)
+            end = std::min(end, (begin / every + 1) * every);
+        batch->size = end - begin;
+        batch->submit = jobs.submit.data() + begin;
+        batch->wait = jobs.wait.data() + begin;
+        batch->queueId = jobs.queueId.data() + begin;
+        begin = end;
+        return batch->size > 0;
+    };
+    return sweepQueues(input, method, options, config);
 }
 
 } // namespace sim

@@ -224,8 +224,6 @@ Trace::subset(Keep keep) const
 Trace
 Trace::filterByQueue(const std::string &queue) const
 {
-    if (queue.empty())
-        return *this;
     const auto it = ids_.find(queue);
     if (it == ids_.end())
         return subset([](size_t) { return false; });

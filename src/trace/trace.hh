@@ -166,7 +166,8 @@ class Trace
     /** Distinct queue names, in first-appearance order. */
     std::vector<std::string> queueNames() const;
 
-    /** Jobs whose queue name equals @p queue (empty matches all). */
+    /** Jobs whose queue name equals @p queue; an empty @p queue
+     *  selects the unnamed queue's jobs. */
     Trace filterByQueue(const std::string &queue) const;
 
     /** Jobs whose processor count falls in @p range. */

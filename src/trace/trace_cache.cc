@@ -383,6 +383,11 @@ readTraceCache(const std::string &cache_path, uint32_t options_word,
     TraceColumns columns;
     columns.append(view.columns());
     out.trace.append(std::move(columns), view.queueNames);
+    // The loaders only write sorted, finite submit times.
+    if (!out.trace.isSorted() || !out.trace.submitTimesFinite()) {
+        return miss(CacheStatus::Corrupt,
+                    "submit times unsorted or non-finite");
+    }
     out.status = CacheStatus::Hit;
     return out;
 }

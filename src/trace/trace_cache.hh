@@ -41,7 +41,8 @@
  * A cache is *valid* for a load when all of: magic/version match, the
  * options word equals the one derived from the requested parse
  * options, the source stamp equals the current stat() of the text
- * file, and the CRC verifies. Anything else is a miss — reported with
+ * file, the CRC verifies, and the submit times are sorted and finite
+ * (as every loader leaves them). Anything else is a miss — reported with
  * a reason so the loader can log why it re-parsed (recovery-ladder
  * style, like persist/recovery.hh), never an error: the text file
  * remains the source of truth.

@@ -192,9 +192,7 @@ checkParity(const trace::Trace &t, const std::string &method,
                 ASSERT_TRUE(reader.ok()) << reader.error().str();
 
                 StreamReplayConfig config;
-                config.epochSeconds = replay_config.epochSeconds;
-                config.trainFraction = replay_config.trainFraction;
-                config.batchSize = batch_size;
+                config.replay = replay_config;
                 config.threads = threads;
                 config.spillDir = dir;
                 config.spillThresholdDoubles = spill_threshold;

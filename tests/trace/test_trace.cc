@@ -11,6 +11,7 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -77,8 +78,8 @@ TEST(Trace, FilterByQueue)
     EXPECT_EQ(t.filterByQueue("normal").size(), 2u);
     EXPECT_EQ(t.filterByQueue("express").size(), 1u);
     EXPECT_EQ(t.filterByQueue("absent").size(), 0u);
-    // Empty selector keeps everything.
-    EXPECT_EQ(t.filterByQueue("").size(), 3u);
+    // The empty selector is the unnamed queue, which holds no job here.
+    EXPECT_EQ(t.filterByQueue("").size(), 0u);
 }
 
 TEST(Trace, FilterByProcRange)
@@ -415,7 +416,7 @@ TEST(TraceColumns, FiltersMatchTheReference)
             const Trace out = c.trace.filterByQueue(queue);
             expectTraceMatches(
                 out, keepRows(c.rows, [&](const JobRecord &job) {
-                    return queue.empty() || job.queue == queue;
+                    return job.queue == queue;
                 }));
             EXPECT_EQ(out.site(), "site");
             EXPECT_EQ(out.machine(), "machine");
@@ -462,15 +463,28 @@ TEST(TraceColumns, QtcRoundTripAndMaterializeKeepTheColumns)
         std::filesystem::remove_all(dir);
         std::filesystem::create_directories(dir);
 
+        // A cache holds sorted, finite submit times only: other columns
+        // read back as corrupt, and their sorted finite rows round-trip.
         const std::string cache = dir + "/trace.qtc";
         IngestReport report;
         report.source = "columns";
-        ASSERT_TRUE(
-            writeTraceCache(cache, t, report, 0, FileStamp{}).ok());
-        const CacheReadResult loaded = readTraceCache(cache, 0, FileStamp{});
-        ASSERT_EQ(loaded.status, CacheStatus::Hit) << loaded.detail;
-        expectSameColumns(loaded.trace, t);
-        EXPECT_EQ(loaded.trace.queueTable(), t.queueNames());
+        Trace clean = t.filterByTime(-std::numeric_limits<double>::infinity(),
+                                     std::numeric_limits<double>::infinity());
+        clean.sortBySubmitTime();
+        for (const Trace *written : {&t, &std::as_const(clean)}) {
+            ASSERT_TRUE(
+                writeTraceCache(cache, *written, report, 0, FileStamp{})
+                    .ok());
+            const CacheReadResult loaded =
+                readTraceCache(cache, 0, FileStamp{});
+            if (!written->isSorted() || !written->submitTimesFinite()) {
+                EXPECT_EQ(loaded.status, CacheStatus::Corrupt);
+                continue;
+            }
+            ASSERT_EQ(loaded.status, CacheStatus::Hit) << loaded.detail;
+            expectSameColumns(loaded.trace, *written);
+            EXPECT_EQ(loaded.trace.queueTable(), written->queueNames());
+        }
 
         ShardWriterOptions options;
         options.directory = dir;

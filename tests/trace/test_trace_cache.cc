@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -154,14 +155,50 @@ TEST(TraceCache, LoadedTraceKnowsWhetherItIsSorted)
                         .ok());
         auto cached =
             readTraceCache(fx.cachePath(), fx.optionsWord(), stamp);
+        // A loaded trace is always sorted: unsorted columns under a
+        // valid CRC are a corrupt cache, not a hit.
+        if (t == &unsorted) {
+            EXPECT_EQ(cached.status, CacheStatus::Corrupt);
+            continue;
+        }
         ASSERT_EQ(cached.status, CacheStatus::Hit) << cached.detail;
         const bool scanned = std::is_sorted(
             cached.trace.begin(), cached.trace.end(),
             [](const JobRecord &a, const JobRecord &b) {
                 return a.submitTime < b.submitTime;
             });
-        EXPECT_EQ(cached.trace.isSorted(), scanned);
-        EXPECT_EQ(cached.trace.isSorted(), t == &fx.parsed);
+        EXPECT_TRUE(scanned);
+        EXPECT_TRUE(cached.trace.isSorted());
+    }
+}
+
+TEST(TraceCache, UnsortedOrNonFiniteCacheFallsBackToTextParse)
+{
+    CacheFixture fx;
+    const auto stamp = FileStamp::of(fx.swfPath).value();
+    Trace unsorted = fx.parsed;
+    unsorted.add({-1.0, 1.0, 1, 1.0, "late"});
+    Trace non_finite = fx.parsed;
+    non_finite.add({std::numeric_limits<double>::quiet_NaN(), 1.0, 1, 1.0,
+                    "late"});
+    for (const Trace *t : {&unsorted, &non_finite}) {
+        SCOPED_TRACE(t == &unsorted ? "unsorted" : "non-finite");
+        // writeTraceCache gives the tampered columns a valid CRC.
+        ASSERT_TRUE(writeTraceCache(fx.cachePath(), *t, fx.report,
+                                    fx.optionsWord(), stamp)
+                        .ok());
+        auto cached =
+            readTraceCache(fx.cachePath(), fx.optionsWord(), stamp);
+        EXPECT_EQ(cached.status, CacheStatus::Corrupt);
+
+        IngestReport rep;
+        auto loaded = loadTrace(fx.swfPath, fx.loadOptions, &rep);
+        ASSERT_TRUE(loaded.ok());
+        expectTracesEqual(loaded.value(), fx.parsed);
+        expectReportsEqual(rep, fx.report);
+        auto rewritten =
+            readTraceCache(fx.cachePath(), fx.optionsWord(), stamp);
+        EXPECT_EQ(rewritten.status, CacheStatus::Hit) << rewritten.detail;
     }
 }
 

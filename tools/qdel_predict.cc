@@ -8,9 +8,10 @@
  *
  * The trace format is chosen by extension: ".swf" parses Standard
  * Workload Format (Parallel Workloads Archive), ".qtc"/".qtcs"
- * streams columnar data out-of-core through the batched evaluator
- * (bounded resident memory, any trace size), anything else the
- * native "<submit> <wait> [procs [queue]]" format.
+ * streams columnar data out-of-core (bounded resident memory, any
+ * trace size), anything else the native "<submit> <wait> [procs
+ * [queue]]" format. Either way the per-queue table is one
+ * sim::replayStream() sweep over the queues.
  *
  * Options:
  *   --method=bmbp|lognormal|lognormal-trim|loguniform|percentile
@@ -22,7 +23,8 @@
  *   --live             print the final bound a user would see now
  *   --strict           fail on the first malformed trace line (default)
  *   --lenient          skip malformed lines, report an ingest summary
- *   --threads=N        parse worker threads (default 1; 0 = auto)
+ *   --threads=N        parse and replay worker threads (default 1;
+ *                      0 = auto); the replay fans out queues
  *   --trace-cache[=D]  maintain a binary ".qtc" cache of the parsed
  *                      trace (in D, default: next to the source) and
  *                      load from it when fresh
@@ -45,9 +47,11 @@
  * Exit status: 0 on success, 1 on input errors.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "core/predictor_factory.hh"
 #include "core/rare_event.hh"
@@ -114,8 +118,9 @@ usage(std::ostream &out)
 
 /**
  * Stateful progress printer for --stats-every: one meter per replay
- * run (a jobs-processed counter that moved backwards means a new
- * queue's replay started).
+ * run. The per-queue sweep is one run; --by-procs replays its cells in
+ * turn, and a jobs-processed counter that moved backwards means the
+ * next one started.
  */
 class ProgressPrinter
 {
@@ -171,21 +176,51 @@ const std::vector<std::string> kQueueHeader = {
     "queue", "jobs", "evaluated", "correct", "median actual/pred",
     "trims", "window", "failing"};
 
-/** One row of that table; an empty window's coverage prints "-". */
-std::vector<std::string>
-queueRow(const std::string &queue, size_t jobs, size_t evaluated,
-         std::string correct, double median_ratio, size_t trims,
-         double window_coverage, bool failing)
+/** How the tables name a queue. */
+std::string
+queueLabel(const std::string &queue)
 {
-    return {queue.empty() ? "(all)" : queue,
-            TablePrinter::cell(static_cast<long long>(jobs)),
-            TablePrinter::cell(static_cast<long long>(evaluated)),
+    return queue.empty() ? "(none)" : queue;
+}
+
+/** One row of that table: the correct fraction is flagged when it
+ *  misses @p quantile, and an empty window's coverage prints "-". */
+std::vector<std::string>
+queueRow(const std::string &queue, const sim::ReplayResult &r,
+         size_t trims, double quantile)
+{
+    std::string correct = TablePrinter::cell(r.correctFraction, 3);
+    if (!sim::meetsQuantile(r.correctFraction, quantile))
+        correct = TablePrinter::flagged(correct);
+    return {queueLabel(queue),
+            TablePrinter::cell(static_cast<long long>(r.totalJobs)),
+            TablePrinter::cell(static_cast<long long>(r.evaluatedJobs)),
             std::move(correct),
-            TablePrinter::cellSci(median_ratio, 2),
+            TablePrinter::cellSci(r.medianRatio, 2),
             TablePrinter::cell(static_cast<long long>(trims)),
-            window_coverage < 0.0 ? "-"
-                                  : TablePrinter::cell(window_coverage, 3),
-            failing ? "yes" : "no"};
+            r.windowCoverage < 0.0
+                ? "-"
+                : TablePrinter::cell(r.windowCoverage, 3),
+            r.failing ? "yes" : "no"};
+}
+
+/** Print the sweep's queues of two or more jobs (only @p only_queue's
+ *  when it is set) as one table. */
+void
+printQueueTable(const std::string &title,
+                const sim::StreamReplayResult &sweep,
+                const std::optional<std::string> &only_queue,
+                double quantile)
+{
+    TablePrinter results(title);
+    results.setHeader(kQueueHeader);
+    for (const auto &qr : sweep.queues) {
+        if ((only_queue && qr.queue != *only_queue) ||
+            qr.result.totalJobs < 2)
+            continue;
+        results.addRow(queueRow(qr.queue, qr.result, qr.trims, quantile));
+    }
+    results.print(std::cout);
 }
 
 /** Print the ingest accounting plus the retained per-line errors. */
@@ -309,16 +344,29 @@ main(int argc, char **argv)
         std::cerr << "error: --batch-size must be positive\n";
         return 1;
     }
-    if (cli.has("batch-size") && !isColumnarPath(path)) {
+    const bool columnar = isColumnarPath(path);
+    if (cli.has("batch-size") && !columnar) {
         std::cerr << "error: --batch-size only applies to columnar "
                      "(.qtc/.qtcs) input\n";
         return 1;
     }
 
+    core::RareEventTable table(options.quantile, 0.05);
+    options.rareEventTable = &table;
+    sim::StreamReplayConfig sweep;
+    sweep.replay = replay;
+    sweep.threads = threads;
+    std::optional<std::string> only_queue;
+    if (cli.has("queue"))
+        only_queue = cli.getString("queue", "");
+    const std::string title = "qdel-predict: " + method + " on " + path;
+    const std::string no_jobs =
+        "error: trace '" + path + "' contains no jobs\n";
+
     // Columnar input (a ".qtcs" shard-set manifest or a single ".qtc"
-    // image) takes the out-of-core path: stream batches through the
-    // batched SoA evaluator instead of materializing a Trace.
-    if (isColumnarPath(path)) {
+    // image) streams batches through the sweep instead of
+    // materializing a Trace.
+    if (columnar) {
         for (const char *flag : {"by-procs", "live", "checkpoint-dir",
                                  "trace-cache", "lenient"}) {
             if (cli.has(flag)) {
@@ -335,46 +383,21 @@ main(int argc, char **argv)
             std::cerr << "error: " << reader.error().str() << "\n";
             return 1;
         }
+        if (reader.value().jobCount() == 0) {
+            std::cerr << no_jobs;
+            return 1;
+        }
         inform("streaming ", reader.value().jobCount(), " jobs in ",
                reader.value().shardCount(), " shards from ", path);
-
-        sim::StreamReplayConfig stream_config;
-        stream_config.epochSeconds = replay.epochSeconds;
-        stream_config.trainFraction = replay.trainFraction;
-        stream_config.batchSize = static_cast<size_t>(batch_size);
-        stream_config.threads = threads == 1 ? 1 : threads;
-        auto outcome = sim::replayStream(reader.value(), method, options,
-                                         stream_config);
+        auto outcome =
+            sim::replayStream(reader.value(), method, options, sweep);
         if (!outcome.ok()) {
             std::cerr << "error: " << outcome.error().str() << "\n";
             return 1;
         }
         const sim::StreamReplayResult &stream = outcome.value();
-
-        TablePrinter results("qdel-predict: " + method + " on " + path +
-                             " (streamed)");
-        results.setHeader(kQueueHeader);
-        const std::string only_queue = cli.getString("queue", "");
-        for (const auto &qr : stream.queues) {
-            if (cli.has("queue") && qr.queue != only_queue)
-                continue;
-            const sim::ReplayResult &r = qr.result;
-            if (r.totalJobs < 2)
-                continue;
-            std::string correct =
-                TablePrinter::cell(r.correctFraction, 3);
-            // Same two-decimal rounding rule as EvalCell::correct().
-            const double rounded =
-                static_cast<double>(static_cast<long long>(
-                    r.correctFraction * 100.0 + 0.5)) /
-                100.0;
-            if (r.evaluatedJobs > 0 && rounded < options.quantile)
-                correct = TablePrinter::flagged(correct);
-            results.addRow(queueRow(qr.queue, r.totalJobs, r.evaluatedJobs,
-                                    correct, r.medianRatio, qr.trims,
-                                    r.windowCoverage, r.failing));
-        }
-        results.print(std::cout);
+        printQueueTable(title + " (streamed)", stream, only_queue,
+                        options.quantile);
         std::cerr << "stream: " << stream.totalJobs << " jobs, "
                   << stream.batches << " batches, " << stream.shards
                   << " shards, peak rss "
@@ -398,23 +421,22 @@ main(int argc, char **argv)
         std::cerr << "error: " << loaded.error().str() << "\n";
         return 1;
     }
-    const trace::Trace trace = std::move(loaded).value();
+    trace::Trace trace = std::move(loaded).value();
     if (report.malformedLines > 0 || detail::verbose())
         printIngestReport(report);
     inform("loaded ", trace.size(), " jobs from ", path);
     if (trace.empty()) {
-        std::cerr << "error: trace '" << path << "' contains no jobs\n";
+        std::cerr << no_jobs;
         return 1;
     }
 
-    core::RareEventTable table(options.quantile, 0.05);
-    options.rareEventTable = &table;
-
     std::vector<std::string> queues;
-    if (cli.has("queue"))
-        queues.push_back(cli.getString("queue", ""));
-    else
+    if (only_queue) {
+        trace = trace.filterByQueue(*only_queue);
+        queues.push_back(*only_queue);
+    } else {
         queues = trace.queueNames();
+    }
 
     if (!checkpoint_dir.empty()) {
         // A checkpoint directory holds the state of exactly one
@@ -427,14 +449,13 @@ main(int argc, char **argv)
                       << " queues, select one with --queue=NAME\n";
             return 1;
         }
-        const trace::Trace subdivided = trace.filterByQueue(queues[0]);
         auto predictor = core::makePredictor(method, options);
         sim::ReplaySimulator simulator(replay);
         sim::ReplayCheckpointOptions copts;
         copts.dir = checkpoint_dir;
         copts.intervalJobs = static_cast<size_t>(checkpoint_every_raw);
         copts.resume = resume;
-        auto outcome = simulator.run(subdivided, *predictor, {}, copts);
+        auto outcome = simulator.run(trace, *predictor, {}, copts);
         if (!outcome.ok()) {
             std::cerr << "error: " << outcome.error().str() << "\n";
             return 1;
@@ -446,29 +467,24 @@ main(int argc, char **argv)
             std::cerr << "recovery: resumed at job " << r.resumedFromJob
                       << " of " << r.totalJobs << "\n";
         }
-        TablePrinter table("qdel-predict: " + method + " on " + path +
-                           " (checkpointed)");
-        table.setHeader(kQueueHeader);
-        table.addRow(queueRow(queues[0], r.totalJobs, r.evaluatedJobs,
-                              TablePrinter::cell(r.correctFraction, 3),
-                              r.medianRatio,
-                              sim::predictorTrimCount(*predictor),
-                              r.windowCoverage, r.failing));
-        table.print(std::cout);
+        TablePrinter checkpointed(title + " (checkpointed)");
+        checkpointed.setHeader(kQueueHeader);
+        checkpointed.addRow(queueRow(queues[0], r,
+                                     sim::predictorTrimCount(*predictor),
+                                     options.quantile));
+        checkpointed.print(std::cout);
         writeObsOutputs(obs_flags);
         return 0;
     }
 
-    TablePrinter results("qdel-predict: " + method + " on " + path);
     if (cliValue(cli.getBool("by-procs", false))) {
+        TablePrinter results(title);
         results.setHeader({"queue", "1-4", "5-16", "17-64", "65+"});
         for (const auto &queue : queues) {
-            auto subdivided = trace.filterByQueue(queue);
-            auto cells = sim::evaluateByProcRange(subdivided, method,
-                                                  options, replay,
-                                                  min_jobs);
-            std::vector<std::string> row = {queue.empty() ? "(all)"
-                                                          : queue};
+            auto cells = sim::evaluateByProcRange(
+                trace.filterByQueue(queue), method, options, replay,
+                min_jobs);
+            std::vector<std::string> row = {queueLabel(queue)};
             for (const auto &cell : cells) {
                 if (cell.evaluated == 0) {
                     row.push_back("-");
@@ -482,38 +498,39 @@ main(int argc, char **argv)
             }
             results.addRow(std::move(row));
         }
+        results.print(std::cout);
     } else {
-        results.setHeader(kQueueHeader);
-        for (const auto &queue : queues) {
-            auto subdivided = trace.filterByQueue(queue);
-            if (subdivided.size() < 2)
-                continue;
-            auto cell =
-                sim::evaluateTrace(subdivided, method, options, replay);
-            std::string correct =
-                TablePrinter::cell(cell.correctFraction, 3);
-            if (!cell.correct(options.quantile))
-                correct = TablePrinter::flagged(correct);
-            results.addRow(queueRow(queue, cell.jobs, cell.evaluated,
-                                    correct, cell.medianRatio, cell.trims,
-                                    cell.windowCoverage, cell.failing));
+        auto outcome = sim::replayStream(trace, method, options, sweep);
+        if (!outcome.ok()) {
+            std::cerr << "error: " << outcome.error().str() << "\n";
+            return 1;
         }
+        printQueueTable(title, outcome.value(), only_queue,
+                        options.quantile);
     }
-    results.print(std::cout);
 
     if (cliValue(cli.getBool("live", false))) {
         // The bound a user submitting *after the log ends* would see:
-        // feed the full history, refit once.
+        // one pass feeds each queue's full history to its predictor,
+        // then each refits once.
         std::cout << "\nlive bounds (full history):\n";
+        const trace::TraceColumns &jobs = trace.columns();
+        const std::vector<std::string> &names = trace.queueTable();
+        std::vector<std::unique_ptr<core::Predictor>> live;
+        for (size_t id = 0; id < names.size(); ++id)
+            live.push_back(core::makePredictor(method, options));
+        for (size_t i = 0; i < trace.size(); ++i)
+            live[jobs.queueId[i]]->observe(jobs.wait[i]);
         for (const auto &queue : queues) {
-            auto subdivided = trace.filterByQueue(queue);
-            auto predictor = core::makePredictor(method, options);
-            for (double wait : subdivided.columns().wait)
-                predictor->observe(wait);
-            predictor->refit();
-            const auto bound = predictor->upperBound();
-            std::cout << "  " << (queue.empty() ? "(all)" : queue)
-                      << ": ";
+            std::cout << "  " << queueLabel(queue) << ": ";
+            const size_t id = static_cast<size_t>(
+                std::find(names.begin(), names.end(), queue) -
+                names.begin());
+            core::QuantileEstimate bound;
+            if (id < names.size()) {
+                live[id]->refit();
+                bound = live[id]->upperBound();
+            }
             if (bound.finite()) {
                 std::cout << formatDuration(bound.value) << " ("
                           << TablePrinter::cell(bound.value, 0)
