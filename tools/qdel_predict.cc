@@ -351,8 +351,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    core::RareEventTable table(options.quantile, 0.05);
-    options.rareEventTable = &table;
     sim::StreamReplayConfig sweep;
     sweep.replay = replay;
     sweep.threads = threads;
@@ -389,6 +387,8 @@ main(int argc, char **argv)
         }
         inform("streaming ", reader.value().jobCount(), " jobs in ",
                reader.value().shardCount(), " shards from ", path);
+        core::RareEventTable table(options.quantile, 0.05);
+        options.rareEventTable = &table;
         auto outcome =
             sim::replayStream(reader.value(), method, options, sweep);
         if (!outcome.ok()) {
@@ -429,6 +429,11 @@ main(int argc, char **argv)
         std::cerr << no_jobs;
         return 1;
     }
+
+    // Built after the load: its worker threads' arenas would otherwise
+    // stay resident through the parse's peak.
+    core::RareEventTable table(options.quantile, 0.05);
+    options.rareEventTable = &table;
 
     std::vector<std::string> queues;
     if (only_queue) {
