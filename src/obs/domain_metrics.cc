@@ -76,7 +76,7 @@ replayMetrics()
                              "Latency of one per-queue evaluation task",
                              latencyBounds()),
         registry().counter("qdel_replay_batches_total",
-                           "Column batches consumed by streaming replay"),
+                           "Column batches fed to offline replay cores"),
         registry().gauge("qdel_replay_resident_bytes",
                          "Process resident set size sampled by"
                          " streaming replay"),

@@ -18,10 +18,10 @@
  * actual/predicted whose median is the paper's accuracy measure
  * (Table 4).
  *
- * The rules live in QueueCore (queue_core.hh), which the streaming
- * replay and the online registry run too; the simulator feeds the
- * trace to one core and adds validation, the progress callback and
- * the checkpoint/recovery ladder around it.
+ * The rules live in QueueCore (queue_core.hh). run() and replayStream()
+ * (stream_replay.hh) feed their cores through one driver, so they agree
+ * by construction; run() builds one core and adds validation, the probe
+ * drain and the checkpoint/recovery ladder around it.
  */
 
 #ifndef QDEL_SIM_REPLAY_REPLAY_SIMULATOR_HH
@@ -57,9 +57,11 @@ struct ReplayConfig
     double trainFraction = 0.10;   //!< Unscored warm-up prefix.
 
     /**
-     * Invoke onProgress every progressEveryJobs processed jobs (and
-     * once at the end). 0 disables. Purely observational: no effect
-     * on results, checkpoints, or resume equivalence.
+     * Invoke onProgress after each batch that passes a multiple of
+     * progressEveryJobs processed jobs, and at the end unless that
+     * batch did (a resumed run counts from its resume point). 0
+     * disables. Purely observational: no effect on results,
+     * checkpoints, or resume equivalence.
      */
     size_t progressEveryJobs = 0;
     std::function<void(const ReplayProgress &)> onProgress = nullptr;
@@ -113,7 +115,8 @@ class ReplaySimulator
      * @param ckpt      Optional crash-safety (see the struct comment).
      * @return The replay result, or a ParseError when the stored
      *         config, @p probe, or @p ckpt fails validation, the trace
-     *         is not sorted by submission time, the checkpoint
+     *         breaks the input contract (submit times sorted and
+     *         finite), the checkpoint
      *         directory holds state but resume was not requested, or a
      *         persistence write fails mid-run.
      */

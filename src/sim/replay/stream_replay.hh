@@ -10,11 +10,12 @@
  * in-memory trace filtered to that queue (no probe, no checkpointing)
  * — same evaluated/correct/infinite counts, same bitwise medianRatio —
  * for any batch size, shard size, and thread count. This holds by
- * construction: both run one sim::QueueCore per queue, whose
- * processRows() gives the same result however the rows are chunked,
- * and each queue's job total (counted in a Trace, carried by a .qtcs
- * manifest) fixes its training prefix before its first batch arrives.
- * The input contract is run()'s too: submit times sorted and finite.
+ * construction: both run one driver (replay_simulator.cc) that feeds
+ * one sim::QueueCore per queue, whose processRows() gives the same
+ * result however the rows are chunked, and each queue's job total
+ * (counted in a Trace, carried by a .qtcs manifest) fixes its training
+ * prefix before its first batch arrives. The input contract is run()'s
+ * too: submit times sorted and finite.
  *
  * Parallelism: each queue owns an independent replay core; every
  * batch is scattered into per-queue (submit, wait) runs and the
@@ -49,12 +50,12 @@ struct StreamReplayConfig
     /**
      * Refit period and per-queue warm-up prefix. The progress
      * callback sees the whole sweep, its totals and tallies summed
-     * over the queues: after each batch that passes a multiple of
-     * progressEveryJobs rows (a Trace's batches end on those
-     * multiples), and at the end unless that batch already reported.
+     * over the queues, under ReplayConfig's rule (a Trace's batches
+     * end on the multiples of progressEveryJobs, a stream's need not).
      */
     ReplayConfig replay;
-    /** Worker threads; <= 0 resolves via ThreadPool defaults. */
+    /** Worker threads; <= 0 resolves via ThreadPool defaults. None
+     *  start for one queue or a resolved count of 1. */
     long long threads = 1;
     /**
      * Directory for ratio spill files (empty = system temp dir) and
@@ -103,8 +104,8 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
              const core::PredictorOptions &options,
              const StreamReplayConfig &config = {});
 
-/** The same sweep over @p t's columns, in batches of the reader's
- *  default size; refuses a trace that breaks the input contract. */
+/** The same sweep over @p t's columns, in batches of 65,536 rows;
+ *  refuses a trace that breaks the input contract. */
 Expected<StreamReplayResult>
 replayStream(const trace::Trace &t, const std::string &method,
              const core::PredictorOptions &options,

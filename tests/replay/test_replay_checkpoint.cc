@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -520,6 +521,45 @@ TEST(ReplayCheckpoint, OptionsValidation)
     auto result = simulator.run(t, *predictor, {}, ckpt);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().field, "keepSnapshots");
+}
+
+TEST(Replay, ProgressReportsEachBoundaryOnce)
+{
+    std::vector<size_t> seen;
+    ReplayConfig config{300.0, 0.10};
+    config.onProgress = [&](const ReplayProgress &p) {
+        seen.push_back(p.jobsProcessed);
+    };
+
+    // The last batch ends on a boundary: the end is that report.
+    config.progressEveryJobs = 1000;
+    auto predictor = makePredictor();
+    ASSERT_TRUE(ReplaySimulator(config).run(makeTrace(2000), *predictor)
+                    .ok());
+    EXPECT_EQ(seen, (std::vector<size_t>{1000, 2000}));
+
+    // Checkpoints every 500 jobs cut batches between the reports.
+    seen.clear();
+    config.progressEveryJobs = 700;
+    const trace::Trace t = makeTrace(2100);
+    ReplayCheckpointOptions ckpt = makeCkpt(freshDir("progress_once"));
+    ckpt.intervalJobs = 500;
+    predictor = makePredictor();
+    auto checkpointed =
+        ReplaySimulator(config).run(t, *predictor, makeProbe(), ckpt);
+    ASSERT_TRUE(checkpointed.ok()) << checkpointed.error().str();
+    EXPECT_EQ(seen, (std::vector<size_t>{700, 1400, 2100}));
+    expectSameResult(checkpointed.value(), referenceRun(t));
+
+    // A resumed run counts from its resume point: here, the end.
+    seen.clear();
+    ckpt.resume = true;
+    predictor = makePredictor();
+    auto resumed =
+        ReplaySimulator(config).run(t, *predictor, makeProbe(), ckpt);
+    ASSERT_TRUE(resumed.ok()) << resumed.error().str();
+    EXPECT_EQ(resumed.value().resumedFromJob, t.size());
+    EXPECT_TRUE(seen.empty());
 }
 
 } // namespace

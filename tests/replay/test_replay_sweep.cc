@@ -4,9 +4,12 @@
  * replayStream() overloads share with ReplaySimulator::run(): the
  * sweep of a trace equals one ReplaySimulator run per queue, in
  * first-appearance order, at any thread count; unsorted and non-finite
- * submit times are refused from a Trace and from a stream alike; and
- * the progress callback sees the whole sweep.
+ * submit times are refused from a Trace and from a stream alike; the
+ * progress callback sees the whole sweep; and a one-thread replay
+ * starts no worker thread.
  */
+
+#include <dirent.h>
 
 #include <cmath>
 #include <filesystem>
@@ -228,6 +231,48 @@ TEST(ReplaySweep, ProgressCoversTheWholeSweep)
     EXPECT_EQ(processed, (std::vector<size_t>{1200, 2100, 2500}));
     EXPECT_EQ(seen.back().evaluated, evaluated);
     EXPECT_EQ(seen.back().correct, correct);
+}
+
+/** Threads in this process, from /proc/self/task. */
+size_t
+threadCount()
+{
+    size_t count = 0;
+    DIR *dir = ::opendir("/proc/self/task");
+    if (dir == nullptr)
+        return 0;
+    while (const struct dirent *entry = ::readdir(dir)) {
+        if (entry->d_name[0] != '.')
+            ++count;
+    }
+    ::closedir(dir);
+    return count;
+}
+
+TEST(ReplaySweep, OneThreadStartsNoWorker)
+{
+    const trace::Trace t = sweepTrace(900);
+    const size_t before = threadCount();
+    ASSERT_GT(before, 0u);
+    std::vector<size_t> during;
+    ReplayConfig replay;
+    replay.progressEveryJobs = 300;
+    replay.onProgress = [&](const ReplayProgress &) {
+        during.push_back(threadCount());
+    };
+
+    // Three queues at one thread: the sweep never fans out.
+    StreamReplayConfig config;
+    config.replay = replay;
+    config.threads = 1;
+    ASSERT_TRUE(replayStream(t, "bmbp", {}, config).ok());
+    EXPECT_EQ(during, std::vector<size_t>(3, before));
+
+    // One core: nothing to fan out at all.
+    during.clear();
+    auto predictor = core::makePredictor("bmbp", {});
+    ASSERT_TRUE(ReplaySimulator(replay).run(t, *predictor).ok());
+    EXPECT_EQ(during, std::vector<size_t>(3, before));
 }
 
 } // namespace
