@@ -8,8 +8,8 @@
 # from BUILD_DIR/bench at --threads=4, qdel_predict --lenient on each
 # tests/corpus/ input, qdel_predict with bmbp and lognormal-trim, per
 # queue and --by-procs, on the synthesized datastar/normal and
-# lanl/shared queues (qdel_synth --seed=7) and per queue on the paragon
-# queues joined into one trace, and qdel_serve --drive --digest on the
+# lanl/shared queues (qdel_synth --seed=7) and on the paragon queues
+# joined into one trace, and qdel_serve --drive --digest on the
 # two single queues, and writes their standard output over
 # the golden files. A change that moves a golden file must
 # say in CHANGES.md which cells moved and why.
@@ -34,8 +34,7 @@ for input in mixed.swf mixed_native.txt; do
 done
 
 # The synthesized traces, from a scratch directory, as
-# tests/golden/check_synth_golden.sh runs them: per queue and --by-procs
-# on the single-queue traces, per queue on the joined paragon trace.
+# tests/golden/check_synth_golden.sh runs them: per queue and --by-procs.
 synth_dir=$(mktemp -d)
 trap 'rm -rf "$synth_dir"' EXIT
 mkdir -p "$golden/predict/synth" "$golden/serve/drive"
@@ -43,10 +42,8 @@ for trace in datastar/normal lanl/shared paragon; do
     file=$("$golden/synth_trace.sh" "$build/tools/qdel_synth" \
         "$synth_dir" "$trace")
     stem=$(echo "$trace" | tr / _)
-    modes=queue
-    [ "$stem" != "$trace" ] && modes="queue by-procs"
     for method in bmbp lognormal-trim; do
-        for mode in $modes; do
+        for mode in queue by-procs; do
             echo "qdel_predict $stem $method $mode"
             flag=
             [ "$mode" = by-procs ] && flag=--by-procs
