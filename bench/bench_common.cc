@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "obs/domain_metrics.hh"
+#include "sim/replay/stream_replay.hh"
 #include "util/table_printer.hh"
 
 namespace qdel {
@@ -270,58 +271,42 @@ runProcTable(const std::string &method, const std::string &title,
     table.setHeader({"Machine", "Queue", "1-4", "5-16", "17-64", "65+"});
 
     // Phase 1: synthesize every queue's trace concurrently. Phase 2:
-    // fan the flat (queue x processor-range) cell grid across the
-    // pool. Two flat fan-outs — no task ever waits on another task.
+    // one keyed sweep per trace, by (queue, processor range), each a
+    // one-thread task on the pool, so no task waits on another.
     const auto profiles = workload::procTableProfiles();
     const auto traces = synthesizeSuite(pool, profiles, options.seed);
+    sim::StreamReplayConfig sweep;
+    sweep.replay = replay;
+    sweep.byProcs = true;
 
-    std::vector<std::future<std::vector<sim::EvaluationCell>>> rows;
-    rows.reserve(profiles.size());
+    std::vector<std::future<sim::StreamReplayResult>> rows;
+    rows.reserve(traces.size());
     for (const auto &trace : traces) {
-        // One task per (queue, range) cell keeps every queue in flight
-        // at once; filtering happens inside the worker.
-        const trace::ProcRange *ranges = trace::paperProcRanges();
-        std::vector<std::future<sim::EvaluationCell>> cell_futures;
-        for (int r = 0; r < trace::paperProcRangeCount(); ++r) {
-            const trace::ProcRange range = ranges[r];
-            cell_futures.push_back(pool.submit(
-                [trace, range, &method, &predictor_options, &replay] {
-                    return sim::evaluateProcRange(*trace, range, method,
-                                                  predictor_options,
-                                                  replay, 1000);
-                }));
-        }
-        // Wrap the per-row futures in a deferred collector so the loop
-        // below reads rows in order without blocking submission.
-        rows.push_back(std::async(
-            std::launch::deferred,
-            [](std::vector<std::future<sim::EvaluationCell>> futures) {
-                std::vector<sim::EvaluationCell> cells;
-                cells.reserve(futures.size());
-                for (auto &future : futures)
-                    cells.push_back(future.get());
-                return cells;
-            },
-            std::move(cell_futures)));
+        rows.push_back(pool.submit([trace, &method, &predictor_options,
+                                    &sweep] {
+            return sim::replayStream(*trace, method, predictor_options,
+                                     sweep)
+                .value();
+        }));
     }
 
     size_t evaluated_cells = 0;
     size_t correct_cells = 0;
     for (size_t p = 0; p < profiles.size(); ++p) {
         const auto *profile = profiles[p];
-        auto cells = rows[p].get();
         std::vector<std::string> row = {profile->site, profile->queue};
         bool any_cell = false;
-        for (const auto &cell : cells) {
-            if (cell.evaluated == 0) {
+        const sim::StreamReplayResult cells = rows[p].get();
+        for (const sim::ReplayResult *r :
+             sim::procRow(cells, profile->queue, 1000)) {
+            if (!r) {
                 row.push_back("-");
                 continue;
             }
             any_cell = true;
             ++evaluated_cells;
-            std::string text =
-                TablePrinter::cell(cell.correctFraction, 2);
-            if (!cell.correct(options.quantile))
+            std::string text = TablePrinter::cell(r->correctFraction, 2);
+            if (!sim::meetsQuantile(r->correctFraction, options.quantile))
                 text = TablePrinter::flagged(text);
             else
                 ++correct_cells;

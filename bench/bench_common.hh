@@ -127,7 +127,7 @@ evaluateMethodGrid(ThreadPool &pool,
  * Shared driver for the Tables 5/6/7 reproductions: evaluate @p method
  * on every proc-table queue subdivided by the paper's four processor
  * ranges (cells under 1000 jobs print "-") and print the table under
- * @p title. Trace synthesis and the (queue x range) cells run on the
+ * @p title. Trace synthesis and one keyed sweep per queue run on the
  * evaluation pool. Returns the process exit code.
  */
 int runProcTable(const std::string &method, const std::string &title,

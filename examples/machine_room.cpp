@@ -18,6 +18,7 @@
 #include "sim/batch/job_generator.hh"
 #include "sim/batch/scheduler.hh"
 #include "sim/replay/evaluation.hh"
+#include "sim/replay/stream_replay.hh"
 #include "util/cli.hh"
 #include "util/string_utils.hh"
 
@@ -105,15 +106,15 @@ main(int argc, char **argv)
     std::printf("\nBMBP on the machine's wait times (q=.95, C=.95):\n");
     std::printf("  %-8s %8s %10s %12s %10s\n", "queue", "jobs",
                 "correct", "med ratio", "trims");
-    for (const auto &queue : trace.queueNames()) {
-        auto subdivided = trace.filterByQueue(queue);
-        if (subdivided.size() < 200)
+    auto sweep = sim::replayStream(trace, "bmbp", options).value();
+    for (const auto &qr : sweep.queues) {
+        const sim::ReplayResult &r = qr.result;
+        if (r.totalJobs < 200)
             continue;
-        auto cell = sim::evaluateTrace(subdivided, "bmbp", options);
-        std::printf("  %-8s %8zu %9.3f%s %12.2e %10zu\n", queue.c_str(),
-                    cell.jobs, cell.correctFraction,
-                    cell.correct(0.95) ? " " : "*", cell.medianRatio,
-                    cell.trims);
+        std::printf("  %-8s %8zu %9.3f%s %12.2e %10zu\n", qr.queue.c_str(),
+                    r.totalJobs, r.correctFraction,
+                    sim::meetsQuantile(r.correctFraction, 0.95) ? " " : "*",
+                    r.medianRatio, qr.trims);
     }
 
     std::printf("\nEven with a mid-run policy flip, the non-parametric "

@@ -19,6 +19,7 @@
 #include "sim/batch/batch_simulator.hh"
 #include "sim/batch/job_generator.hh"
 #include "sim/replay/evaluation.hh"
+#include "sim/replay/stream_replay.hh"
 #include "trace/swf_format.hh"
 #include "util/cli.hh"
 
@@ -101,16 +102,17 @@ main(int argc, char **argv)
                 options.quantile, options.confidence);
     std::printf("  %-10s %8s %10s %12s\n", "queue", "jobs", "correct",
                 "med ratio");
-    for (const auto &queue : trace.queueNames()) {
-        auto subdivided = trace.filterByQueue(queue);
-        if (subdivided.size() < 120)
+    auto sweep = sim::replayStream(trace, "bmbp", options).value();
+    for (const auto &qr : sweep.queues) {
+        const sim::ReplayResult &r = qr.result;
+        if (r.totalJobs < 120)
             continue;
-        auto cell = sim::evaluateTrace(subdivided, "bmbp", options);
+        const bool met =
+            sim::meetsQuantile(r.correctFraction, options.quantile);
         std::printf("  %-10s %8zu %9.3f%s %12.2e\n",
-                    (queue.empty() ? "(none)" : queue).c_str(),
-                    cell.jobs, cell.correctFraction,
-                    cell.correct(options.quantile) ? " " : "*",
-                    cell.medianRatio);
+                    (qr.queue.empty() ? "(none)" : qr.queue).c_str(),
+                    r.totalJobs, r.correctFraction, met ? " " : "*",
+                    r.medianRatio);
     }
 
     std::printf("\nPoint this at any Parallel Workloads Archive .swf "

@@ -182,7 +182,7 @@ size_t
 BoundRegistry::shardForEvent(const JobEvent &event) const
 {
     return shardForKey(event.machine, event.queue,
-                       procBucketFor(event.procs));
+                       trace::procBucketFor(event.procs));
 }
 
 std::unique_lock<std::mutex>
@@ -207,7 +207,7 @@ BoundRegistry::makeEntry(const JobEvent &event) const
     auto entry = std::make_shared<Entry>(makePredictor(), options_);
     entry->machine = event.machine;
     entry->queue = event.queue;
-    entry->bucket = procBucketFor(event.procs);
+    entry->bucket = trace::procBucketFor(event.procs);
     return entry;
 }
 
@@ -315,7 +315,7 @@ BoundRegistry::applyLocked(size_t s, const JobEvent &event)
     if (!event.clientId.empty())
         shard.clientSeq[event.clientId] = event.seq;
     const std::string key = keyString(event.machine, event.queue,
-                                      procBucketFor(event.procs));
+                                      trace::procBucketFor(event.procs));
     switch (event.kind) {
     case EventKind::Submit: {
         outcome.rejectReason = eventTimeProblem(event.time);
@@ -465,7 +465,7 @@ BoundRegistry::query(const BoundQuery &query) const
     const size_t gi = gridIndexFor(query.quantile);
     answer.quantile = kGridQuantiles[gi];
 
-    const int bucket = procBucketFor(query.procs);
+    const int bucket = trace::procBucketFor(query.procs);
     const size_t s = shardForKey(query.machine, query.queue, bucket);
     const auto entry =
         findEntry(s, keyString(query.machine, query.queue, bucket));
@@ -500,7 +500,7 @@ BoundRegistry::queryBatch(const BoundQuery *queries, size_t count,
         const size_t gi = gridIndexFor(query.quantile);
         answer.quantile = kGridQuantiles[gi];
 
-        const int bucket = procBucketFor(query.procs);
+        const int bucket = trace::procBucketFor(query.procs);
         key.clear();
         key += query.machine;
         key += '\x1f';

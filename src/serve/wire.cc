@@ -136,19 +136,6 @@ appendPingFrame(std::string &out)
     endFrame(out, mark);
 }
 
-int
-procBucketFor(int procs)
-{
-    const int clamped = std::max(procs, 1);
-    const trace::ProcRange *ranges = trace::paperProcRanges();
-    const int count = trace::paperProcRangeCount();
-    for (int i = 0; i < count; ++i) {
-        if (ranges[i].contains(clamped))
-            return i;
-    }
-    return count - 1;  // 65+ is unbounded, so this is unreachable.
-}
-
 std::string
 procBucketLabel(int bucket)
 {

@@ -142,13 +142,7 @@ struct ServeStats
     uint64_t entries = 0;                     //!< Live predictor keys.
 };
 
-/**
- * Paper proc-bucket index (Table 5 bins 1-4 / 5-16 / 17-64 / 65+) for
- * an allocated processor count; procs < 1 clamps into the first bin.
- */
-int procBucketFor(int procs);
-
-/** Label ("1-4", "65+") for a bucket index from procBucketFor(). */
+/** Label ("1-4", "65+") for a trace::procBucketFor() bucket. */
 std::string procBucketLabel(int bucket);
 
 // --- body codecs (no frame header) ---------------------------------

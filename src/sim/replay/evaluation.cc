@@ -68,34 +68,5 @@ evaluateSuite(ThreadPool &pool, const std::vector<EvaluationJob> &jobs)
     return cells;
 }
 
-EvaluationCell
-evaluateProcRange(const trace::Trace &t, const trace::ProcRange &range,
-                  const std::string &method,
-                  const core::PredictorOptions &options,
-                  const ReplayConfig &config, size_t min_jobs)
-{
-    const trace::Trace sub = t.filterByProcRange(range);
-    if (sub.size() < min_jobs) {
-        EvaluationCell cell;
-        cell.jobs = sub.size();
-        return cell;
-    }
-    return evaluateTrace(sub, method, options, config);
-}
-
-std::vector<EvaluationCell>
-evaluateByProcRange(const trace::Trace &t, const std::string &method,
-                    const core::PredictorOptions &options,
-                    const ReplayConfig &config, size_t min_jobs)
-{
-    std::vector<EvaluationCell> cells;
-    const trace::ProcRange *ranges = trace::paperProcRanges();
-    for (int r = 0; r < trace::paperProcRangeCount(); ++r) {
-        cells.push_back(evaluateProcRange(t, ranges[r], method, options,
-                                          config, min_jobs));
-    }
-    return cells;
-}
-
 } // namespace sim
 } // namespace qdel

@@ -1,9 +1,10 @@
 /**
  * @file
  * One-call experiment helpers shared by the bench harness, the tests,
- * and the examples: evaluate a prediction method over a trace (or over
- * a trace subdivided by processor-count range) and return the paper's
- * table cells (correct fraction, median actual/predicted ratio).
+ * and the examples: evaluate a prediction method over a trace and
+ * return the paper's table cells (correct fraction, median
+ * actual/predicted ratio). A trace's per-queue or per-(queue, range)
+ * cells come from one keyed sweep instead (stream_replay.hh).
  *
  * The paper's tables are grids of independent cells: each replays one
  * trace against one freshly built predictor, the shared RareEventTable
@@ -100,27 +101,6 @@ struct EvaluationJob
  *  completion order or worker count. */
 std::vector<EvaluationCell>
 evaluateSuite(ThreadPool &pool, const std::vector<EvaluationJob> &jobs);
-
-/**
- * One cell of a paper Table 5-7 row: @p t's jobs in processor range
- * @p range, evaluated as evaluateTrace() does. A subdivision with
- * fewer than @p min_jobs jobs comes back with jobs set but
- * evaluated == 0 (the paper prints "-" for those cells).
- */
-EvaluationCell evaluateProcRange(const trace::Trace &t,
-                                 const trace::ProcRange &range,
-                                 const std::string &method,
-                                 const core::PredictorOptions &options,
-                                 const ReplayConfig &config,
-                                 size_t min_jobs);
-
-/** Paper Section 6.2: evaluateProcRange() over the four Table-5
- *  processor ranges, in order. */
-std::vector<EvaluationCell>
-evaluateByProcRange(const trace::Trace &t, const std::string &method,
-                    const core::PredictorOptions &options,
-                    const ReplayConfig &config = {},
-                    size_t min_jobs = 1000);
 
 } // namespace sim
 } // namespace qdel

@@ -169,13 +169,23 @@ traceRows(const trace::Trace &t, size_t begin, std::vector<size_t> periods)
         batch->size = end - begin;
         batch->submit = jobs.submit.data() + begin;
         batch->wait = jobs.wait.data() + begin;
+        batch->procs = jobs.procs.data() + begin;
         batch->queueId = jobs.queueId.data() + begin;
         begin = end;
         return batch->size > 0;
     };
 }
 
-/** Reusable per-queue (submit, wait) staging for multi-queue batches. */
+/** The driver's key of a row: its queue id when @p per_queue is 1,
+ *  else the (queue id, trace::procBucketFor()) pair, queue-major. */
+size_t
+rowKey(size_t per_queue, uint32_t queue_id, int32_t procs)
+{
+    return per_queue == 1 ? queue_id
+                          : queue_id * per_queue + trace::procBucketFor(procs);
+}
+
+/** Reusable per-key (submit, wait) staging for multi-core batches. */
 struct QueueRun
 {
     std::vector<double> submit;
@@ -184,18 +194,19 @@ struct QueueRun
 
 /**
  * The one offline replay driver: feed @p next's batches of a @p jobs-row
- * input to @p cores (queue q's rows to cores[q]; a lone core takes every
- * row and never reads the queue ids), refusing the first batch that
- * breaks the input contract. After each batch, run @p after_batch with
- * the rows through it, then report progress if the batch passed a
- * multiple of the period; at the end, report unless the last batch did.
- * Worker threads start only to fan out: two or more cores and a
+ * input to @p cores, scattered by rowKey(@p per_queue, ...) (a null
+ * core's rows are skipped; a lone core takes every row and never reads
+ * the queue ids or procs), refusing the first batch that breaks the
+ * input contract. After each batch, run @p after_batch with the rows
+ * through it, then report progress if the batch passed a multiple of
+ * the period; at the end, report unless the last batch did. Worker
+ * threads start only to fan out: two or more non-null cores and a
  * resolved @p threads above 1. @return The number of batches fed.
  */
 Expected<size_t>
 driveCores(const BatchSource &next, size_t jobs,
-           const std::vector<QueueCore *> &cores, const ReplayConfig &config,
-           long long threads,
+           const std::vector<QueueCore *> &cores, size_t per_queue,
+           const ReplayConfig &config, long long threads,
            const std::function<Expected<Unit>(size_t)> &after_batch)
 {
     const size_t every = config.onProgress ? config.progressEveryJobs : 0;
@@ -204,16 +215,19 @@ driveCores(const BatchSource &next, size_t jobs,
     auto report_progress = [&]() {
         ReplayProgress progress{fed, jobs, 0, 0};
         for (const QueueCore *core : cores) {
-            progress.evaluated += core->evaluated();
-            progress.correct += core->correct();
+            progress.evaluated += core ? core->evaluated() : 0;
+            progress.correct += core ? core->correct() : 0;
         }
         config.onProgress(progress);
         reported = fed;
     };
 
+    const bool lone = cores.size() == 1 && cores[0];
     std::optional<ThreadPool> pool;
     const size_t workers = ThreadPool::resolveThreadCount(threads);
-    if (cores.size() > 1 && workers > 1)
+    const size_t live =
+        cores.size() - std::count(cores.begin(), cores.end(), nullptr);
+    if (live > 1 && workers > 1)
         pool.emplace(workers);
     std::vector<QueueRun> runs(cores.size());
     std::vector<size_t> touched;
@@ -242,17 +256,21 @@ driveCores(const BatchSource &next, size_t jobs,
                               "time, with no non-finite submit time"};
         }
 
-        if (cores.size() == 1) {
+        if (lone) {
             cores[0]->processRows(batch.submit, batch.wait, batch.size);
         } else {
-            // Scatter the batch into per-queue runs (order-preserving
-            // within each queue), then fan the touched queues out and
-            // join before the next batch invalidates the columns.
+            // Scatter the batch into per-key runs (order-preserving
+            // within each key), then fan the touched keys out and join
+            // before the next batch invalidates the columns.
             touched.clear();
             for (size_t row = 0; row < batch.size; ++row) {
-                QueueRun &run = runs[batch.queueId[row]];
+                const size_t key =
+                    rowKey(per_queue, batch.queueId[row], batch.procs[row]);
+                if (!cores[key])
+                    continue;
+                QueueRun &run = runs[key];
                 if (run.submit.empty())
-                    touched.push_back(batch.queueId[row]);
+                    touched.push_back(key);
                 run.submit.push_back(batch.submit[row]);
                 run.wait.push_back(batch.wait[row]);
             }
@@ -289,27 +307,28 @@ driveCores(const BatchSource &next, size_t jobs,
     return batches;
 }
 
-/** What a sweep reads: labels, a queue table, each queue's job count,
- *  the result order, its batches and the step after each. */
+/** What a sweep reads: labels, a queue table, each key's job count,
+ *  the queues' result order, its batches and the step after each. */
 struct SweepInput
 {
     const std::string &site;
     const std::string &machine;
     size_t shards = 0;
     const std::vector<std::string> &queueNames;
-    std::vector<uint64_t> queueTotals;
+    std::vector<uint64_t> keyTotals;
     size_t jobs = 0;
     std::vector<uint32_t> resultOrder;
     BatchSource next;
     std::function<Expected<Unit>(size_t)> afterBatch;
 };
 
-/** Build one factory predictor and one spill-backed core per queue,
- *  drive them over the input, and collect the queues that held jobs. */
+/** Build one factory predictor and one spill-backed core per selected
+ *  key, drive them over the input, and collect the keys that held
+ *  jobs. */
 Expected<StreamReplayResult>
-sweepQueues(const SweepInput &input, const std::string &method,
-            const core::PredictorOptions &options,
-            const StreamReplayConfig &config)
+sweepKeys(const SweepInput &input, const std::string &method,
+          const core::PredictorOptions &options,
+          const StreamReplayConfig &config)
 {
     if (auto valid = config.replay.validate(); !valid.ok())
         return valid.error();
@@ -323,25 +342,30 @@ sweepQueues(const SweepInput &input, const std::string &method,
     const uint64_t serial =
         spillSerial.fetch_add(1, std::memory_order_relaxed);
 
-    const size_t n_queues = input.queueNames.size();
-    std::vector<std::unique_ptr<core::Predictor>> predictors;
-    std::vector<std::unique_ptr<QueueCore>> cores;
-    std::vector<QueueCore *> driven;
-    for (size_t q = 0; q < n_queues; ++q) {
+    const size_t per_queue =
+        config.byProcs ? trace::paperProcRangeCount() : 1;
+    const size_t n_keys = input.keyTotals.size();
+    std::vector<std::unique_ptr<core::Predictor>> predictors(n_keys);
+    std::vector<std::unique_ptr<QueueCore>> cores(n_keys);
+    std::vector<QueueCore *> driven(n_keys, nullptr);
+    for (size_t key = 0; key < n_keys; ++key) {
+        if (config.queue &&
+            input.queueNames[key / per_queue] != *config.queue)
+            continue;
         auto predictor = core::tryMakePredictor(method, options);
         if (!predictor.ok())
             return predictor.error();
-        predictors.push_back(std::move(predictor).value());
-        cores.push_back(std::make_unique<QueueCore>(
-            *predictors.back(),
-            queueRules(config.replay, input.queueTotals[q]), nullptr,
-            spillFilePath(spill_dir, serial, q),
-            config.spillThresholdDoubles));
-        driven.push_back(cores.back().get());
+        predictors[key] = std::move(predictor).value();
+        cores[key] = std::make_unique<QueueCore>(
+            *predictors[key], queueRules(config.replay, input.keyTotals[key]),
+            nullptr, spillFilePath(spill_dir, serial, key),
+            config.spillThresholdDoubles);
+        driven[key] = cores[key].get();
     }
 
-    auto batches = driveCores(input.next, input.jobs, driven, config.replay,
-                              config.threads, input.afterBatch);
+    auto batches = driveCores(input.next, input.jobs, driven, per_queue,
+                              config.replay, config.threads,
+                              input.afterBatch);
     if (!batches.ok())
         return batches.error();
 
@@ -351,15 +375,19 @@ sweepQueues(const SweepInput &input, const std::string &method,
     result.shards = input.shards;
     result.batches = batches.value();
     for (uint32_t q : input.resultOrder) {
-        result.totalJobs += cores[q]->submits();
-        if (cores[q]->submits() == 0)
-            continue;
-        auto scored = cores[q]->result();
-        if (!scored.ok())
-            return scored.error();
-        result.queues.push_back({input.queueNames[q],
-                                 std::move(scored).value(),
-                                 predictorTrimCount(*predictors[q])});
+        for (size_t b = 0; b < per_queue; ++b) {
+            const size_t key = q * per_queue + b;
+            if (!cores[key] || cores[key]->submits() == 0)
+                continue;
+            result.totalJobs += cores[key]->submits();
+            auto scored = cores[key]->result();
+            if (!scored.ok())
+                return scored.error();
+            result.queues.push_back(
+                {input.queueNames[q], config.byProcs ? static_cast<int>(b) : -1,
+                 std::move(scored).value(),
+                 predictorTrimCount(*predictors[key])});
+        }
     }
     return result;
 }
@@ -495,7 +523,8 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
     auto fed = driveCores(
         traceRows(t, queue.submits(),
                   {config_.progressEveryJobs, checkpoint_every}),
-        t.size(), {&queue}, config_, 1, [&](size_t rows) -> Expected<Unit> {
+        t.size(), {&queue}, 1, config_, 1,
+        [&](size_t rows) -> Expected<Unit> {
             if (checkpoint_every > 0 && rows % checkpoint_every == 0 &&
                 rows < t.size())
                 return write_checkpoint();
@@ -530,6 +559,9 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
              const core::PredictorOptions &options,
              const StreamReplayConfig &config)
 {
+    if (config.byProcs)
+        return ParseError{"", 0, "byProcs", "a manifest counts jobs per "
+                                            "queue, not per (queue, bin)"};
     // RSS is sampled as each shard starts, every kRssSampleEveryBatches
     // batches and at the end; one shard is in flight until the end.
     size_t batches = 0;
@@ -564,7 +596,7 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
     input.resultOrder.resize(reader.queueNames().size());
     std::iota(input.resultOrder.begin(), input.resultOrder.end(), 0u);
 
-    auto result = sweepQueues(input, method, options, config);
+    auto result = sweepKeys(input, method, options, config);
     sample_memory(0.0);
     if (result.ok())
         result.value().peakResidentBytes = peak_resident;
@@ -576,14 +608,31 @@ replayStream(const trace::Trace &t, const std::string &method,
              const core::PredictorOptions &options,
              const StreamReplayConfig &config)
 {
-    SweepInput input{t.site(), t.machine(), 0, t.queueTable(),
-                     std::vector<uint64_t>(t.queueTable().size(), 0),
-                     t.size(), t.queueIdsInOrder(),
-                     traceRows(t, 0, {config.replay.progressEveryJobs}),
-                     [](size_t) -> Expected<Unit> { return Unit{}; }};
-    for (uint32_t id : t.columns().queueId)
-        ++input.queueTotals[id];
-    return sweepQueues(input, method, options, config);
+    const size_t per_queue =
+        config.byProcs ? trace::paperProcRangeCount() : 1;
+    SweepInput input{
+        t.site(), t.machine(), 0, t.queueTable(),
+        std::vector<uint64_t>(t.queueTable().size() * per_queue, 0),
+        t.size(), t.queueIdsInOrder(),
+        traceRows(t, 0, {config.replay.progressEveryJobs}),
+        [](size_t) -> Expected<Unit> { return Unit{}; }};
+    const trace::TraceColumns &jobs = t.columns();
+    for (size_t i = 0; i < t.size(); ++i)
+        ++input.keyTotals[rowKey(per_queue, jobs.queueId[i], jobs.procs[i])];
+    return sweepKeys(input, method, options, config);
+}
+
+std::vector<const ReplayResult *>
+procRow(const StreamReplayResult &sweep, const std::string &queue,
+        size_t min_jobs)
+{
+    std::vector<const ReplayResult *> row(trace::paperProcRangeCount());
+    for (const QueueStreamResult &key : sweep.queues) {
+        if (key.queue == queue && key.result.totalJobs >= min_jobs &&
+            key.result.evaluatedJobs > 0)
+            row.at(key.bucket) = &key.result;
+    }
+    return row;
 }
 
 } // namespace sim

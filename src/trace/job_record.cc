@@ -5,6 +5,7 @@
 
 #include "trace/job_record.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace qdel {
@@ -37,6 +38,19 @@ int
 paperProcRangeCount()
 {
     return 4;
+}
+
+int
+procBucketFor(int procs)
+{
+    const int clamped = std::max(procs, 1);
+    const ProcRange *ranges = paperProcRanges();
+    const int count = paperProcRangeCount();
+    for (int i = 0; i < count; ++i) {
+        if (ranges[i].contains(clamped))
+            return i;
+    }
+    return count - 1;  // 65+ is unbounded, so this is unreachable.
 }
 
 } // namespace trace

@@ -66,6 +66,13 @@ const ProcRange *paperProcRanges(); // array of size paperProcRangeCount()
 /** Number of paper bins (4). */
 int paperProcRangeCount();
 
+/**
+ * Index into paperProcRanges() of the bin holding @p procs; procs < 1
+ * clamps into the first bin. The one bucket rule of the offline
+ * per-(queue, range) replay and of the online registry's keys.
+ */
+int procBucketFor(int procs);
+
 } // namespace trace
 } // namespace qdel
 

@@ -7,8 +7,9 @@
 # TRACE is SITE/QUEUE or a bare SITE. SITE/QUEUE writes that queue as
 # SWF with "QDEL_SYNTH --seed=7" (SITE_QUEUE.swf). A bare SITE writes
 # each of the site's catalog queues in the native format with the same
-# seed and joins their data lines, queue by queue, into one multi-queue
-# trace (SITE.txt; the loader sorts it by submit time).
+# seed and joins their data lines, queue by queue in catalog order,
+# into one multi-queue trace (SITE.txt; the loader sorts it by submit
+# time).
 set -eu
 synth=$1
 dir=$2
@@ -22,19 +23,16 @@ case $trace in
     echo "${site}_${queue}.swf"
     ;;
 *)
-    # qdel_synth selects one queue at a time; these are the catalog's
-    # queues for the sites a golden joins.
-    case $trace in
-    paragon) queues="q11 q256s q32l q641 standby" ;;
-    *) echo "synth_trace.sh: no queue list for site '$trace'" >&2; exit 1 ;;
-    esac
+    # qdel_synth prints "wrote FILE (N jobs)" per queue, in catalog
+    # order.
+    written=$("$synth" --out="$dir" --format=native --site="$trace" \
+        --seed=7)
     : > "$dir/$trace.txt"
-    for queue in $queues; do
-        "$synth" --out="$dir" --format=native --site="$trace" \
-            --queue="$queue" --seed=7 > /dev/null
-        grep -v '^#' "$dir/${trace}_$queue.txt" >> "$dir/$trace.txt"
-        rm "$dir/${trace}_$queue.txt"
-    done
+    echo "$written" | sed -n 's/^wrote \(.*\) ([0-9]* jobs)$/\1/p' |
+        while read -r file; do
+            grep -v '^#' "$file" >> "$dir/$trace.txt"
+            rm "$file"
+        done
     echo "$trace.txt"
     ;;
 esac

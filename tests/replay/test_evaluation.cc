@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the one-call experiment helpers (table-cell computation
- * and per-processor-range subdivision).
+ * Tests for the one-call experiment helpers (table-cell computation)
+ * and for the per-processor-range subdivision a keyed sweep gives the
+ * paper's Tables 5-7 (sim::procRow()).
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/replay/evaluation.hh"
+#include "sim/replay/stream_replay.hh"
 #include "stats/rng.hh"
 
 namespace qdel {
@@ -29,6 +31,15 @@ syntheticTrace(size_t count, uint64_t seed)
         t.add(job);
     }
     return t;
+}
+
+/** @p t's bmbp sweep keyed by (queue, processor range). */
+StreamReplayResult
+sweepByProcs(const trace::Trace &t)
+{
+    StreamReplayConfig config;
+    config.byProcs = true;
+    return replayStream(t, "bmbp", {}, config).value();
 }
 
 TEST(Evaluation, BmbpCellOnStationaryData)
@@ -57,34 +68,40 @@ TEST(Evaluation, CorrectnessCriterionRoundsLikeThePaper)
 TEST(Evaluation, ByProcRangeSubdivides)
 {
     auto t = syntheticTrace(8000, 2);
-    core::PredictorOptions options;
-    auto cells = evaluateByProcRange(t, "bmbp", options);
-    ASSERT_EQ(cells.size(), 4u);
-    // Bins 1-4 and 5-16 are populated; 17-64 and 65+ are empty.
-    EXPECT_GT(cells[0].jobs, 1000u);
-    EXPECT_GT(cells[1].jobs, 1000u);
-    EXPECT_EQ(cells[2].jobs, 0u);
-    EXPECT_EQ(cells[3].jobs, 0u);
-    EXPECT_GT(cells[0].evaluated, 0u);
-    EXPECT_EQ(cells[2].evaluated, 0u);  // "-" in the paper's tables
-    EXPECT_GE(cells[0].correctFraction, 0.94);
-    EXPECT_GE(cells[1].correctFraction, 0.94);
+    const StreamReplayResult sweep = sweepByProcs(t);
+    // Bins 1-4 and 5-16 are populated; 17-64 and 65+ hold no jobs.
+    ASSERT_EQ(sweep.queues.size(), 2u);
+    EXPECT_EQ(sweep.queues[0].bucket, 0);
+    EXPECT_EQ(sweep.queues[1].bucket, 1);
+    EXPECT_GT(sweep.queues[0].result.totalJobs, 1000u);
+    EXPECT_GT(sweep.queues[1].result.totalJobs, 1000u);
+    EXPECT_EQ(sweep.totalJobs, 8000u);
+    const std::vector<const ReplayResult *> row = procRow(sweep, "", 1000);
+    ASSERT_EQ(row.size(), 4u);
+    ASSERT_NE(row[0], nullptr);
+    ASSERT_NE(row[1], nullptr);
+    EXPECT_GT(row[0]->evaluatedJobs, 0u);
+    EXPECT_EQ(row[2], nullptr);  // "-" in the paper's tables
+    EXPECT_EQ(row[3], nullptr);
+    EXPECT_GE(row[0]->correctFraction, 0.94);
+    EXPECT_GE(row[1]->correctFraction, 0.94);
 }
 
 TEST(Evaluation, MinJobsThresholdDropsSparseCells)
 {
     auto t = syntheticTrace(1500, 3);
-    core::PredictorOptions options;
+    const StreamReplayResult sweep = sweepByProcs(t);
+    ASSERT_EQ(sweep.queues.size(), 2u);
+    EXPECT_GT(sweep.queues[0].result.totalJobs, 0u);
+    EXPECT_GT(sweep.queues[1].result.totalJobs, 0u);
     // With the paper's 1000-job floor, the 5-16 bin (~40% of 1500)
     // falls below threshold and is skipped.
-    auto cells = evaluateByProcRange(t, "bmbp", options, {}, 1000);
-    EXPECT_GT(cells[0].jobs, 0u);
-    EXPECT_EQ(cells[1].evaluated, 0u);
-    EXPECT_GT(cells[1].jobs, 0u);
+    EXPECT_EQ(procRow(sweep, "", 1000)[1], nullptr);
 
-    // Lowering the floor evaluates it.
-    auto loose = evaluateByProcRange(t, "bmbp", options, {}, 100);
-    EXPECT_GT(loose[1].evaluated, 0u);
+    // Lowering the floor shows it.
+    const ReplayResult *loose = procRow(sweep, "", 100)[1];
+    ASSERT_NE(loose, nullptr);
+    EXPECT_GT(loose->evaluatedJobs, 0u);
 }
 
 TEST(Evaluation, TrimCountSurfacedForTrimmingMethods)

@@ -5,8 +5,10 @@
  * sweep of a trace equals one ReplaySimulator run per queue, in
  * first-appearance order, at any thread count; unsorted and non-finite
  * submit times are refused from a Trace and from a stream alike; the
- * progress callback sees the whole sweep; and a one-thread replay
- * starts no worker thread.
+ * progress callback sees the whole sweep; a sweep keyed by (queue,
+ * processor bin) equals one run per filtered key, and a selected
+ * queue's keys equal its keys in the whole sweep; and a one-thread
+ * replay starts no worker thread.
  */
 
 #include <dirent.h>
@@ -14,6 +16,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "sim/replay/evaluation.hh"
 #include "sim/replay/replay_simulator.hh"
 #include "sim/replay/stream_replay.hh"
+#include "stats/rng.hh"
 #include "trace/qtc_stream.hh"
 
 namespace qdel {
@@ -231,6 +235,179 @@ TEST(ReplaySweep, ProgressCoversTheWholeSweep)
     EXPECT_EQ(processed, (std::vector<size_t>{1200, 2100, 2500}));
     EXPECT_EQ(seen.back().evaluated, evaluated);
     EXPECT_EQ(seen.back().correct, correct);
+}
+
+/**
+ * Rows interleaved over three queues at random processor counts, the
+ * bin edges 4/5, 16/17 and 64/65 among them, plus a "clamped" queue
+ * whose API-added rows include procs 0 and -1.
+ */
+trace::Trace
+keyedTrace(size_t n, uint64_t seed)
+{
+    stats::Rng rng(seed);
+    const int edges[] = {1, 4, 5, 16, 17, 64, 65, 200};
+    const int clamped[] = {0, -1, 3, 5};
+    const char *queues[] = {"a", "b", ""};
+    trace::Trace t("keyed-site", "keyed-machine");
+    for (size_t i = 0; i < n; ++i) {
+        trace::JobRecord job;
+        job.submitTime = 30.0 * static_cast<double>(i);
+        job.waitSeconds = rng.logNormal(5.0, 1.5);
+        if (i % 7 == 3) {
+            job.queue = "clamped";
+            job.procs = clamped[rng.uniformInt(0, 3)];
+        } else {
+            job.queue = queues[rng.uniformInt(0, 2)];
+            job.procs = rng.bernoulli(0.5)
+                            ? edges[rng.uniformInt(0, 7)]
+                            : static_cast<int>(rng.uniformInt(1, 128));
+        }
+        t.add(job);
+    }
+    return t;
+}
+
+/** @p queue's rows of @p t in bin @p bucket by procBucketFor(). */
+trace::Trace
+bucketRows(const trace::Trace &t, const std::string &queue, int bucket)
+{
+    trace::Trace rows(t.site(), t.machine());
+    for (const trace::JobRecord &job : t.filterByQueue(queue)) {
+        if (trace::procBucketFor(job.procs) == bucket)
+            rows.add(job);
+    }
+    return rows;
+}
+
+void
+expectSameKey(const QueueStreamResult &actual,
+              const QueueStreamResult &expected)
+{
+    EXPECT_EQ(actual.queue, expected.queue);
+    EXPECT_EQ(actual.bucket, expected.bucket);
+    EXPECT_EQ(actual.trims, expected.trims);
+    const ReplayResult &a = actual.result;
+    const ReplayResult &e = expected.result;
+    EXPECT_EQ(a.totalJobs, e.totalJobs);
+    EXPECT_EQ(a.trainingJobs, e.trainingJobs);
+    EXPECT_EQ(a.evaluatedJobs, e.evaluatedJobs);
+    EXPECT_EQ(a.correct, e.correct);
+    EXPECT_EQ(a.infinitePredictions, e.infinitePredictions);
+    EXPECT_EQ(a.correctFraction, e.correctFraction);
+    EXPECT_EQ(a.windowCount, e.windowCount);
+    EXPECT_EQ(a.windowHits, e.windowHits);
+    EXPECT_EQ(a.windowCoverage, e.windowCoverage);
+    EXPECT_EQ(a.drift, e.drift);
+    EXPECT_EQ(a.pValue, e.pValue);
+    EXPECT_EQ(a.failing, e.failing);
+    EXPECT_EQ(a.medianRatio, e.medianRatio);
+}
+
+TEST(ReplaySweep, ByProcsKeysMatchFilteredRuns)
+{
+    const trace::Trace t = keyedTrace(6000, 11);
+    const int bins = trace::paperProcRangeCount();
+    for (const char *method : {"bmbp", "lognormal-trim"}) {
+        for (long long threads : {1, 4}) {
+            SCOPED_TRACE(std::string(method) + " threads=" +
+                         std::to_string(threads));
+            StreamReplayConfig config;
+            config.threads = threads;
+            config.byProcs = true;
+            auto outcome = replayStream(t, method, {}, config);
+            ASSERT_TRUE(outcome.ok()) << outcome.error().str();
+            const StreamReplayResult &sweep = outcome.value();
+            EXPECT_EQ(sweep.totalJobs, t.size());
+
+            // Every (queue, bin) that holds jobs, queue-major in
+            // first-appearance order.
+            size_t k = 0;
+            for (const std::string &queue : t.queueNames()) {
+                for (int b = 0; b < bins; ++b) {
+                    SCOPED_TRACE(queue + " bin " + std::to_string(b));
+                    // The filters are the oracle; procBucketFor() is
+                    // for the rows of procs < 1 it clamps into "1-4".
+                    const trace::Trace rows =
+                        queue == "clamped"
+                            ? bucketRows(t, queue, b)
+                            : t.filterByQueue(queue).filterByProcRange(
+                                  trace::paperProcRanges()[b]);
+                    if (rows.empty())
+                        continue;
+                    ASSERT_LT(k, sweep.queues.size());
+                    EXPECT_EQ(sweep.queues[k].queue, queue);
+                    EXPECT_EQ(sweep.queues[k].bucket, b);
+                    expectSameResult(sweep.queues[k], rows, method,
+                                     config.replay);
+                    ++k;
+                }
+            }
+            EXPECT_EQ(k, sweep.queues.size());
+
+            // Selecting a queue keeps exactly its keys, unchanged.
+            config.queue = "b";
+            auto only = replayStream(t, method, {}, config);
+            ASSERT_TRUE(only.ok()) << only.error().str();
+            size_t selected = 0;
+            for (const QueueStreamResult &key : sweep.queues) {
+                if (key.queue != "b")
+                    continue;
+                ASSERT_LT(selected, only.value().queues.size());
+                expectSameKey(only.value().queues[selected++], key);
+            }
+            EXPECT_EQ(selected, only.value().queues.size());
+        }
+    }
+    // The rows of procs 0 and -1 land in "1-4" with those of procs 3.
+    size_t low = 0;
+    for (const trace::JobRecord &job : t.filterByQueue("clamped"))
+        low += job.procs < 5 ? 1 : 0;
+    EXPECT_EQ(bucketRows(t, "clamped", 0).size(), low);
+}
+
+TEST(ReplaySweep, StreamSweepOfOneQueueReturnsThatQueue)
+{
+    const trace::Trace t = sweepTrace(3000);
+    trace::ShardWriterOptions options;
+    options.directory = scratchDir("select");
+    options.shardSize = 700;
+    trace::ShardedTraceWriter writer(options);
+    for (size_t i = 0; i < t.size(); ++i)
+        writer.add(t[i]);
+    ASSERT_TRUE(writer.finish().ok());
+    auto sweep = [&](const std::optional<std::string> &queue) {
+        trace::StreamReadOptions read;
+        read.batchSize = 256;
+        auto reader =
+            trace::StreamingTraceReader::open(writer.manifestPath(), read);
+        EXPECT_TRUE(reader.ok()) << reader.error().str();
+        StreamReplayConfig config;
+        config.threads = 4;
+        config.queue = queue;
+        return replayStream(reader.value(), "bmbp", {}, config).value();
+    };
+
+    const StreamReplayResult all = sweep(std::nullopt);
+    ASSERT_EQ(all.queues.size(), 3u);
+    for (const QueueStreamResult &queue : all.queues) {
+        SCOPED_TRACE(queue.queue);
+        const StreamReplayResult one = sweep(queue.queue);
+        ASSERT_EQ(one.queues.size(), 1u);
+        expectSameKey(one.queues[0], queue);
+        EXPECT_EQ(one.totalJobs, t.filterByQueue(queue.queue).size());
+        EXPECT_EQ(one.batches, all.batches);
+    }
+    const StreamReplayResult none = sweep("absent");
+    EXPECT_TRUE(none.queues.empty());
+    EXPECT_EQ(none.totalJobs, 0u);
+
+    // A manifest counts jobs per queue, so it cannot key by bin.
+    auto reader = trace::StreamingTraceReader::open(writer.manifestPath());
+    ASSERT_TRUE(reader.ok()) << reader.error().str();
+    StreamReplayConfig by_procs;
+    by_procs.byProcs = true;
+    EXPECT_FALSE(replayStream(reader.value(), "bmbp", {}, by_procs).ok());
 }
 
 /** Threads in this process, from /proc/self/task. */

@@ -369,8 +369,8 @@ TEST(BoundRegistry, KeysRouteToStableShardsAndBucketsShareEntries)
     options.epochSeconds = 0.0;  // refit (and publish) at every submit
     BoundRegistry registry(options);
     // procs 1 and 4 share a bucket, so they share an entry and shard.
-    EXPECT_EQ(registry.shardForKey("m", "q", procBucketFor(1)),
-              registry.shardForKey("m", "q", procBucketFor(4)));
+    EXPECT_EQ(registry.shardForKey("m", "q", trace::procBucketFor(1)),
+              registry.shardForKey("m", "q", trace::procBucketFor(4)));
     feedWait(registry, 1, 10.0, "m", "q", 1);
     feedWait(registry, 2, 20.0, "m", "q", 4);
     EXPECT_EQ(registry.stats().entries, 1u);

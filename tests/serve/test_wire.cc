@@ -285,19 +285,19 @@ TEST(WireFraming, RequestAndResponseFramesCarryTheirTag)
 TEST(WireBuckets, PaperProcRangesAndClamping)
 {
     // Table 5 bins: 1-4 / 5-16 / 17-64 / 65+.
-    EXPECT_EQ(procBucketFor(1), procBucketFor(4));
-    EXPECT_EQ(procBucketFor(5), procBucketFor(16));
-    EXPECT_EQ(procBucketFor(17), procBucketFor(64));
-    EXPECT_EQ(procBucketFor(65), procBucketFor(1 << 20));
-    EXPECT_NE(procBucketFor(4), procBucketFor(5));
-    EXPECT_NE(procBucketFor(16), procBucketFor(17));
-    EXPECT_NE(procBucketFor(64), procBucketFor(65));
+    EXPECT_EQ(trace::procBucketFor(1), trace::procBucketFor(4));
+    EXPECT_EQ(trace::procBucketFor(5), trace::procBucketFor(16));
+    EXPECT_EQ(trace::procBucketFor(17), trace::procBucketFor(64));
+    EXPECT_EQ(trace::procBucketFor(65), trace::procBucketFor(1 << 20));
+    EXPECT_NE(trace::procBucketFor(4), trace::procBucketFor(5));
+    EXPECT_NE(trace::procBucketFor(16), trace::procBucketFor(17));
+    EXPECT_NE(trace::procBucketFor(64), trace::procBucketFor(65));
     // Degenerate proc counts clamp into the first bin.
-    EXPECT_EQ(procBucketFor(0), procBucketFor(1));
-    EXPECT_EQ(procBucketFor(-7), procBucketFor(1));
+    EXPECT_EQ(trace::procBucketFor(0), trace::procBucketFor(1));
+    EXPECT_EQ(trace::procBucketFor(-7), trace::procBucketFor(1));
 
-    EXPECT_EQ(procBucketLabel(procBucketFor(1)), "1-4");
-    EXPECT_EQ(procBucketLabel(procBucketFor(100)), "65+");
+    EXPECT_EQ(procBucketLabel(trace::procBucketFor(1)), "1-4");
+    EXPECT_EQ(procBucketLabel(trace::procBucketFor(100)), "65+");
 }
 
 TEST(WireEvents, EventsFromJobsExpandsAndOrders)

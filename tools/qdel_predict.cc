@@ -10,21 +10,23 @@
  * Workload Format (Parallel Workloads Archive), ".qtc"/".qtcs"
  * streams columnar data out-of-core (bounded resident memory, any
  * trace size), anything else the native "<submit> <wait> [procs
- * [queue]]" format. Either way the per-queue table is one
- * sim::replayStream() sweep over the queues.
+ * [queue]]" format. Either way the table is one sim::replayStream()
+ * sweep, keyed by queue or, under --by-procs, by (queue, processor
+ * range).
  *
  * Options:
  *   --method=bmbp|lognormal|lognormal-trim|loguniform|percentile
  *   --quantile=0.95 --confidence=0.95
  *   --epoch=300 --train=0.10
- *   --queue=NAME       evaluate one queue (default: each in turn)
+ *   --queue=NAME       evaluate one queue (default: every queue)
  *   --by-procs         additionally subdivide by the paper's ranges
- *   --min-jobs=1000    drop subdivisions smaller than this
+ *   --min-jobs=1000    print "-" for subdivisions smaller than this
  *   --live             print the final bound a user would see now
  *   --strict           fail on the first malformed trace line (default)
  *   --lenient          skip malformed lines, report an ingest summary
  *   --threads=N        parse and replay worker threads (default 1;
- *                      0 = auto); the replay fans out queues
+ *                      0 = auto); the replay fans out queues, or
+ *                      (queue, range) cells under --by-procs
  *   --trace-cache[=D]  maintain a binary ".qtc" cache of the parsed
  *                      trace (in D, default: next to the source) and
  *                      load from it when fresh
@@ -116,21 +118,16 @@ usage(std::ostream &out)
            "65536)\n";
 }
 
-/**
- * Stateful progress printer for --stats-every: one meter per replay
- * run. The per-queue sweep is one run; --by-procs replays its cells in
- * turn, and a jobs-processed counter that moved backwards means the
- * next one started.
- */
+/** Stateful progress printer for --stats-every: one meter over the
+ *  run's one replay (the sweep or the checkpointed run). */
 class ProgressPrinter
 {
   public:
     void
     operator()(const sim::ReplayProgress &p)
     {
-        if (!meter_ || p.jobsProcessed < last_)
+        if (!meter_)
             meter_ = std::make_shared<obs::ProgressMeter>(p.totalJobs);
-        last_ = p.jobsProcessed;
         meter_->update(p.jobsProcessed);
         const double hit_rate =
             p.evaluated > 0 ? static_cast<double>(p.correct) /
@@ -153,7 +150,6 @@ class ProgressPrinter
     // shared_ptr, not unique_ptr: the printer is stored in a
     // std::function, which requires a copyable callable.
     std::shared_ptr<obs::ProgressMeter> meter_;
-    size_t last_ = 0;
 };
 
 /** True for ".qtc" / ".qtcs" paths (case-insensitive). */
@@ -204,24 +200,21 @@ queueRow(const std::string &queue, const sim::ReplayResult &r,
             r.failing ? "yes" : "no"};
 }
 
-/** Print the sweep's queues of two or more jobs (only @p only_queue's
- *  when it is set) as one table. */
+/** Print the sweep's queues of two or more jobs as one table. */
 void
 printQueueTable(const std::string &title,
-                const sim::StreamReplayResult &sweep,
-                const std::optional<std::string> &only_queue,
-                double quantile)
+                const sim::StreamReplayResult &sweep, double quantile)
 {
     TablePrinter results(title);
     results.setHeader(kQueueHeader);
     for (const auto &qr : sweep.queues) {
-        if ((only_queue && qr.queue != *only_queue) ||
-            qr.result.totalJobs < 2)
-            continue;
-        results.addRow(queueRow(qr.queue, qr.result, qr.trims, quantile));
+        if (qr.result.totalJobs >= 2)
+            results.addRow(
+                queueRow(qr.queue, qr.result, qr.trims, quantile));
     }
     results.print(std::cout);
 }
+
 
 /** Print the ingest accounting plus the retained per-line errors. */
 void
@@ -321,8 +314,8 @@ main(int argc, char **argv)
                   << checkpoint_every_raw << "\n";
         return 1;
     }
-    if (!checkpoint_dir.empty() &&
-        cliValue(cli.getBool("by-procs", false))) {
+    const bool by_procs = cliValue(cli.getBool("by-procs", false));
+    if (!checkpoint_dir.empty() && by_procs) {
         std::cerr << "error: --checkpoint-dir cannot be combined with "
                      "--by-procs (one run, one state)\n";
         return 1;
@@ -351,12 +344,14 @@ main(int argc, char **argv)
         return 1;
     }
 
-    sim::StreamReplayConfig sweep;
-    sweep.replay = replay;
-    sweep.threads = threads;
     std::optional<std::string> only_queue;
     if (cli.has("queue"))
         only_queue = cli.getString("queue", "");
+    sim::StreamReplayConfig sweep;
+    sweep.replay = replay;
+    sweep.threads = threads;
+    sweep.byProcs = by_procs;
+    sweep.queue = only_queue;
     const std::string title = "qdel-predict: " + method + " on " + path;
     const std::string no_jobs =
         "error: trace '" + path + "' contains no jobs\n";
@@ -396,8 +391,7 @@ main(int argc, char **argv)
             return 1;
         }
         const sim::StreamReplayResult &stream = outcome.value();
-        printQueueTable(title + " (streamed)", stream, only_queue,
-                        options.quantile);
+        printQueueTable(title + " (streamed)", stream, options.quantile);
         std::cerr << "stream: " << stream.totalJobs << " jobs, "
                   << stream.batches << " batches, " << stream.shards
                   << " shards, peak rss "
@@ -435,18 +429,15 @@ main(int argc, char **argv)
     core::RareEventTable table(options.quantile, 0.05);
     options.rareEventTable = &table;
 
-    std::vector<std::string> queues;
-    if (only_queue) {
-        trace = trace.filterByQueue(*only_queue);
-        queues.push_back(*only_queue);
-    } else {
-        queues = trace.queueNames();
-    }
+    const std::vector<std::string> queues =
+        only_queue ? std::vector<std::string>{*only_queue}
+                   : trace.queueNames();
 
     if (!checkpoint_dir.empty()) {
         // A checkpoint directory holds the state of exactly one
         // (trace, queue, predictor) run, so the multi-queue sweep is
-        // off the table here.
+        // off the table here. Its fingerprint hashes the queue's own
+        // rows, so it replays a copy of them.
         if (queues.size() != 1) {
             std::cerr << "error: --checkpoint-dir requires a single "
                          "queue; this trace has "
@@ -454,6 +445,8 @@ main(int argc, char **argv)
                       << " queues, select one with --queue=NAME\n";
             return 1;
         }
+        if (only_queue)
+            trace = trace.filterByQueue(*only_queue);
         auto predictor = core::makePredictor(method, options);
         sim::ReplaySimulator simulator(replay);
         sim::ReplayCheckpointOptions copts;
@@ -482,36 +475,34 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (cliValue(cli.getBool("by-procs", false))) {
+    auto outcome = sim::replayStream(trace, method, options, sweep);
+    if (!outcome.ok()) {
+        std::cerr << "error: " << outcome.error().str() << "\n";
+        return 1;
+    }
+    if (by_procs) {
         TablePrinter results(title);
         results.setHeader({"queue", "1-4", "5-16", "17-64", "65+"});
         for (const auto &queue : queues) {
-            auto cells = sim::evaluateByProcRange(
-                trace.filterByQueue(queue), method, options, replay,
-                min_jobs);
             std::vector<std::string> row = {queueLabel(queue)};
-            for (const auto &cell : cells) {
-                if (cell.evaluated == 0) {
+            for (const sim::ReplayResult *r :
+                 sim::procRow(outcome.value(), queue, min_jobs)) {
+                if (!r) {
                     row.push_back("-");
                     continue;
                 }
                 std::string text =
-                    TablePrinter::cell(cell.correctFraction, 2);
-                row.push_back(cell.correct(options.quantile)
-                                  ? text
-                                  : TablePrinter::flagged(text));
+                    TablePrinter::cell(r->correctFraction, 2);
+                row.push_back(
+                    sim::meetsQuantile(r->correctFraction, options.quantile)
+                        ? text
+                        : TablePrinter::flagged(text));
             }
             results.addRow(std::move(row));
         }
         results.print(std::cout);
     } else {
-        auto outcome = sim::replayStream(trace, method, options, sweep);
-        if (!outcome.ok()) {
-            std::cerr << "error: " << outcome.error().str() << "\n";
-            return 1;
-        }
-        printQueueTable(title, outcome.value(), only_queue,
-                        options.quantile);
+        printQueueTable(title, outcome.value(), options.quantile);
     }
 
     if (cliValue(cli.getBool("live", false))) {

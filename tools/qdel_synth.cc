@@ -7,7 +7,8 @@
  *
  * Usage:
  *   qdel_synth --out=DIR [--format=native|swf] [--seed=1]
- *              [--site=S --queue=Q]      (default: the whole suite)
+ *              [--site=S [--queue=Q]]    (default: the whole suite;
+ *                          a site alone: its catalog queues)
  *              [--verify]  re-load each written file (strict) and
  *                          check the record count round-trips
  *              [--trace-cache[=DIR]]  also warm a binary ".qtc" cache
@@ -258,18 +259,21 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // The whole catalog, a --site's queues, or one --site --queue.
+    const std::string site = cli.getString("site", "");
+    const std::string queue = cli.getString("queue", "");
     std::vector<const workload::QueueProfile *> selection;
-    if (cli.has("site") || cli.has("queue")) {
-        auto profile = workload::lookupProfile(cli.getString("site", ""),
-                                               cli.getString("queue", ""));
-        if (!profile.ok()) {
-            std::cerr << "error: " << profile.error().str() << "\n";
-            return 1;
-        }
-        selection.push_back(profile.value());
-    } else {
-        for (const auto &profile : workload::siteCatalog())
+    for (const auto &profile : workload::siteCatalog()) {
+        if ((!cli.has("site") && !cli.has("queue")) ||
+            (site == profile.site &&
+             (!cli.has("queue") || queue == profile.queue)))
             selection.push_back(&profile);
+    }
+    if (selection.empty()) {
+        std::cerr << "error: "
+                  << workload::lookupProfile(site, queue).error().str()
+                  << "\n";
+        return 1;
     }
 
     if (stream_out) {
